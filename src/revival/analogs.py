@@ -11,6 +11,7 @@ import numpy as np
 
 from .dynamics import TimeSeries
 from .errors import DomainError, TruncationError
+from .packets import log_factorial, log_poisson
 from .wavefields import AxisSpec, FieldGrid
 
 
@@ -49,23 +50,7 @@ class CoherentState:
         return 2.0 * math.pi / self.u0_over_hbar
 
     def log_poisson(self) -> np.ndarray:
-        n = np.arange(self.n_cap + 1, dtype=float)
-        a2 = abs(self.alpha) ** 2
-        if a2 == 0:
-            out = np.full(self.n_cap + 1, -np.inf)
-            out[0] = 0.0
-            return out
-        return -a2 + n * math.log(a2) - np.array([math.lgamma(x + 1.0) for x in n])
-
-
-def _poisson_weights(nbar: float, n_cap: int) -> np.ndarray:
-    n = np.arange(n_cap + 1, dtype=float)
-    if nbar == 0:
-        w = np.zeros(n_cap + 1)
-        w[0] = 1.0
-        return w
-    logw = -nbar + n * math.log(nbar) - np.array([math.lgamma(x + 1.0) for x in n])
-    return np.exp(logw)
+        return log_poisson(abs(self.alpha) ** 2, self.n_cap)
 
 
 def jc_inversion(p: JCParams, t_grid) -> TimeSeries:
@@ -77,7 +62,7 @@ def jc_inversion(p: JCParams, t_grid) -> TimeSeries:
     if not np.all(np.isfinite(t)):
         raise DomainError("time grid must be finite")
     n_cap = int(math.ceil(p.nbar + 12.0 * math.sqrt(max(p.nbar, 1.0))))
-    w = _poisson_weights(p.nbar, n_cap)
+    w = np.exp(log_poisson(p.nbar, n_cap))
     if 1.0 - w.sum() > 1e-12:
         raise TruncationError("Poisson tail above 1e-12 at the truncation cap")
     freqs = 2.0 * np.sqrt(np.arange(n_cap + 1, dtype=float)) * p.coupling
@@ -139,7 +124,7 @@ def bec_overlap_grid(cs: CoherentState, t: float, re_axis: AxisSpec, im_axis: Ax
     coherent-plane coordinate beta."""
     coeffs = bec_state_coefficients(cs, t)
     n = np.arange(cs.n_cap + 1, dtype=float)
-    lgam = np.array([math.lgamma(x + 1.0) for x in n])
+    lgam = log_factorial(n)
     re = re_axis.points()
     im = im_axis.points()
     values = np.empty((len(re), len(im)))
@@ -164,11 +149,7 @@ def bec_overlap_point(cs: CoherentState, beta: complex, t: float) -> float:
         amp = np.zeros(cs.n_cap + 1)
         amp[0] = 1.0
     else:
-        amp = np.exp(
-            -0.5 * b * b
-            + n * math.log(b)
-            - 0.5 * np.array([math.lgamma(x + 1.0) for x in n])
-        )
+        amp = np.exp(-0.5 * b * b + n * math.log(b) - 0.5 * log_factorial(n))
     bra = amp * np.exp(-1j * n * np.angle(beta) if b > 0 else np.zeros(cs.n_cap + 1))
     return float(np.abs(np.sum(bra * coeffs)) ** 2)
 
@@ -223,9 +204,7 @@ def bec_cat_fidelity(cs: CoherentState) -> float:
     a = abs(cs.alpha)
     if a == 0:
         return float(abs(coeffs[0]) ** 2)
-    log_amp = -0.5 * a * a + n * math.log(a) - 0.5 * np.array(
-        [math.lgamma(float(x) + 1.0) for x in n]
-    )
+    log_amp = -0.5 * a * a + n * math.log(a) - 0.5 * log_factorial(n)
     base = np.exp(log_amp) * np.exp(1j * n * np.angle(cs.alpha))
     plus = base * np.exp(1j * n * math.pi / 2.0)   # |i alpha>
     minus = base * np.exp(-1j * n * math.pi / 2.0)  # |-i alpha>

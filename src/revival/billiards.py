@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .dynamics import TimeSeries, _phase_sum
+from .dynamics import _CHUNK, TimeSeries, _phase_block
 from .errors import DomainError, OrbitUnsupportedError, RootError
 from .packets import CoefficientSet2D
 from .serialize import format_float
@@ -435,5 +435,9 @@ def autocorrelation_2d(c: CoefficientSet2D, s: Spectrum2D, t_grid) -> TimeSeries
             raise DomainError(f"label {lab} invalid for {s.geometry}")
         energies.append(s.energy(lab[0], lab[1]))
     omegas = np.asarray(energies) / s.units.hbar
-    vals = _phase_sum(c.weights(), omegas, t_grid)
-    return TimeSeries(np.asarray(t_grid, dtype=float), vals)
+    t = np.asarray(t_grid, dtype=float)
+    w = c.weights()
+    vals = np.empty(len(t), dtype=complex)
+    for start in range(0, len(t), _CHUNK):
+        vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], omegas)
+    return TimeSeries(t, vals)

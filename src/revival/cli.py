@@ -31,18 +31,19 @@ COMMANDS = (
     "bec",
 )
 
-_MODEL_CHOICES = (
-    "caseA",
-    "caseB",
-    "anharmonic",
-    "well",
-    "bouncer_wkb",
-    "bouncer_airy",
-    "rotor",
-    "pendulum",
-    "harmonic",
-    "rydberg",
-)
+# --model value -> Spectrum1D factory over the scenario's parameters
+_SPECTRA = {
+    "caseA": lambda p: spectra.Spectrum1D.case_a(),
+    "caseB": lambda p: spectra.Spectrum1D.case_b(),
+    "anharmonic": lambda p: spectra.Spectrum1D.anharmonic(p["alpha"], p["beta"]),
+    "well": lambda p: spectra.Spectrum1D.infinite_well(p["L"]),
+    "bouncer_wkb": lambda p: spectra.Spectrum1D.bouncer_wkb(p["F"]),
+    "bouncer_airy": lambda p: spectra.Spectrum1D.bouncer_airy(p["F"]),
+    "rotor": lambda p: spectra.Spectrum1D.rotor(p["inertia"]),
+    "pendulum": lambda p: spectra.Spectrum1D.pendulum(p["inertia"], p["V0"]),
+    "harmonic": lambda p: spectra.Spectrum1D.harmonic(p["omega"]),
+    "rydberg": lambda p: spectra.Spectrum1D.rydberg(),
+}
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ def _str_key(choices):
 _REQUIRED = object()
 
 _MODEL_KEYS = {
-    "model": (_str_key(_MODEL_CHOICES), _REQUIRED),
+    "model": (_str_key(tuple(_SPECTRA)), _REQUIRED),
     "alpha": (_float_key, 1.0 / 800.0),
     "beta": (_float_key, 0.0),
     "L": (_float_key, 1.0),
@@ -227,29 +228,6 @@ def parse_config(path: str, command: str, out_dir: str, overrides: dict[str, str
     return build_scenario(command, raw, out_dir)
 
 
-def _spectrum_from(params: dict) -> spectra.Spectrum1D:
-    model = params["model"]
-    if model == "caseA":
-        return spectra.Spectrum1D.case_a()
-    if model == "caseB":
-        return spectra.Spectrum1D.case_b()
-    if model == "anharmonic":
-        return spectra.Spectrum1D.anharmonic(params["alpha"], params["beta"])
-    if model == "well":
-        return spectra.Spectrum1D.infinite_well(params["L"])
-    if model == "bouncer_wkb":
-        return spectra.Spectrum1D.bouncer_wkb(params["F"])
-    if model == "bouncer_airy":
-        return spectra.Spectrum1D.bouncer_airy(params["F"])
-    if model == "rotor":
-        return spectra.Spectrum1D.rotor(params["inertia"])
-    if model == "pendulum":
-        return spectra.Spectrum1D.pendulum(params["inertia"], params["V0"])
-    if model == "harmonic":
-        return spectra.Spectrum1D.harmonic(params["omega"])
-    return spectra.Spectrum1D.rydberg()
-
-
 def _write_sidecar(path, scenario: Scenario, extras: dict) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"command = {scenario.command}\n")
@@ -280,7 +258,7 @@ def run(scenario: Scenario) -> list[str]:
     written = []
 
     if scenario.command == "spectrum":
-        s = _spectrum_from(p)
+        s = _SPECTRA[p["model"]](p)
         n_min = max(p["n_min"], int(s.ground_index))
         path = out("spectrum.csv")
         with open(path, "w", newline="") as fh:
@@ -292,7 +270,7 @@ def run(scenario: Scenario) -> list[str]:
         written.append(out("spectrum.meta.txt"))
 
     elif scenario.command == "autocorr":
-        s = _spectrum_from(p)
+        s = _SPECTRA[p["model"]](p)
         index_min = int(s.ground_index)
         c = packets.gaussian_model_coefficients(p["n0"], p["dn"], p["cutoff"], index_min)
         grid = np.linspace(0.0, p["tmax"], p["steps"] + 1)
@@ -461,8 +439,6 @@ def _run_billiard(scenario: Scenario, out) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    threads = os.environ.get("REVIVAL_THREADS")  # reserved: caps worker pools
-    del threads
     try:
         if not argv or argv[0] in ("-h", "--help"):
             _print_usage()
@@ -487,9 +463,7 @@ def main(argv: list[str] | None = None) -> int:
                 raise ConfigError(f"unexpected argument {arg!r}")
         if out_dir is None:
             raise ConfigError("--out DIR is required")
-        raw = _read_config_lines(config_path) if config_path else {}
-        raw.update(overrides)
-        scenario = build_scenario(command, raw, out_dir)
+        scenario = parse_config(config_path, command, out_dir, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

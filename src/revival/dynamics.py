@@ -21,6 +21,7 @@ _FRACTION_TWO_PI = Fraction(
     "6.28318530717958647692528676655900576839433879875021164194988918461563281"
 )
 _BIG_PHASE = 1e8
+_CHUNK = 4096  # times per phase block; bounds the (modes x times) temporaries
 
 
 def _cody_waite_parts():
@@ -120,42 +121,26 @@ def _dd_cycles(g: list[float], n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _poly_phase_sum(weights, q_hi, q_lo, t_grid, chunk: int = 4096) -> np.ndarray:
-    """sum_n w_n e^{2 pi i q_n t} with q held in double-double, reduced
-    modulo one cycle before the final multiply by 2*pi. Keeps quadratic
-    revival phase alignments exact to the last rounding."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(len(t_grid), dtype=complex)
-    qh = q_hi[:, None]
-    ql = q_lo[:, None]
-    for start in range(0, len(t_grid), chunk):
-        ts = t_grid[start : start + chunk][None, :]
-        hi, lo = _two_product(qh, ts)
-        lo = lo + ql * ts
-        k = np.rint(hi)
-        frac = (hi - k) + lo
-        out[start : start + chunk] = weights @ np.exp((2j * math.pi) * frac)
-    return out
+def _phase_block(ts, n, s: Spectrum1D | None = None) -> np.ndarray:
+    """The unit phases e^{+i E_n t / hbar} as an (N, T) block, for a chunk
+    of T <= _CHUNK times; the one place that turns energies into phases.
 
-
-def _phase_sum(weights: np.ndarray, omegas: np.ndarray, t_grid, chunk: int = 4096) -> np.ndarray:
-    """sum_n w_n e^{+i omega_n t} evaluated over a time grid in chunks."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(len(t_grid), dtype=complex)
-    for start in range(0, len(t_grid), chunk):
-        ts = t_grid[start : start + chunk]
-        ph = reduced_phase(omegas[:, None], ts[None, :])
-        out[start : start + chunk] = weights @ np.exp(1j * ph)
-    return out
-
-
-def _overlap_series(weights, c_indices, s: Spectrum1D, t_grid) -> np.ndarray:
-    g = s.frequency_polynomial()
-    if g is not None:
-        q_hi, q_lo = _dd_cycles(g, c_indices.astype(float))
-        return _poly_phase_sum(weights, q_hi, q_lo, t_grid)
-    omegas = eval_energy(s, c_indices.astype(float)) / s.units.hbar
-    return _phase_sum(weights, omegas, t_grid)
+    `n` holds level indices of `s`, or angular frequencies E/hbar when `s`
+    is None. A spectrum with a frequency polynomial keeps q_n = E_n/(2 pi
+    hbar) in double-double and reduces q_n t modulo one cycle before the
+    final multiply by 2 pi, which keeps quadratic revival phase alignments
+    exact to the last rounding; other levels go through reduced_phase.
+    Evolved coefficients are a_n * conj(block)."""
+    ts = np.asarray(ts, dtype=float)[None, :]
+    g = None if s is None else s.frequency_polynomial()
+    if g is None:
+        omegas = n if s is None else eval_energy(s, n.astype(float)) / s.units.hbar
+        return np.exp(1j * reduced_phase(omegas[:, None], ts))
+    q_hi, q_lo = _dd_cycles(g, n.astype(float))
+    hi, lo = _two_product(q_hi[:, None], ts)
+    lo = lo + q_lo[:, None] * ts
+    k = np.rint(hi)
+    return np.exp((2j * math.pi) * ((hi - k) + lo))
 
 
 def autocorrelation(c: CoefficientSet, s: Spectrum1D, t_grid) -> TimeSeries:
@@ -163,8 +148,12 @@ def autocorrelation(c: CoefficientSet, s: Spectrum1D, t_grid) -> TimeSeries:
     n = c.indices
     if np.any(n < s.ground_index):
         raise DomainError("coefficient indices fall outside the spectrum range")
-    vals = _overlap_series(c.weights(), n, s, t_grid)
-    return TimeSeries(np.asarray(t_grid, dtype=float), vals)
+    t = np.asarray(t_grid, dtype=float)
+    w = c.weights()
+    vals = np.empty(len(t), dtype=complex)
+    for start in range(0, len(t), _CHUNK):
+        vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], n, s)
+    return TimeSeries(t, vals)
 
 
 def anticorrelation_infinite_well(c: CoefficientSet, s: Spectrum1D, t_grid) -> TimeSeries:
@@ -173,9 +162,12 @@ def anticorrelation_infinite_well(c: CoefficientSet, s: Spectrum1D, t_grid) -> T
     n = c.indices
     if np.any(n < 1):
         raise DomainError("box coefficients are indexed from 1")
-    signs = np.where(n % 2 == 1, 1.0, -1.0)  # (-1)^(n+1)
-    vals = _overlap_series(signs * c.weights(), n, s, t_grid)
-    return TimeSeries(np.asarray(t_grid, dtype=float), vals)
+    t = np.asarray(t_grid, dtype=float)
+    w = np.where(n % 2 == 1, 1.0, -1.0) * c.weights()  # (-1)^(n+1)
+    vals = np.empty(len(t), dtype=complex)
+    for start in range(0, len(t), _CHUNK):
+        vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], n, s)
+    return TimeSeries(t, vals)
 
 
 def incoherent_plateau(c) -> float:

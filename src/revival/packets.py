@@ -114,8 +114,10 @@ def _deficit(values: np.ndarray) -> float:
     return 0.0 if -1e-9 < d < 0.0 else d
 
 
-def _finish_1d(index_lo, values, warnings=()):
-    return CoefficientSet(index_lo, values, _deficit(values), tuple(warnings))
+def _finish_1d(index_lo, values, warn_above=math.inf, warning="norm deficit {:.2e}: n_max may be too small"):
+    deficit = _deficit(values)
+    warnings = (warning.format(deficit),) if deficit > warn_above else ()
+    return CoefficientSet(index_lo, values, deficit, warnings)
 
 
 def gaussian_model_coefficients(
@@ -132,11 +134,8 @@ def gaussian_model_coefficients(
     amp = (delta_n * math.sqrt(2.0 * math.pi)) ** -0.5
     a = amp * np.exp(-((n - n0) ** 2) / (4.0 * delta_n**2))
     lo, a = _trim(lo, a.astype(complex), cutoff)
-    warnings = []
-    cset = _finish_1d(lo, a)
-    if lo == index_min and cset.norm_deficit > 1e-3:
-        warnings.append("window truncated at the lower index boundary")
-    return _finish_1d(lo, a, warnings)
+    warn_above = 1e-3 if lo == index_min else math.inf
+    return _finish_1d(lo, a, warn_above, "window truncated at the lower index boundary")
 
 
 def poisson_coefficients(nbar: float, cutoff: float = 1e-9) -> CoefficientSet:
@@ -145,11 +144,23 @@ def poisson_coefficients(nbar: float, cutoff: float = 1e-9) -> CoefficientSet:
     if nbar <= 0:
         raise DomainError("nbar must be positive")
     hi = int(math.ceil(nbar + 14.0 * math.sqrt(nbar) + 20))
-    n = np.arange(0, hi + 1, dtype=float)
-    logw = -nbar + n * math.log(nbar) - np.array([math.lgamma(x + 1.0) for x in n])
-    a = np.exp(0.5 * logw)
+    a = np.exp(0.5 * log_poisson(nbar, hi))
     lo, a = _trim(0, a.astype(complex), cutoff)
     return _finish_1d(lo, a)
+
+
+def log_factorial(n: np.ndarray) -> np.ndarray:
+    """log(n!) elementwise, through lgamma so large n stay finite."""
+    return np.array([math.lgamma(x + 1.0) for x in n])
+
+
+def log_poisson(nbar: float, n_cap: int) -> np.ndarray:
+    """log of the Poisson weights e^-nbar nbar^n / n! for n = 0..n_cap
+    (-inf above n = 0 when nbar = 0)."""
+    if nbar == 0:
+        return np.where(np.arange(n_cap + 1) == 0, 0.0, -np.inf)
+    n = np.arange(n_cap + 1, dtype=float)
+    return -nbar + n * math.log(nbar) - log_factorial(n)
 
 
 def delta_n_estimate(p: PacketParams1D, L: float) -> float:
@@ -183,11 +194,7 @@ def infinite_well_coefficients(p: PacketParams1D, L: float, n_max: int) -> Coeff
     minus = np.exp(-1j * kn * p.x0) * np.exp(-(b**2) * (p.p0 - kn * hbar) ** 2 / (2 * hbar**2))
     a = pref / 2j * (plus - minus)
     lo, a = _trim(1, a, RELATIVE_FLOOR)
-    cset = _finish_1d(lo, a)
-    warnings = []
-    if cset.norm_deficit > 1e-4:
-        warnings.append(f"norm deficit {cset.norm_deficit:.2e}: n_max may be too small")
-    return _finish_1d(lo, a, warnings)
+    return _finish_1d(lo, a, 1e-4)
 
 
 def bouncer_coefficients(
@@ -221,11 +228,7 @@ def bouncer_coefficients(
         u = norm * specfun.airy_ai(z / rho - y)
         vals[n] = np.sum(w * u * psi)
     lo, a = _trim(0, vals, RELATIVE_FLOOR)
-    cset = _finish_1d(lo, a)
-    warnings = []
-    if cset.norm_deficit > 1e-4:
-        warnings.append(f"norm deficit {cset.norm_deficit:.2e}: n_max may be too small")
-    return _finish_1d(lo, a, warnings)
+    return _finish_1d(lo, a, 1e-4)
 
 
 def bouncer_norm(n: int, rho: float) -> float:
@@ -312,10 +315,11 @@ def triangle_wavefunction(label, x, y, L):
 
 def _triangle_wall_clearances(x0, y0, L):
     s3 = math.sqrt(3.0)
+    # signed: a center outside the triangle has a negative clearance
     return (
-        abs(s3 * x0 - y0) / 2.0,   # right wall through the origin
-        abs(s3 * x0 + y0) / 2.0,   # left wall through the origin
-        s3 * L / 2.0 - y0,         # top wall
+        (y0 - s3 * x0) / 2.0,   # right wall through the origin
+        (y0 + s3 * x0) / 2.0,   # left wall through the origin
+        s3 * L / 2.0 - y0,      # top wall
     )
 
 

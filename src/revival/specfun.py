@@ -18,6 +18,7 @@ from .errors import QuadratureError, RangeError, RootError
 
 ORDER_MAX = 60
 ARG_MAX = 2000.0
+AIRY_ZERO_MAX = 500
 _ASYMPTOTIC_SPLIT = 12.0
 
 
@@ -512,8 +513,8 @@ _airy_zero_cache: list[tuple[float, int]] = []
 
 def airy_zero(n: int) -> RootResult:
     """n-th zero y_n > 0 of Ai(-y) (n = 0 is the first zero, ~2.338)."""
-    if n < 0 or n > 500:
-        raise RangeError(f"Airy zero index {n} outside validated range (<= 500)")
+    if n < 0 or n > AIRY_ZERO_MAX:
+        raise RangeError(f"Airy zero index {n} outside validated range (<= {AIRY_ZERO_MAX})")
     if len(_airy_zero_cache) <= n:
         ks = np.arange(len(_airy_zero_cache), n + 1)
         seeds = np.array([airy_zero_seed(int(k)) for k in ks])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import specfun
-from .errors import DomainError
+from .errors import DomainError, RangeError
 
 
 @dataclass(frozen=True)
@@ -40,17 +40,36 @@ class TimeScales:
     t_super: float
 
 
-_MODELS = (
-    "AnharmonicPoly",
-    "InfiniteWell",
-    "PowerLawWKB",
-    "BouncerWKB",
-    "BouncerAiry",
-    "Rotor2D",
-    "PendulumLowEnergy",
-    "Harmonic",
-    "CoulombRydberg",
-)
+def _airy_scale(p: dict, u: UnitSystem) -> float:
+    # energy unit of the linear potential F z: (hbar^2 F^2 / 2m)^(1/3)
+    return (u.hbar**2 * p["F"] ** 2 / (2 * u.mass)) ** (1.0 / 3.0)
+
+
+def _pendulum_poly(p: dict, u: UnitSystem) -> list[float]:
+    c = u.hbar / (32.0 * math.pi * p["inertia"])
+    w0 = math.sqrt(p["V0"] / p["inertia"]) if p.get("V0", 0.0) > 0 else 0.0
+    return [0.5 * c + w0 / (4.0 * math.pi), c + w0 / (2.0 * math.pi), c, 0.0]
+
+
+# The model table: name -> (ground index, family, coefficients(params, units)).
+#   "poly":  g_j with E(n) = 2 pi hbar sum_j g_j n^j
+#   "power": (scale, offset, exponent) with E(n) = scale (n + offset)^exponent
+#   "airy":  the energy unit that multiplies the Airy zeros y_n
+_MODELS = {
+    "AnharmonicPoly": (0.0, "poly", lambda p, u: [
+        0.0, 1.0 / u.hbar, -p["alpha"] / (2.0 * u.hbar), p["beta"] / (6.0 * u.hbar)]),
+    "InfiniteWell": (1.0, "poly", lambda p, u: [
+        0.0, 0.0, u.hbar * math.pi / (4.0 * u.mass * p["L"] ** 2), 0.0]),
+    "PowerLawWKB": (0.0, "power", lambda p, u: (p["scale"], p["offset"], p["exponent"])),
+    "BouncerWKB": (0.0, "power", lambda p, u: (
+        _airy_scale(p, u) * (1.5 * math.pi) ** (2.0 / 3.0), 0.75, 2.0 / 3.0)),
+    "BouncerAiry": (0.0, "airy", _airy_scale),
+    "Rotor2D": (0.0, "poly", lambda p, u: [0.0, 0.0, u.hbar / (4.0 * math.pi * p["inertia"]), 0.0]),
+    "PendulumLowEnergy": (0.0, "poly", _pendulum_poly),
+    "Harmonic": (0.0, "poly", lambda p, u: [
+        0.5 * p["omega"] / (2.0 * math.pi), p["omega"] / (2.0 * math.pi), 0.0, 0.0]),
+    "CoulombRydberg": (1.0, "power", lambda p, u: (-p["r_eff"], 0.0, -2.0)),
+}
 
 # Classical period coefficient for hydrogen-like levels, seconds * n^-3.
 RYDBERG_PERIOD_SECONDS = 1.52e-16
@@ -124,108 +143,46 @@ class Spectrum1D:
 
     @property
     def ground_index(self) -> float:
-        return {"InfiniteWell": 1.0, "CoulombRydberg": 1.0}.get(self.model, 0.0)
-
-    def _derivs(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        u = self.units
-        p = self.params
-        if self.model == "AnharmonicPoly":
-            a, b = p["alpha"], p["beta"]
-            e = 2 * np.pi * (n - a * n**2 / 2 + b * n**3 / 6)
-            e1 = 2 * np.pi * (1 - a * n + b * n**2 / 2)
-            e2 = 2 * np.pi * (-a + b * n)
-            e3 = 2 * np.pi * b * np.ones_like(n)
-        elif self.model == "InfiniteWell":
-            e0 = u.hbar**2 * np.pi**2 / (2 * u.mass * p["L"] ** 2)
-            e = e0 * n**2
-            e1 = 2 * e0 * n
-            e2 = 2 * e0 * np.ones_like(n)
-            e3 = np.zeros_like(n)
-        elif self.model == "PowerLawWKB":
-            scale, c, expo = p["scale"], p["offset"], p["exponent"]
-            base = n + c
-            e = scale * base**expo
-            e1 = scale * expo * base ** (expo - 1)
-            e2 = scale * expo * (expo - 1) * base ** (expo - 2)
-            e3 = scale * expo * (expo - 1) * (expo - 2) * base ** (expo - 3)
-        elif self.model == "BouncerWKB":
-            scale = (u.hbar**2 * p["F"] ** 2 / (2 * u.mass)) ** (1.0 / 3.0)
-            base = 1.5 * np.pi * (n + 0.75)
-            e = scale * base ** (2.0 / 3.0)
-            d = 1.5 * np.pi
-            e1 = scale * (2.0 / 3.0) * d * base ** (-1.0 / 3.0)
-            e2 = -scale * (2.0 / 9.0) * d**2 * base ** (-4.0 / 3.0)
-            e3 = scale * (8.0 / 27.0) * d**3 * base ** (-7.0 / 3.0)
-        elif self.model == "BouncerAiry":
-            return self._tabulated_derivs(n)
-        elif self.model == "Rotor2D":
-            c = u.hbar**2 / (2 * p["inertia"])
-            e = c * n**2
-            e1 = 2 * c * n
-            e2 = 2 * c * np.ones_like(n)
-            e3 = np.zeros_like(n)
-        elif self.model == "PendulumLowEnergy":
-            inertia = p["inertia"]
-            c = u.hbar**2 / (32 * inertia)
-            omega0 = math.sqrt(p["V0"] / inertia) if p.get("V0", 0.0) > 0 else 0.0
-            e = u.hbar * omega0 * (n + 0.5) + c * (2 * n**2 + 2 * n + 1)
-            e1 = u.hbar * omega0 + c * (4 * n + 2)
-            e2 = 4 * c * np.ones_like(n)
-            e3 = np.zeros_like(n)
-        elif self.model == "Harmonic":
-            w = p["omega"]
-            e = u.hbar * w * (n + 0.5)
-            e1 = u.hbar * w * np.ones_like(n)
-            e2 = np.zeros_like(n)
-            e3 = np.zeros_like(n)
-        elif self.model == "CoulombRydberg":
-            r = p["r_eff"]
-            e = -r / n**2
-            e1 = 2 * r / n**3
-            e2 = -6 * r / n**4
-            e3 = 24 * r / n**5
-        else:  # pragma: no cover
-            raise DomainError(self.model)
-        return e, e1, e2, e3
+        return _MODELS[self.model][0]
 
     def frequency_polynomial(self) -> list[float] | None:
         """Coefficients g_j with E(n)/(2 pi hbar) = sum_j g_j n^j for the
         polynomial-in-n models, or None. Used for cycle-exact phase
         reduction in long-time overlap sums."""
-        u = self.units
-        p = self.params
-        if self.model == "AnharmonicPoly":
-            return [0.0, 1.0 / u.hbar, -p["alpha"] / (2.0 * u.hbar), p["beta"] / (6.0 * u.hbar)]
-        if self.model == "InfiniteWell":
-            g2 = u.hbar * math.pi / (4.0 * u.mass * p["L"] ** 2)
-            return [0.0, 0.0, g2, 0.0]
-        if self.model == "Rotor2D":
-            return [0.0, 0.0, u.hbar / (4.0 * math.pi * p["inertia"]), 0.0]
-        if self.model == "PendulumLowEnergy":
-            c = u.hbar / (32.0 * math.pi * p["inertia"])
-            w0 = math.sqrt(p["V0"] / p["inertia"]) if p.get("V0", 0.0) > 0 else 0.0
-            return [0.5 * c + w0 / (4.0 * math.pi), c + w0 / (2.0 * math.pi), c, 0.0]
-        if self.model == "Harmonic":
-            w = p["omega"] / (2.0 * math.pi)
-            return [0.5 * w, w, 0.0, 0.0]
-        return None
+        _, family, coefficients = _MODELS[self.model]
+        return coefficients(self.params, self.units) if family == "poly" else None
 
-    def _tabulated_derivs(self, n):
-        u = self.units
-        scale = (u.hbar**2 * self.params["F"] ** 2 / (2 * u.mass)) ** (1.0 / 3.0)
-        out = []
-        for x in np.atleast_1d(n):
-            c = int(round(float(x)))
-            c = max(c, 2)
-            y = np.array([specfun.airy_zero(c + j).value for j in range(-2, 3)])
-            e = scale * float(np.interp(float(x), np.arange(c - 2, c + 3), y))
-            # 5-point central differences with unit step at the rounded index
-            e1 = scale * (y[0] - 8 * y[1] + 8 * y[3] - y[4]) / 12.0
-            e2 = scale * (-y[0] + 16 * y[1] - 30 * y[2] + 16 * y[3] - y[4]) / 12.0
-            e3 = scale * (-y[0] + 2 * y[1] - 2 * y[3] + y[4]) / 2.0
-            out.append((e, e1, e2, e3))
-        arr = np.array(out)
-        return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
+    def _derivs(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        _, family, coefficients = _MODELS[self.model]
+        c = coefficients(self.params, self.units)
+        if family == "poly":
+            e = 2.0 * np.pi * self.units.hbar * np.asarray(c[::-1])  # highest power first
+            return tuple(np.polyval(np.polyder(e, k), n) for k in range(4))
+        if family == "power":
+            scale, offset, expo = c
+            base = n + offset  # d^k/dn^k: scale * expo (expo - 1) ... base^(expo - k)
+            return tuple(math.prod((scale, *(expo - i for i in range(k)))) * base ** (expo - k)
+                         for k in range(4))
+        return _airy_derivs(c, n)
+
+
+def _airy_derivs(scale: float, n: np.ndarray):
+    # E(n) = scale * y_n, interpolated between integers; 5-point central
+    # differences with unit step at the rounded index, the stencil kept
+    # inside the validated zero table
+    out = []
+    for x in np.atleast_1d(n):
+        c = min(max(int(round(float(x))), 2), specfun.AIRY_ZERO_MAX - 2)
+        if x > c + 2:
+            raise RangeError(f"Airy index {float(x)} above the zero table")
+        y = np.array([specfun.airy_zero(c + j).value for j in range(-2, 3)])
+        e = scale * float(np.interp(float(x), np.arange(c - 2, c + 3), y))
+        e1 = scale * (y[0] - 8 * y[1] + 8 * y[3] - y[4]) / 12.0
+        e2 = scale * (-y[0] + 16 * y[1] - 30 * y[2] + 16 * y[3] - y[4]) / 12.0
+        e3 = scale * (-y[0] + 2 * y[1] - 2 * y[3] + y[4]) / 2.0
+        out.append((e, e1, e2, e3))
+    arr = np.array(out)
+    return arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
 
 
 def eval_energy(s: Spectrum1D, n) -> float | np.ndarray:
@@ -233,13 +190,8 @@ def eval_energy(s: Spectrum1D, n) -> float | np.ndarray:
     narr = np.asarray(n, dtype=float)
     if np.any(narr < s.ground_index - 1e-12):
         raise DomainError(f"index below ground index {s.ground_index} for {s.model}")
-    scalar = narr.ndim == 0
-    if s.model == "BouncerAiry" and scalar and float(narr) == round(float(narr)):
-        u = s.units
-        scale = (u.hbar**2 * s.params["F"] ** 2 / (2 * u.mass)) ** (1.0 / 3.0)
-        return scale * specfun.airy_zero(int(round(float(narr)))).value
-    e, _, _, _ = s._derivs(np.atleast_1d(narr))
-    return float(e[0]) if scalar else e
+    e = s._derivs(np.atleast_1d(narr))[0]
+    return float(e[0]) if narr.ndim == 0 else e
 
 
 def energy_derivatives(s: Spectrum1D, n0: float) -> tuple[float, float, float, float]:

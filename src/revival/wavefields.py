@@ -10,11 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .dynamics import reduced_phase
+from .dynamics import _CHUNK, _phase_block
 from .errors import DomainError
 from .packets import CoefficientSet, bouncer_norm, _simpson_weights
 from .serialize import write_grid_csv, write_pgm
-from .spectra import DEFAULT_UNITS, UnitSystem
+from .spectra import DEFAULT_UNITS, Spectrum1D, UnitSystem, eval_energy
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,7 @@ class InfiniteWellBasis:
     def __init__(self, L: float = 1.0, units: UnitSystem = DEFAULT_UNITS):
         self.L = L
         self.units = units
-
-    def energies(self, n: np.ndarray) -> np.ndarray:
-        u = self.units
-        return (np.asarray(n, dtype=float) * math.pi * u.hbar / self.L) ** 2 / (2 * u.mass)
+        self.spectrum = Spectrum1D.infinite_well(L, units)
 
     def functions(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
         # rows: states, columns: positions
@@ -129,8 +126,9 @@ class InfiniteWellBasis:
             val = -1j * self.units.hbar * 4.0 * m * k / (self.L * (m**2 - k**2))
         return np.where(odd, val, 0.0)
 
-    def p2_diagonal(self, n: np.ndarray) -> np.ndarray:
-        return (np.asarray(n, dtype=float) * math.pi * self.units.hbar / self.L) ** 2
+    def p2_matrix(self, n: np.ndarray) -> np.ndarray:
+        # p^2 commutes with H in the box: diag((n pi hbar / L)^2)
+        return np.diag((np.asarray(n, dtype=float) * math.pi * self.units.hbar / self.L) ** 2)
 
     def momentum_transform(self, n: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Momentum-space eigenfunctions (rows: states), i.e. the Fourier
@@ -166,10 +164,7 @@ class BouncerBasis:
         self.units = units
         self.rho = (units.hbar**2 / (2.0 * units.mass * F)) ** (1.0 / 3.0)
         self.z_max = z_max
-
-    def energies(self, n: np.ndarray) -> np.ndarray:
-        scale = (self.units.hbar**2 * self.F**2 / (2.0 * self.units.mass)) ** (1.0 / 3.0)
-        return scale * np.array([specfun.airy_zero(int(k)).value for k in np.asarray(n)])
+        self.spectrum = Spectrum1D.bouncer_airy(F, units)
 
     def _grid(self, n: np.ndarray) -> np.ndarray:
         top = self.z_max
@@ -212,16 +207,15 @@ class BouncerBasis:
         du = np.array(du)
         return -1j * self.units.hbar * (u * w) @ du.T
 
-    def p2_diagonal(self, n: np.ndarray) -> np.ndarray:
-        # <p^2> = 2m (E_n - F <z>_nn)
-        x_nn = np.diag(self.x_matrix(n))
-        return 2.0 * self.units.mass * (self.energies(n) - self.F * x_nn)
+    def p2_matrix(self, n: np.ndarray) -> np.ndarray:
+        # p^2 = 2m (H - F z)
+        h = np.diag(eval_energy(self.spectrum, n))
+        return 2.0 * self.units.mass * (h - self.F * self.x_matrix(n))
 
 
 def _basis_indices(c: CoefficientSet, basis) -> np.ndarray:
     n = c.indices
-    lo = 1 if isinstance(basis, InfiniteWellBasis) else 0
-    if np.any(n < lo):
+    if np.any(n < basis.spectrum.ground_index):
         raise DomainError("coefficient indices are not valid for this basis")
     return n
 
@@ -231,9 +225,7 @@ def psi_xt(c: CoefficientSet, basis, x_grid, t: float) -> np.ndarray:
     n = _basis_indices(c, basis)
     x = np.asarray(x_grid, dtype=float)
     u = basis.functions(n, x)
-    omegas = basis.energies(n) / basis.units.hbar
-    phases = np.exp(-1j * reduced_phase(omegas, float(t)))
-    return (c.coefficients * phases) @ u
+    return (c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])) @ u
 
 
 def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
@@ -243,22 +235,22 @@ def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
     xm = basis.x_matrix(n)
     x2m = basis.x2_matrix(n)
     pm = basis.p_matrix(n)
-    p2d = basis.p2_diagonal(n)
-    omegas = basis.energies(n) / basis.units.hbar
+    p2m = basis.p2_matrix(n)
     t_grid = np.asarray(t_grid, dtype=float)
     mean_x = np.empty(len(t_grid))
     sd_x = np.empty(len(t_grid))
     mean_p = np.empty(len(t_grid))
     sd_p = np.empty(len(t_grid))
-    w = c.weights()
-    p2 = float(np.real(np.sum(w * p2d)))
-    for i, t in enumerate(t_grid):
-        a = c.coefficients * np.exp(-1j * reduced_phase(omegas, float(t)))
-        mean_x[i] = np.real(np.conj(a) @ xm @ a)
-        x2 = np.real(np.conj(a) @ x2m @ a)
-        sd_x[i] = math.sqrt(max(x2 - mean_x[i] ** 2, 0.0))
-        mean_p[i] = np.real(np.conj(a) @ pm @ a)
-        sd_p[i] = math.sqrt(max(p2 - mean_p[i] ** 2, 0.0))
+    for start in range(0, len(t_grid), _CHUNK):
+        block = _phase_block(t_grid[start : start + _CHUNK], n, basis.spectrum)
+        for i, phases in enumerate(block.T, start):
+            a = c.coefficients * np.conj(phases)
+            mean_x[i] = np.real(np.conj(a) @ xm @ a)
+            x2 = np.real(np.conj(a) @ x2m @ a)
+            sd_x[i] = math.sqrt(max(x2 - mean_x[i] ** 2, 0.0))
+            mean_p[i] = np.real(np.conj(a) @ pm @ a)
+            p2 = np.real(np.conj(a) @ p2m @ a)
+            sd_p[i] = math.sqrt(max(p2 - mean_p[i] ** 2, 0.0))
     return ObservableSeries(t_grid, mean_x, sd_x, mean_p, sd_p)
 
 
@@ -268,9 +260,7 @@ def momentum_density(c: CoefficientSet, basis: InfiniteWellBasis, p_grid, t: flo
     n = _basis_indices(c, basis)
     p = np.asarray(p_grid, dtype=float)
     transform = basis.momentum_transform(n, p)
-    omegas = basis.energies(n) / basis.units.hbar
-    phases = np.exp(-1j * reduced_phase(omegas, float(t)))
-    phi = (c.coefficients * phases) @ transform
+    phi = (c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])) @ transform
     return np.abs(phi) ** 2
 
 
@@ -328,9 +318,7 @@ def wigner_infinite_well(
         raise DomainError("x grid must lie strictly inside the box")
     basis = InfiniteWellBasis(L, units)
     n = _basis_indices(c, basis)
-    omegas = basis.energies(n) / units.hbar
-    phases = np.exp(-1j * reduced_phase(omegas, float(t)))
-    a_t = c.coefficients * phases
+    a_t = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
     total = np.zeros((len(x), len(p)), dtype=complex)
     for i, m in enumerate(n):
         coeff_m = np.conj(a_t[i])
@@ -396,18 +384,18 @@ def carpet(
     n = _basis_indices(c, basis).astype(float)
     x = np.linspace(0.0, L, x_count)
     ts = np.linspace(0.0, t_hi, t_count)
-    omegas = basis.energies(n) / units.hbar
     xi = math.pi * np.outer(n, x) / L  # (N, X)
     e_plus = np.exp(1j * xi)
     cls = np.empty((x_count, t_count))
     qc = np.empty((x_count, t_count))
-    for j, t in enumerate(ts):
-        phases = np.exp(-1j * reduced_phase(omegas, float(t)))
-        a_t = c.coefficients * phases
-        w_plus = a_t @ e_plus
-        w_minus = a_t @ np.conj(e_plus)
-        cls[:, j] = (np.abs(w_plus) ** 2 + np.abs(w_minus) ** 2) / (2.0 * L)
-        qc[:, j] = -np.real(w_plus * np.conj(w_minus)) / L
+    for start in range(0, t_count, _CHUNK):
+        block = _phase_block(ts[start : start + _CHUNK], n, basis.spectrum)
+        for j, phases in enumerate(block.T, start):
+            a_t = c.coefficients * np.conj(phases)
+            w_plus = a_t @ e_plus
+            w_minus = a_t @ np.conj(e_plus)
+            cls[:, j] = (np.abs(w_plus) ** 2 + np.abs(w_minus) ** 2) / (2.0 * L)
+            qc[:, j] = -np.real(w_plus * np.conj(w_minus)) / L
     ax1 = AxisSpec("x", 0.0, L, x_count)
     ax2 = AxisSpec("t", 0.0, t_hi, t_count)
     return (

@@ -185,3 +185,11 @@ class TestMain:
     def test_usage(self, capsys):
         assert main([]) == 0
         assert "usage" in capsys.readouterr().out
+
+
+def test_exit_three_for_packet_outside_triangle(tmp_path, capsys):
+    # (5, 0) lies beyond the right wall of the equilateral billiard
+    argv = ["billiard2d", "--geometry", "equilateral", "--x0", "5", "--y0", "0"]
+    code = main(argv + ["--tmax", "1", "--steps", "10", "--out", str(tmp_path)])
+    assert code == 3
+    assert "numeric error" in capsys.readouterr().err

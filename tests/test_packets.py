@@ -271,3 +271,17 @@ class TestSerialization:
         c.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header.startswith("index1,index2,re,im")
+
+
+class TestTriangleContainment:
+    B = math.sqrt(2.0) * 0.05
+
+    @pytest.mark.parametrize("center", [(0.5, 0.3), (5.0, 0.0)])
+    def test_center_outside_triangle_rejected(self, center):
+        # both points lie beyond the right wall y = sqrt(3) x
+        with pytest.raises(ContainmentError):
+            triangle_coefficients(*center, 0.0, 0.0, self.B, L, 10)
+
+    def test_interior_center_accepted(self):
+        c = triangle_coefficients(0.0, 0.55, 20.0, 10.0, self.B, L, 16)
+        assert len(c.labels) > 0

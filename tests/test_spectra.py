@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revival import specfun
-from revival.errors import DomainError
+from revival.errors import DomainError, RangeError
 from revival.spectra import (
     Spectrum1D,
     UnitSystem,
@@ -202,3 +202,73 @@ class TestPhysicalUnits:
         assert stark_period(1, 1) == pytest.approx(2.6e-12, rel=1e-14)
         assert stark_period(2, 1) == pytest.approx(1.3e-12, rel=1e-14)
         assert stark_period(1, 2) == pytest.approx(1.3e-12, rel=1e-14)
+
+
+class TestPolynomialModelsAgainstClosedForms:
+    """E..E''' derived from frequency_polynomial() against the hand-written
+    closed forms of each polynomial model."""
+
+    @staticmethod
+    def _closed_form(s, n):
+        u, p = s.units, s.params
+        if s.model == "AnharmonicPoly":
+            a, b = p["alpha"], p["beta"]
+            return (
+                2 * np.pi * (n - a * n**2 / 2 + b * n**3 / 6),
+                2 * np.pi * (1 - a * n + b * n**2 / 2),
+                2 * np.pi * (-a + b * n),
+                2 * np.pi * b,
+            )
+        if s.model == "InfiniteWell":
+            e0 = u.hbar**2 * np.pi**2 / (2 * u.mass * p["L"] ** 2)
+            return e0 * n**2, 2 * e0 * n, 2 * e0, 0.0
+        if s.model == "Rotor2D":
+            c = u.hbar**2 / (2 * p["inertia"])
+            return c * n**2, 2 * c * n, 2 * c, 0.0
+        if s.model == "PendulumLowEnergy":
+            c = u.hbar**2 / (32 * p["inertia"])
+            omega0 = math.sqrt(p["V0"] / p["inertia"]) if p["V0"] > 0 else 0.0
+            return (
+                u.hbar * omega0 * (n + 0.5) + c * (2 * n**2 + 2 * n + 1),
+                u.hbar * omega0 + c * (4 * n + 2),
+                4 * c,
+                0.0,
+            )
+        w = p["omega"]  # Harmonic
+        return u.hbar * w * (n + 0.5), u.hbar * w, 0.0, 0.0
+
+    MODELS = [
+        Spectrum1D.case_a(),
+        Spectrum1D.case_b(),
+        Spectrum1D.anharmonic(0.001, 1.0e-6, UnitSystem(hbar=0.7, mass=1.3)),
+        Spectrum1D.infinite_well(),
+        Spectrum1D.infinite_well(2.5, UnitSystem(hbar=1.7, mass=0.9)),
+        Spectrum1D.rotor(inertia=1.3),
+        Spectrum1D.pendulum(inertia=0.8, V0=2.0),
+        Spectrum1D.pendulum(inertia=2.7),
+        Spectrum1D.harmonic(omega=2.0),
+        Spectrum1D.harmonic(omega=0.3, units=UnitSystem(hbar=2.0)),
+    ]
+
+    @pytest.mark.parametrize("s", MODELS, ids=lambda s: s.model)
+    @pytest.mark.parametrize("n0", [1.0, 7.0, 20.0, 100.0, 400.0, 12.5])
+    def test_derivatives_match(self, s, n0):
+        got = energy_derivatives(s, n0)
+        want = self._closed_form(s, n0)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w), (got, want)
+
+
+class TestAiryLevelsOnePath:
+    S = Spectrum1D.bouncer_airy(F=2.0)
+    SCALE = (1.0**2 * 2.0**2 / (2 * 0.5)) ** (1.0 / 3.0)
+
+    def test_integer_levels_are_scaled_zeros_for_scalars_and_arrays(self):
+        n = [0, 1, 37, 499, 500]
+        want = [self.SCALE * specfun.airy_zero(k).value for k in n]
+        assert [eval_energy(self.S, k) for k in n] == want
+        assert list(eval_energy(self.S, np.array(n))) == want
+
+    def test_index_above_zero_table_raises(self):
+        with pytest.raises(RangeError):
+            eval_energy(self.S, 500.4)

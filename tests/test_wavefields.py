@@ -305,3 +305,39 @@ class TestFieldGrid:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,value"
         assert lines[1].split(",")[2] == "1"
+
+
+class TestEvolutionAgainstOracles:
+    def test_box_mean_momentum_against_mpmath_phases(self):
+        # The CLI's observables scenario (n0 400, dx0 0.05, 2000 steps to
+        # t = 1). The oracle evolves the same coefficients with mpmath
+        # phases 2 pi q_n t from the spectrum's own frequency polynomial.
+        mpmath = pytest.importorskip("mpmath")
+        packet = PacketParams1D(0.5, 400 * math.pi / L, 0.05 * math.sqrt(2.0))
+        n_max = int(400 + 12 * L / (2.0 * math.pi * packet.dx0)) + 8
+        c = infinite_well_coefficients(packet, L, n_max)
+        t = np.linspace(0.0, 1.0, 2001)
+        obs = observables(c, WELL, t)
+        g = WELL.spectrum.frequency_polynomial()
+        pm = WELL.p_matrix(c.indices)
+        mpmath.mp.dps = 30
+        for i in list(range(0, 2001, 47)) + [500, 1333, 2000]:
+            tt = mpmath.mpf(float(t[i]))
+            q = [sum(mpmath.mpf(gj) * int(k) ** j for j, gj in enumerate(g)) for k in c.indices]
+            phases = np.array([complex(mpmath.expj(-2 * mpmath.pi * qk * tt)) for qk in q])
+            a = c.coefficients * phases
+            want = float(np.real(np.conj(a) @ pm @ a))
+            assert abs(obs.mean_p[i] - want) <= 1e-9, (i, obs.mean_p[i], want)
+
+    def test_bouncer_momentum_spread_from_full_p2_matrix(self):
+        # <p^2> = 2m(<H> - F<z>) needs the off-diagonal z elements: a packet
+        # released at rest with width b has dp(0) = hbar/(b sqrt 2) = 0.5,
+        # and dz dp >= hbar/2 must hold at every time.
+        width_b = math.sqrt(2.0)
+        c = bouncer_coefficients(z0=20.0, width_b=width_b, n_max=60)
+        n0 = int(c.indices[int(np.argmax(c.weights()))])
+        t_rev = time_scales(Spectrum1D.bouncer_airy(), n0).t_revival
+        obs = observables(c, BouncerBasis(), np.linspace(0.0, t_rev, 500))
+        dp0 = 1.0 / (width_b * math.sqrt(2.0))
+        assert obs.sd_p[0] == pytest.approx(dp0, rel=1e-6)
+        assert np.all(obs.sd_x * obs.sd_p >= 0.5 - 1e-9)
