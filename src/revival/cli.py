@@ -70,6 +70,21 @@ def _int_key(raw: str, key: str) -> int:
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
 
 
+def _bounded(parse, lo: float, strict: bool = False):
+    """parse, then require value > lo (strict) or value >= lo."""
+
+    def check(raw: str, key: str):
+        val = parse(raw, key)
+        if val < lo or (strict and val == lo):
+            raise ConfigError(f"key {key!r}: must be {'>' if strict else '>='} {lo:g}, got {raw!r}")
+        return val
+
+    return check
+
+
+_POSITIVE = _bounded(_float_key, 0.0, strict=True)
+
+
 def _str_key(choices):
     def parse(raw: str, key: str) -> str:
         if choices and raw not in choices:
@@ -124,14 +139,14 @@ _SCHEMAS: dict[str, dict] = {
         "n_max": (_int_key, 0),     # 0 -> auto
     },
     "wigner": {
-        "L": (_float_key, 1.0),
-        "n0": (_float_key, 40.0),
+        "L": (_POSITIVE, 1.0),
+        "n0": (_POSITIVE, 40.0),
         "x0": (_float_key, 0.5),
-        "dx0": (_float_key, 0.05),
+        "dx0": (_POSITIVE, 0.05),
         "t": (_float_key, 0.0),
-        "x_count": (_int_key, 256),
-        "p_count": (_int_key, 256),
-        "p_span": (_float_key, 0.0),  # 0 -> default span
+        "x_count": (_bounded(_int_key, 2), 256),
+        "p_count": (_bounded(_int_key, 2), 256),
+        "p_span": (_bounded(_float_key, 0.0), 0.0),  # 0 -> default span
         "format": (_str_key(("csv", "pgm")), "csv"),
     },
     "observables": {

@@ -508,7 +508,7 @@ def airy_zero_seed(n: int) -> float:
     return (1.5 * math.pi * (n + 0.75)) ** (2.0 / 3.0)
 
 
-_airy_zero_cache: list[tuple[float, int]] = []
+_airy_zero_cache: list[RootResult] = []  # validated zeros 0, 1, ...
 
 
 def airy_zero(n: int) -> RootResult:
@@ -529,12 +529,16 @@ def airy_zero(n: int) -> RootResult:
         roots, iters = _vector_newton(
             lambda y: airy_ai(-y), lambda y: -airy_ai_prime(-y), lo, hi, seeds
         )
-        _airy_zero_cache.extend((float(r), int(i)) for r, i in zip(roots, iters))
-    value, iterations = _airy_zero_cache[n]
-    residual = abs(airy_ai(-value))
-    if residual > 1e-12:
-        raise RootError(f"Airy zero {n} has residual {residual:.3e}")
-    return RootResult(value=value, residual=residual, iterations=iterations)
+        residuals = np.abs(airy_ai(-roots))
+        bad = np.flatnonzero(residuals > 1e-12)
+        if bad.size:
+            k = bad[0]
+            raise RootError(f"Airy zero {ks[k]} has residual {residuals[k]:.3e}")
+        _airy_zero_cache.extend(
+            RootResult(value=float(r), residual=float(e), iterations=int(i))
+            for r, e, i in zip(roots, residuals, iters)
+        )
+    return _airy_zero_cache[n]
 
 
 # ----------------------------------------------------------------------

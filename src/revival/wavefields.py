@@ -11,7 +11,7 @@ import numpy as np
 
 from . import specfun
 from .dynamics import _CHUNK, _phase_block
-from .errors import DomainError
+from .errors import DomainError, TruncationError
 from .packets import CoefficientSet, bouncer_norm, _simpson_weights
 from .serialize import write_grid_csv, write_pgm
 from .spectra import DEFAULT_UNITS, Spectrum1D, UnitSystem, eval_energy
@@ -165,13 +165,28 @@ class BouncerBasis:
         self.rho = (units.hbar**2 / (2.0 * units.mass * F)) ** (1.0 / 3.0)
         self.z_max = z_max
         self.spectrum = Spectrum1D.bouncer_airy(F, units)
+        self._table = None
 
-    def _grid(self, n: np.ndarray) -> np.ndarray:
-        top = self.z_max
-        if top is None:
-            y_top = specfun.airy_zero(int(np.max(n))).value
-            top = self.rho * (y_top + 14.0)
-        return np.linspace(0.0, top, 8193)
+    def _quadrature(self, n: np.ndarray) -> tuple:
+        """(z, weights, u, du) on the 8193-point grid: the states n and
+        their z-derivatives. The table of the last n is kept."""
+        key = tuple(int(k) for k in np.asarray(n))
+        if self._table is None or self._table[0] != key:
+            top = self.z_max
+            if top is None:
+                top = self.rho * (specfun.airy_zero(max(key)).value + 14.0)
+            z = np.linspace(0.0, top, 8193)
+            u = self.functions(n, z)
+            du = np.array(
+                [
+                    bouncer_norm(k, self.rho)
+                    * specfun.airy_ai_prime(z / self.rho - specfun.airy_zero(k).value)
+                    / self.rho
+                    for k in key
+                ]
+            )
+            self._table = (key, z, _simpson_weights(z), u, du)
+        return self._table[1:]
 
     def functions(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
         rows = []
@@ -181,30 +196,15 @@ class BouncerBasis:
         return np.array(rows)
 
     def x_matrix(self, n: np.ndarray) -> np.ndarray:
-        z = self._grid(n)
-        w = _simpson_weights(z)
-        u = self.functions(n, z)
+        z, w, u, _ = self._quadrature(n)
         return (u * w * z) @ u.T
 
     def x2_matrix(self, n: np.ndarray) -> np.ndarray:
-        z = self._grid(n)
-        w = _simpson_weights(z)
-        u = self.functions(n, z)
+        z, w, u, _ = self._quadrature(n)
         return (u * w * z**2) @ u.T
 
     def p_matrix(self, n: np.ndarray) -> np.ndarray:
-        z = self._grid(n)
-        w = _simpson_weights(z)
-        u = self.functions(n, z)
-        du = []
-        for k in np.asarray(n):
-            y = specfun.airy_zero(int(k)).value
-            du.append(
-                bouncer_norm(int(k), self.rho)
-                * specfun.airy_ai_prime(z / self.rho - y)
-                / self.rho
-            )
-        du = np.array(du)
+        _, w, u, du = self._quadrature(n)
         return -1j * self.units.hbar * (u * w) @ du.T
 
     def p2_matrix(self, n: np.ndarray) -> np.ndarray:
@@ -302,6 +302,26 @@ def default_momentum_span(p0: float, dp0: float) -> float:
     return 3.0 * (abs(p0) + 5.0 * dp0)
 
 
+# working-array budget of wigner_infinite_well
+WIGNER_MAX_BYTES = 1 << 30
+
+
+def _wigner_work_bytes(x_count: int, p_count: int, mode_count: int) -> int:
+    """Upper estimate of wigner_infinite_well's working arrays: eight
+    complex x-by-p planes, eight complex x-by-shift tables and three
+    complex shift-by-p tables."""
+    shifts = 4 * (2 * mode_count - 1)
+    return 16 * (8 * x_count * p_count + 8 * x_count * shifts + 3 * shifts * p_count)
+
+
+def _index_convolution(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Linear convolution of the rows of u and v along the mode axis."""
+    size = u.shape[1] + v.shape[1] - 1
+    nfft = 1 << (size - 1).bit_length()
+    spectrum = np.fft.fft(u, nfft, axis=1) * np.fft.fft(v, nfft, axis=1)
+    return np.fft.ifft(spectrum, axis=1)[:, :size]
+
+
 def wigner_infinite_well(
     c: CoefficientSet,
     L: float,
@@ -310,24 +330,65 @@ def wigner_infinite_well(
     t: float,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> FieldGrid:
-    """Phase-space quasiprobability W(x, p; t) of a box packet, assembled
-    from the closed-form mode terms over all retained index pairs."""
+    """Phase-space quasiprobability W(x, p; t) of a box packet: the
+    ordered sum of conj(a_m) a_n W^{(m,n)} over all retained modes.
+
+    With theta = pi x/L, b = 2pL/hbar and S(d) = sin(d xt/L)/d on the
+    mirrored xt = min(x, L - x), each `wigner_term` is four pieces
+    e^{+-i(m -+ n) theta} S(b +- k pi). The pair sum therefore groups by
+    the shift j = +-(m + n) and j = +-(m - n): one convolution along the
+    mode axis per piece gives, at each x, the coefficient D_j(x) of
+    S(b + j pi). Writing sin((b + j pi) xt/L) = sin B cos(j phi) +
+    cos B sin(j phi), with B = b xt/L and phi = pi xt/L, turns the sum
+    over j into two matrix products against K[j, p] = 1/(b_p + j pi), so
+    N modes on an X-by-P grid cost O(N X P), not O(N^2 X P). Cells with
+    |b_p + j pi| < 1e-3, where the split cancels, take the direct sinc.
+    """
     x = np.asarray(x_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
     if np.any(x <= 0.0) or np.any(x >= L):
         raise DomainError("x grid must lie strictly inside the box")
     basis = InfiniteWellBasis(L, units)
     n = _basis_indices(c, basis)
+    need = _wigner_work_bytes(len(x), len(p), len(n))
+    if need > WIGNER_MAX_BYTES:
+        raise TruncationError(
+            f"Wigner grid {len(x)}x{len(p)} with {len(n)} modes needs about "
+            f"{need / 2**30:.2f} GiB of working arrays (cap {WIGNER_MAX_BYTES / 2**30:.0f} GiB)"
+        )
     a_t = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
-    total = np.zeros((len(x), len(p)), dtype=complex)
-    for i, m in enumerate(n):
-        coeff_m = np.conj(a_t[i])
-        term = wigner_term(int(m), int(m), L, x, p, units.hbar)
-        total += (coeff_m * a_t[i]) * term
-        for j in range(i + 1, len(n)):
-            term = wigner_term(int(m), int(n[j]), L, x, p, units.hbar)
-            # W^{(n,m)} = conj(W^{(m,n)}): add the Hermitian partner
-            total += 2.0 * np.real(coeff_m * a_t[j] * term)
+    e = np.exp(1j * math.pi * np.outer(x, n) / L)  # e^{i n theta}, (X, N)
+    u_plus, u_minus = np.conj(a_t) * e, np.conj(a_t) * np.conj(e)
+    v_plus, v_minus = a_t * e, a_t * np.conj(e)
+    sums = 2 * int(n[0]) + np.arange(2 * len(n) - 1)  # m + n
+    diffs = np.arange(2 * len(n) - 1) - (len(n) - 1)  # m - n
+    shift = np.concatenate([sums, -sums, diffs, -diffs]).astype(float)
+    rows = np.concatenate(
+        [
+            _index_convolution(u_plus, v_minus),
+            _index_convolution(u_minus, v_plus),
+            -_index_convolution(u_plus, v_plus[:, ::-1]),
+            -_index_convolution(u_minus, v_minus[:, ::-1]),
+        ],
+        axis=1,
+    )  # D_j(x), (X, J)
+    xt = np.minimum(x, L - x)  # mirrored coordinate
+    base = 2.0 * p * L / units.hbar
+    d = base[None, :] + shift[:, None] * math.pi  # (J, P)
+    near = np.abs(d) < 1e-3
+    kern = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
+    jphi = np.outer(xt / L, shift) * math.pi
+    b_arg = np.outer(xt / L, base)  # B
+    total = np.sin(b_arg) * ((rows * np.cos(jphi)) @ kern)
+    total += np.cos(b_arg) * ((rows * np.sin(jphi)) @ kern)
+    for k in np.flatnonzero(near.any(axis=0)):
+        js = np.flatnonzero(near[:, k])
+        dk = d[js, k]
+        small = np.abs(dk) < 1e-12
+        dd = np.where(small, 1.0, dk)
+        sinc = np.where(small, xt[:, None] / L, np.sin(dd * xt[:, None] / L) / dd)
+        total[:, k] += np.sum(rows[:, js] * sinc, axis=1)
+    total /= math.pi * units.hbar
     max_imag = float(np.max(np.abs(total.imag)))
     if max_imag > 1e-10:
         raise DomainError(f"assembled distribution has imaginary residue {max_imag:.2e}")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from revival import wavefields
 from revival.cli import build_scenario, main, parse_config, run
 from revival.errors import ConfigError
 
@@ -193,3 +194,30 @@ def test_exit_three_for_packet_outside_triangle(tmp_path, capsys):
     code = main(argv + ["--tmax", "1", "--steps", "10", "--out", str(tmp_path)])
     assert code == 3
     assert "numeric error" in capsys.readouterr().err
+
+
+class TestWignerContract:
+    @pytest.mark.parametrize(
+        "key, value",
+        [("L", "0"), ("L", "-1"), ("dx0", "0"), ("n0", "0"), ("x_count", "0"),
+         ("x_count", "1"), ("p_count", "1"), ("p_span", "-1")],
+    )
+    def test_out_of_range_exits_two(self, tmp_path, capsys, key, value):
+        code = main(["wigner", f"--{key}", value, "--out", str(tmp_path)])
+        assert code == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+
+    def test_zero_span_means_default_span(self, tmp_path):
+        code = main(["wigner", "--x_count", "2", "--p_count", "2", "--p_span", "0",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        meta = (tmp_path / "wigner.meta.txt").read_text()
+        span = wavefields.default_momentum_span(40 * math.pi, 10.0)
+        assert f"p_span = {format(span, '.12g')}\n" in meta
+
+    def test_grid_just_above_budget_exits_three(self, tmp_path, capsys):
+        # the default packet keeps 57 modes; 2603^2 is the first square
+        # grid whose working arrays exceed the 1 GiB cap
+        code = main(["wigner", "--x_count", "2603", "--p_count", "2603", "--out", str(tmp_path)])
+        assert code == 3
+        assert "GiB" in capsys.readouterr().err

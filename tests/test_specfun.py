@@ -143,6 +143,12 @@ class TestAiry:
             assert abs(specfun.airy_ai(-r.value)) <= 1e-12
 
 
+    def test_cached_zero_is_the_first_result(self):
+        first = specfun.airy_zero(37)
+        assert specfun.airy_zero(37) == first
+        assert first.residual <= 1e-12
+
+
 class TestIntegrate:
     def test_constant(self):
         assert specfun.integrate(lambda x: 1.0, 0.0, 1.0, 1e-10) == pytest.approx(1.0, abs=1e-12)

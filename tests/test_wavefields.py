@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from revival.errors import DomainError
+from revival.errors import DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
     bouncer_coefficients,
     infinite_well_coefficients,
 )
-from revival.spectra import Spectrum1D, time_scales
+from revival.spectra import Spectrum1D, eval_energy, time_scales
 from revival.wavefields import (
+    WIGNER_MAX_BYTES,
     AxisSpec,
     BouncerBasis,
     FieldGrid,
@@ -25,6 +26,7 @@ from revival.wavefields import (
     wigner_infinite_well,
     wigner_marginals,
     wigner_term,
+    _wigner_work_bytes,
 )
 
 L = 1.0
@@ -205,6 +207,38 @@ class TestWigner:
         assert np.max(np.abs(total.imag)) < 1e-10
 
 
+class TestWignerFastPath:
+    # modes 1..26, so m + n spans 2..52 and m - n spans -25..25
+    PACKET = PacketParams1D(x0=0.4, p0=8 * math.pi, width_b=0.08 * math.sqrt(2.0))
+    T_CL = time_scales(Spectrum1D.infinite_well(L), 8).t_classical
+
+    @pytest.mark.parametrize("frac", [0.0, 0.3])
+    def test_matches_ordered_pair_oracle(self, frac):
+        c = infinite_well_coefficients(self.PACKET, L, 40)
+        t = frac * self.T_CL
+        x = np.arange(1, 22) / 22.0  # holds the mirror point L/2
+        # p = k pi hbar/(2L) puts b = 2pL/hbar on -j pi exactly for every
+        # shift |j| <= 20: p = 0, all of the m - n range, m + n up to 20
+        p = np.arange(-20, 21) * (math.pi / 2.0)
+        a_t = c.coefficients * np.exp(-1j * eval_energy(Spectrum1D.infinite_well(L), c.indices) * t)
+        oracle = np.zeros((len(x), len(p)), dtype=complex)
+        for i, m in enumerate(c.indices):
+            for j, n in enumerate(c.indices):
+                oracle += np.conj(a_t[i]) * a_t[j] * wigner_term(int(m), int(n), L, x, p)
+        got = wigner_infinite_well(c, L, x, p, t).values
+        assert np.max(np.abs(oracle.imag)) < 1e-12
+        assert np.max(np.abs(got - oracle.real)) <= 1e-12 * np.max(np.abs(oracle.real))
+
+    def test_grid_guard_just_above_cap(self):
+        c = infinite_well_coefficients(self.PACKET, L, 40)
+        count = len(c.indices)
+        assert _wigner_work_bytes(2759, 2759, count) <= WIGNER_MAX_BYTES
+        assert _wigner_work_bytes(2760, 2760, count) > WIGNER_MAX_BYTES
+        x = np.linspace(0.01, 0.99, 2760)
+        with pytest.raises(TruncationError, match="GiB"):
+            wigner_infinite_well(c, L, x, np.linspace(-50.0, 50.0, 2760), 0.0)
+
+
 class TestCarpet:
     def test_decomposition_identity(self, cset):
         tot, cls, qc = carpet(cset, L, 96, 96, TREV / 2)
@@ -270,6 +304,17 @@ class TestBouncerBasis:
         t_cl = 10.0
         obs = observables(c, basis, [0.0, t_cl])
         assert obs.mean_x[1] == pytest.approx(obs.mean_x[0], abs=0.15)
+
+
+    def test_quadrature_table_follows_the_indices(self, bouncer):
+        basis, c = bouncer
+        n = c.indices
+        basis.x_matrix(n[:5])
+        basis.p_matrix(n[3:])
+        for name in ("x_matrix", "x2_matrix", "p_matrix", "p2_matrix"):
+            got = getattr(basis, name)(n)
+            want = getattr(BouncerBasis(F=1.0), name)(n)
+            assert np.array_equal(got, want), name
 
 
 class TestFieldGrid:
