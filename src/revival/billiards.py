@@ -32,6 +32,16 @@ GEOMETRIES = (
 # in units of pi: 1/4 + 1/pi^2
 CIRCLE_REVIVAL_PHASE_F = 0.25 + 1.0 / math.pi**2
 
+# billiard sizes whose squares, inverse squares and level energies are
+# finite doubles
+SIZE_RANGE = (1e-100, 1e100)
+
+
+def _check_size(value: float) -> None:
+    lo, hi = SIZE_RANGE
+    if not lo <= value <= hi:
+        raise DomainError(f"billiard size {value:g} outside the validated range [{lo:g}, {hi:g}]")
+
 
 @dataclass(frozen=True)
 class Spectrum2D:
@@ -46,6 +56,9 @@ class Spectrum2D:
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
             raise DomainError(f"unknown geometry {self.geometry!r}")
+        for key in ("L", "Lx", "Ly", "R"):
+            if key in self.params:
+                _check_size(self.params[key])
 
     # -- continuous energy (used for derivative-based times) -------------
 
@@ -169,17 +182,18 @@ def circular_spectrum(
     """
     if mode not in ("refined", "wkb"):
         raise DomainError(f"unknown mode {mode!r}")
+    _check_size(R)
     table = {}
     scale = units.hbar**2 / (2.0 * units.mass * R**2)
     for m in range(-m_cap, m_cap + 1):
-        for k in range(nr_cap + 1):
-            if mode == "refined":
-                z = specfun.bessel_zero(abs(m), k).value
-            else:
-                z = specfun.bessel_zero_seed(abs(m), k)
-                if m == 0:
-                    z0 = (k + 0.75) * math.pi
-                    z = z0 + 1.0 / (8.0 * z0)
+        if mode == "refined":
+            zs = specfun.bessel_zeros(abs(m), nr_cap + 1).tolist()
+        elif m == 0:
+            z0s = [(k + 0.75) * math.pi for k in range(nr_cap + 1)]
+            zs = [z0 + 1.0 / (8.0 * z0) for z0 in z0s]
+        else:
+            zs = [specfun.bessel_zero_seed(abs(m), k) for k in range(nr_cap + 1)]
+        for k, z in enumerate(zs):
             table[(m, k)] = scale * z * z
     return Spectrum2D("circle", {"R": R}, units, table)
 
@@ -208,9 +222,11 @@ def annulus_levels(
     units: UnitSystem = DEFAULT_UNITS,
 ) -> Spectrum2D:
     """Ring billiard levels from the Bessel cross-product condition
-    J_m(kR) Y_m(kfR) - J_m(kfR) Y_m(kR) = 0, by bracketed bisection in k."""
+    J_m(kR) Y_m(kfR) - J_m(kfR) Y_m(kR) = 0: a sign-change scan in k,
+    then a batched Illinois regula falsi on every bracket of an order."""
     if not 0.0 < f < 1.0:
         raise DomainError("inner-radius fraction must satisfy 0 < f < 1")
+    _check_size(R)
     table = {}
     scale = units.hbar**2 / (2.0 * units.mass)
     for m in range(-m_cap, m_cap + 1):
@@ -220,12 +236,17 @@ def annulus_levels(
     return Spectrum2D("annulus", {"R": R, "f": f}, units, table)
 
 
-def annulus_condition(m: int, k: float, R: float, f: float) -> float:
-    """Normalized cross-product whose zeros are the ring eigenvalues."""
-    a = specfun.bessel_j(m, k * R) * specfun._bessel_y(m, k * f * R)
-    b = specfun.bessel_j(m, k * f * R) * specfun._bessel_y(m, k * R)
-    scale = abs(a) + abs(b)
-    return (a - b) / scale if scale > 0 else 0.0
+def annulus_condition(m: int, k, R: float, f: float):
+    """Normalized cross-product whose zeros are the ring eigenvalues; a
+    float for a scalar k, an array for an array of k."""
+    karr = np.asarray(k, dtype=float)
+    outer = karr * R
+    inner = karr * f * R
+    a = specfun.bessel_j(m, outer) * specfun._bessel_y(m, inner)
+    b = specfun.bessel_j(m, inner) * specfun._bessel_y(m, outer)
+    scale = np.abs(a) + np.abs(b)
+    g = np.where(scale > 0, (a - b) / np.where(scale > 0, scale, 1.0), 0.0)
+    return float(g) if karr.ndim == 0 else g
 
 
 _annulus_cache: dict = {}
@@ -236,36 +257,65 @@ def _annulus_roots(m: int, R: float, f: float, count: int) -> list[float]:
     cached = _annulus_cache.setdefault(key, [])
     if len(cached) >= count:
         return cached[:count]
-    # asymptotic spacing pi / (R (1 - f)); scan at a quarter of that
+    lo, hi, g_lo, g_hi = _annulus_brackets(m, R, f, count)
+    roots, residuals = _illinois(lambda k: annulus_condition(m, k, R, f), lo, hi, g_lo, g_hi)
+    if np.max(residuals) > 1e-10:
+        raise RootError(f"ring level residual too large at m={m}")
+    cached[:] = roots.tolist()
+    return cached[:count]
+
+
+def _annulus_brackets(m: int, R: float, f: float, count: int):
+    """Brackets (lo, hi, g(lo), g(hi)) of the first `count` ring levels
+    of order m, from a k grid at a quarter of the asymptotic spacing
+    pi / (R (1 - f)), scanned one array call per extension."""
     step = math.pi / (R * (1.0 - f)) / 4.0
     k0 = max(1e-6, 0.5 * m / R)
-    roots: list[float] = []
-    g = lambda k: annulus_condition(m, k, R, f)
-    prev_k, prev_g = k0, g(k0)
-    k = k0
-    while len(roots) < count:
-        k += step
-        cur = g(k)
-        if np.sign(cur) != np.sign(prev_g):
-            lo, hi = prev_k, k
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                vm = g(mid)
-                if np.sign(vm) == np.sign(prev_g):
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo < 1e-13 * max(1.0, mid):
-                    break
-            root = 0.5 * (lo + hi)
-            if abs(g(root)) > 1e-10:
-                raise RootError(f"ring level residual too large at m={m}")
-            roots.append(root)
-        prev_k, prev_g = k, cur
-        if k > 1e6:
-            raise RootError("failed to bracket ring levels")
-    cached[:] = roots
-    return roots[:count]
+    # levels lie above m / R; scan to about two spacings past the last
+    width = 4 * (count + 2) + int(math.ceil(0.5 * m / (R * step)))
+    ks = np.empty(0)
+    gs = np.empty(0)
+    while True:
+        new = k0 + step * np.arange(len(ks), len(ks) + width)
+        new = new[new * R <= specfun.ARG_MAX]
+        if new.size == 0:
+            raise RootError(f"failed to bracket {count} ring levels at m={m}")
+        ks = np.concatenate([ks, new])
+        gs = np.concatenate([gs, annulus_condition(m, new, R, f)])
+        flips = np.flatnonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))[:count]
+        if len(flips) == count:
+            return ks[flips], ks[flips + 1], gs[flips], gs[flips + 1]
+
+
+def _illinois(g, lo, hi, g_lo, g_hi):
+    """Refine a batch of sign-change brackets by the Illinois regula
+    falsi, evaluating g once per iteration on the unfinished brackets.
+
+    A bracket is finished when its ends are adjacent floats or one end
+    has |g| <= 1e-14; its root is the end with the smaller |g|. Returns
+    (roots, |g(roots)|).
+    """
+    lo, hi, g_lo, g_hi = (np.array(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
+    w_lo, w_hi = g_lo.copy(), g_hi.copy()  # end values the Illinois rule halves
+    last = np.zeros(len(lo), dtype=int)  # end moved last: -1 lo, +1 hi
+    for _ in range(200):
+        done = (np.nextafter(lo, hi) >= hi) | (np.minimum(np.abs(g_lo), np.abs(g_hi)) <= 1e-14)
+        todo = np.flatnonzero(~done)
+        if todo.size == 0:
+            break
+        a, b, wa, wb = lo[todo], hi[todo], w_lo[todo], w_hi[todo]
+        x = b - wb * (b - a) / (wb - wa)
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        gx = g(x)
+        to_lo = np.sign(gx) == np.sign(g_lo[todo])
+        on_lo, on_hi = todo[to_lo], todo[~to_lo]
+        # a second move of the same end halves the other end's weight
+        w_hi[on_lo[last[on_lo] == -1]] *= 0.5
+        w_lo[on_hi[last[on_hi] == 1]] *= 0.5
+        lo[on_lo], g_lo[on_lo], w_lo[on_lo], last[on_lo] = x[to_lo], gx[to_lo], gx[to_lo], -1
+        hi[on_hi], g_hi[on_hi], w_hi[on_hi], last[on_hi] = x[~to_lo], gx[~to_lo], gx[~to_lo], 1
+    pick_lo = np.abs(g_lo) <= np.abs(g_hi)
+    return np.where(pick_lo, lo, hi), np.where(pick_lo, np.abs(g_lo), np.abs(g_hi))
 
 
 # ----------------------------------------------------------------------

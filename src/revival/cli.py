@@ -159,17 +159,17 @@ _SCHEMAS: dict[str, dict] = {
     },
     "billiard2d": {
         "geometry": (_str_key(("square", "equilateral", "circle", "annulus")), _REQUIRED),
-        "size": (_float_key, 1.0),
-        "f": (_float_key, 0.5),
+        "size": (_POSITIVE, 1.0),
+        "f": (_POSITIVE, 0.5),  # f >= 1 is a DomainError of the ring
         "x0": (_float_key, 0.0),
         "y0": (_float_key, 0.0),
         "p0x": (_float_key, 0.0),
         "p0y": (_float_key, 0.0),
-        "dx0": (_float_key, 0.05),
-        "m_cap": (_int_key, 16),
-        "nr_cap": (_int_key, 30),
-        "tmax": (_float_key, _REQUIRED),
-        "steps": (_int_key, _REQUIRED),
+        "dx0": (_POSITIVE, 0.05),
+        "m_cap": (_bounded(_int_key, 1), 16),
+        "nr_cap": (_bounded(_int_key, 0), 30),
+        "tmax": (_bounded(_float_key, 0.0), _REQUIRED),
+        "steps": (_bounded(_int_key, 1), _REQUIRED),
     },
     "jc": {
         "nbar": (_float_key, _REQUIRED),

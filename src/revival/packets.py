@@ -11,12 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ContainmentError, DomainError
+from .errors import ContainmentError, DomainError, TruncationError
 from .serialize import format_float
 from .spectra import DEFAULT_UNITS, UnitSystem
 
 RELATIVE_FLOOR = 1e-9     # coefficients below this fraction of the peak are dropped
 CONTAINMENT_SIGMAS = 3.0  # required wall clearance in units of the position spread
+BOX_MAX_BYTES = 1 << 30   # cap on the box builder's working arrays
+_BOX_BYTES_PER_INDEX = 96  # its measured tracemalloc peak is 80 B per index
 
 
 @dataclass(frozen=True)
@@ -185,6 +187,13 @@ def infinite_well_coefficients(p: PacketParams1D, L: float, n_max: int) -> Coeff
            - e^{-i n pi x0/L} e^{-b^2 (p0 - n pi hbar/L)^2 / 2 hbar^2}]
     """
     _check_contained((p.x0, L - p.x0), p.dx0)
+    if n_max < 1:
+        raise DomainError(f"n_max must be at least 1, got {n_max}")
+    if n_max * _BOX_BYTES_PER_INDEX > BOX_MAX_BYTES:
+        raise TruncationError(
+            f"box basis of {n_max:.3g} modes needs about "
+            f"{n_max * _BOX_BYTES_PER_INDEX / 2**30:.3g} GiB (cap {BOX_MAX_BYTES / 2**30:.0f} GiB)"
+        )
     hbar = p.units.hbar
     b = p.width_b
     n = np.arange(1, n_max + 1, dtype=float)
@@ -433,9 +442,10 @@ def circular_coefficients(
     labels = []
     vals = []
     for im, m in enumerate(ms):
-        zs = np.array([specfun.bessel_zero(abs(int(m)), k).value for k in range(nr_cap + 1)])
-        radial = specfun.bessel_j(abs(int(m)), np.outer(zs, r) / R)  # (n_k, n_r)
-        norms = np.array([circular_mode_norm(int(m), k, R) for k in range(nr_cap + 1)])
+        order = abs(int(m))
+        zs = specfun.bessel_zeros(order, nr_cap + 1)
+        radial = specfun.bessel_j(order, np.outer(zs, r) / R)  # (n_k, n_r)
+        norms = math.sqrt(2.0) / (R * np.abs(specfun.bessel_j(order + 1, zs)))
         integ = radial @ (wr * r * fm[im])
         coeff = norms * integ / math.sqrt(2.0 * math.pi)
         for k in range(nr_cap + 1):

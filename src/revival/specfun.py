@@ -47,6 +47,25 @@ def _j01_series(z, m):
     return total
 
 
+def _hankel_terms(zmin: float, m: int) -> int:
+    # Term count of the large-argument expansion: add terms while they
+    # shrink, stop after the first one below 1e-18. |a_j| is largest at
+    # the smallest z (rounding is monotone), so this scalar replay at zmin
+    # is the array-wide rule, and every z in the array gets the same count.
+    mu = 4.0 * m * m
+    a = 1.0
+    zinv = 1.0 / zmin
+    prev = math.inf
+    for j in range(1, 18):
+        a = a * (mu - (2 * j - 1) ** 2) / (8.0 * j) * zinv
+        if abs(a) >= prev:
+            return j - 1
+        prev = abs(a)
+        if prev < 1e-18:
+            return j
+    return 17
+
+
 def _hankel_pq(z, m):
     # P and Q of the large-argument expansion, summed to the smallest term.
     mu = 4.0 * m * m
@@ -54,24 +73,14 @@ def _hankel_pq(z, m):
     q = np.zeros_like(z)
     a = np.ones_like(z)
     zinv = 1.0 / z
-    prev = np.full_like(z, np.inf)
-    for j in range(1, 18):
+    for j in range(1, _hankel_terms(float(np.min(z)), m) + 1):
         a = a * (mu - (2 * j - 1) ** 2) / (8.0 * j) * zinv
-        mag = np.max(np.abs(a))
-        if mag >= np.max(prev):
-            break
-        prev = np.abs(a)
         # P = a0 - a2 + a4 - ...,  Q = a1 - a3 + a5 - ...
-        if (j // 2) % 2 == 0:
-            sgn = 1.0
-        else:
-            sgn = -1.0
+        sgn = 1.0 if (j // 2) % 2 == 0 else -1.0
         if j % 2 == 1:
             q += sgn * a
         else:
             p += sgn * a
-        if mag < 1e-18:
-            break
     return p, q
 
 
@@ -331,24 +340,43 @@ def _scan_bessel_zeros(order: int, count: int) -> list[tuple[float, int]]:
     return [(float(r), int(i)) for r, i in zip(roots, iters)]
 
 
-_bessel_zero_cache: dict[int, list[tuple[float, int]]] = {}
+BESSEL_ZERO_MAX = 200
+_bessel_zero_cache: dict[int, list[RootResult]] = {}  # order -> validated zeros 0, 1, ...
+
+
+def _bessel_zero_table(order: int, count: int) -> list[RootResult]:
+    """The cached zeros of J_order, grown to at least `count` entries."""
+    if order < 0 or order > ORDER_MAX:
+        raise RangeError(f"order {order} outside validated range (<= {ORDER_MAX})")
+    cached = _bessel_zero_cache.setdefault(order, [])
+    if len(cached) < count:
+        # grow geometrically so sequential requests stay linear overall
+        found = _scan_bessel_zeros(order, max(count, 2 * len(cached), 16))
+        roots = np.array([value for value, _ in found])
+        residuals = np.abs(bessel_j(order, roots))
+        bad = np.flatnonzero(residuals > 1e-12)
+        if bad.size:
+            k = bad[0]
+            raise RootError(f"zero {k} of J_{order} has residual {residuals[k]:.3e}")
+        cached[:] = [
+            RootResult(value=value, residual=float(e), iterations=iterations)
+            for (value, iterations), e in zip(found, residuals)
+        ]
+    return cached
+
+
+def bessel_zeros(order: int, count: int) -> np.ndarray:
+    """The first `count` positive zeros of J_order, as an array."""
+    if count < 0 or count > BESSEL_ZERO_MAX + 1:
+        raise RangeError(f"zero count {count} outside validated range (<= {BESSEL_ZERO_MAX + 1})")
+    return np.array([r.value for r in _bessel_zero_table(order, count)[:count]])
 
 
 def bessel_zero(order: int, n_r: int) -> RootResult:
     """n_r-th positive zero of J_order (n_r = 0 is the first zero)."""
-    if order < 0 or order > ORDER_MAX:
-        raise RangeError(f"order {order} outside validated range (<= {ORDER_MAX})")
-    if n_r < 0 or n_r > 200:
-        raise RangeError(f"zero index {n_r} outside validated range (<= 200)")
-    cached = _bessel_zero_cache.setdefault(order, [])
-    if len(cached) <= n_r:
-        # grow geometrically so sequential requests stay linear overall
-        cached[:] = _scan_bessel_zeros(order, max(n_r + 1, 2 * len(cached), 16))
-    value, iterations = cached[n_r]
-    residual = abs(bessel_j(order, value))
-    if residual > 1e-12:
-        raise RootError(f"zero {n_r} of J_{order} has residual {residual:.3e}")
-    return RootResult(value=value, residual=residual, iterations=iterations)
+    if n_r < 0 or n_r > BESSEL_ZERO_MAX:
+        raise RangeError(f"zero index {n_r} outside validated range (<= {BESSEL_ZERO_MAX})")
+    return _bessel_zero_table(order, n_r + 1)[n_r]
 
 
 # ----------------------------------------------------------------------

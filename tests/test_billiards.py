@@ -254,6 +254,76 @@ class TestAnnulus:
         with pytest.raises(DomainError):
             annulus_levels(1.0, 1.5, 0, 2)
 
+    def test_bad_size(self):
+        for R in (0.0, -1.0, 1e-300, 1e160):
+            with pytest.raises(DomainError):
+                annulus_levels(R, 0.5, 1, 1)
+            with pytest.raises(DomainError):
+                circular_spectrum(R, 1, 1)
+            with pytest.raises(DomainError):
+                square_spectrum(R)
+
+
+def _scipy_ring_levels(m, f, k_top):
+    """Ring levels k < k_top of order m (R = 1) by a 0.01 scan and brentq
+    on scipy's J and Y."""
+    import scipy.special as sp
+    from scipy.optimize import brentq
+
+    def g(k):
+        a = sp.jv(m, k) * sp.yv(m, f * k)
+        b = sp.jv(m, f * k) * sp.yv(m, k)
+        return (a - b) / (np.abs(a) + np.abs(b))
+
+    ks = np.arange(max(0.5 * m, 1e-3), k_top, 0.01)
+    vals = g(ks)
+    flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    return np.array([brentq(g, ks[i], ks[i + 1], xtol=1e-15, rtol=1e-15) for i in flips])
+
+
+def _ring_ks(ring, m):
+    """Wavenumbers of order m's ring levels, in radial-index order."""
+    scale = HBAR**2 / (2 * MU)
+    return np.array([math.sqrt(e / scale) for (q1, _), e in sorted(ring.table.items()) if q1 == m])
+
+
+class TestRingLevelOracle:
+    R, F = 1.0, 0.5
+    M_CAP, NR_CAP = 16, 6  # six levels per order reach past k = 30
+
+    @pytest.fixture(scope="class")
+    def ring(self):
+        return annulus_levels(self.R, self.F, self.M_CAP, self.NR_CAP)
+
+    @pytest.mark.parametrize("m", range(17))
+    def test_levels_below_30_match_scipy(self, ring, m):
+        want = _scipy_ring_levels(m, self.F, 30.0)
+        got = _ring_ks(ring, m)
+        assert len(want) >= 1 and got[len(want)] > 30.0
+        np.testing.assert_allclose(got[: len(want)], want, rtol=1e-9, atol=0)
+        np.testing.assert_array_equal(_ring_ks(ring, -m), got)
+
+    def test_m15_first_level_under_residual_gate(self, ring):
+        # the root whose 2.5e-10 residual made the default caps fail
+        k = _ring_ks(ring, 15)[0]
+        assert k == pytest.approx(19.9955, abs=1e-4)
+        assert k == pytest.approx(_scipy_ring_levels(15, self.F, 21.0)[0], rel=1e-9)
+        assert abs(annulus_condition(15, k, self.R, self.F)) <= 1e-10
+
+    def test_scalar_and_array_condition_agree(self):
+        ks = np.linspace(7.5, 30.0, 181)
+        for m in (0, 3, 15, 16):
+            arr = annulus_condition(m, ks, self.R, self.F)
+            assert isinstance(annulus_condition(m, 20.0, self.R, self.F), float)
+            scalar = np.array([annulus_condition(m, k, self.R, self.F) for k in ks])
+            np.testing.assert_allclose(arr, scalar, rtol=0, atol=1e-14)
+
+    def test_thin_ring_levels_near_the_argument_cap(self):
+        # f = 0.99: levels ~314 apart, the sixth near k = 1900 of the 2000 cap
+        ring = annulus_levels(self.R, 0.99, 0, 5)
+        want = _scipy_ring_levels(0, 0.99, 2000.0)[:6]
+        np.testing.assert_allclose(_ring_ks(ring, 0), want, rtol=1e-9)
+
 
 class TestAutocorrelation2D:
     def test_square_separability(self):

@@ -1,9 +1,14 @@
 """Scenario parsing, artifact writing, determinism, exit codes."""
 
+import contextlib
+import io
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revival import wavefields
 from revival.cli import build_scenario, main, parse_config, run
@@ -221,3 +226,83 @@ class TestWignerContract:
         code = main(["wigner", "--x_count", "2603", "--p_count", "2603", "--out", str(tmp_path)])
         assert code == 3
         assert "GiB" in capsys.readouterr().err
+
+
+class TestBilliardContract:
+    TIME = ["--tmax", "1", "--steps", "10"]
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("size", "0"), ("size", "-1"), ("f", "0"), ("f", "-0.5"), ("dx0", "0"),
+         ("m_cap", "0"), ("m_cap", "-2"), ("nr_cap", "-1"), ("steps", "0"), ("steps", "-5"),
+         ("tmax", "-1")],
+    )
+    def test_out_of_range_exits_two(self, tmp_path, capsys, key, value):
+        argv = ["billiard2d", "--geometry", "circle"] + self.TIME + [f"--{key}", value]
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+
+    def test_fraction_at_least_one_is_numeric_error(self, tmp_path, capsys):
+        argv = ["billiard2d", "--geometry", "annulus", "--f", "1.5"] + self.TIME
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "inner-radius fraction" in capsys.readouterr().err
+
+    def test_size_outside_validated_range_is_numeric_error(self, tmp_path, capsys):
+        argv = ["billiard2d", "--geometry", "square", "--size", "1e160"] + self.TIME
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "validated range" in capsys.readouterr().err
+
+    def test_annulus_default_caps_run(self, tmp_path):
+        argv = ["billiard2d", "--geometry", "annulus"] + self.TIME
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "levels.csv").read_text().splitlines()
+        assert len(rows) == 1 + 33 * 31  # m = -16..16, n_r = 0..30
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["wigner"], ["carpet"], ["observables", "--tmax", "1", "--steps", "10"]],
+        ids=["wigner", "carpet", "observables"],
+    )
+    def test_huge_n0_is_truncation_error(self, tmp_path, capsys, argv):
+        code = main(argv + ["--n0", "1e300", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "GiB" in err and "Traceback" not in err
+
+
+# each value is drawn from its whole range or, as often, from the part
+# the range checks accept, so that most examples reach the builders
+def _signed(lo: float, hi: float):
+    return st.one_of(st.floats(lo, hi), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _count(lo: int, hi: int, valid_lo: int):
+    return st.one_of(st.integers(valid_lo, hi), st.integers(lo, hi))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    geometry=st.sampled_from(["square", "equilateral", "circle", "annulus"]),
+    m_cap=_count(-2, 4, 1),
+    nr_cap=_count(-2, 4, 0),
+    size=_signed(0.5, 2.0),
+    f=_signed(0.05, 0.95),
+    dx0=_signed(0.01, 0.1),
+    tmax=_signed(0.0, 20.0),
+    steps=_count(-5, 50, 1),
+    x0=st.floats(-1.0, 1.0),
+    y0=st.floats(-1.0, 1.0),
+)
+def test_billiard2d_contract_holds_for_any_values(geometry, m_cap, nr_cap, size, f, dx0, tmax,
+                                                   steps, x0, y0):
+    values = {"m_cap": m_cap, "nr_cap": nr_cap, "size": size, "f": f, "dx0": dx0,
+              "tmax": tmax, "steps": steps, "x0": x0, "y0": y0}
+    argv = ["billiard2d", "--geometry", geometry]
+    for key, value in values.items():
+        argv += [f"--{key}", repr(value)]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv + ["--out", out])
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from revival.errors import ContainmentError, DomainError
+from revival.errors import ContainmentError, DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
     bouncer_coefficients,
@@ -53,6 +53,15 @@ class TestGaussianModel:
 
 
 class TestInfiniteWell:
+    def test_basis_size_guard(self):
+        from revival.packets import BOX_MAX_BYTES
+
+        with pytest.raises(DomainError):
+            infinite_well_coefficients(WELL_PACKET, L, 0)
+        for n_max in (BOX_MAX_BYTES // 64, 10**300):
+            with pytest.raises(TruncationError):
+                infinite_well_coefficients(WELL_PACKET, L, n_max)
+
     def test_even_coefficients_vanish_at_center(self):
         p = PacketParams1D(x0=0.5, p0=0.0, width_b=0.05 * math.sqrt(2.0))
         c = infinite_well_coefficients(p, L, 80)
@@ -238,6 +247,17 @@ class TestCircular:
             norm = circular_mode_norm(m, k, R)
             val = si.quad(lambda r: (norm * sp.jv(m, z * r / R)) ** 2 * r, 0, R, limit=200)[0]
             assert val == pytest.approx(1.0, abs=1e-10)
+
+    def test_vectorised_norms_match_scalar_norm(self):
+        # the builder's norms: one J_{|m|+1} call over the order's zeros
+        from revival import specfun
+
+        for R in (1.0, 2.5):
+            for m in range(17):
+                zs = specfun.bessel_zeros(m, 31)
+                vec = math.sqrt(2.0) / (R * np.abs(specfun.bessel_j(m + 1, zs)))
+                scalar = np.array([circular_mode_norm(m, k, R) for k in range(31)])
+                assert np.all(np.abs(vec - scalar) <= 4 * np.spacing(scalar))
 
     def test_full_caps_norm(self):
         c = circular_coefficients(0.0, 0.0, 0.0, 0.0, self.B, 1.0, 40, 60)

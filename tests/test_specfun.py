@@ -7,7 +7,7 @@ import pytest
 import scipy.special as sp
 
 from revival import specfun
-from revival.errors import QuadratureError, RangeError
+from revival.errors import QuadratureError, RangeError, RootError
 
 
 class TestBesselJ:
@@ -95,6 +95,101 @@ class TestBesselZeros:
     def test_deep_index(self):
         r = specfun.bessel_zero(0, 200)
         assert r.value == pytest.approx(sp.jn_zeros(0, 201)[200], abs=1e-8)
+
+
+def _hankel_pq_array_rule(z, m):
+    # the array-wide stopping rule, evaluated on every term: the reference
+    # for the scalar term count of specfun._hankel_pq
+    mu = 4.0 * m * m
+    p = np.ones_like(z)
+    q = np.zeros_like(z)
+    a = np.ones_like(z)
+    zinv = 1.0 / z
+    prev = np.full_like(z, np.inf)
+    for j in range(1, 18):
+        a = a * (mu - (2 * j - 1) ** 2) / (8.0 * j) * zinv
+        mag = np.max(np.abs(a))
+        if mag >= np.max(prev):
+            break
+        prev = np.abs(a)
+        sgn = 1.0 if (j // 2) % 2 == 0 else -1.0
+        if j % 2 == 1:
+            q += sgn * a
+        else:
+            p += sgn * a
+        if mag < 1e-18:
+            break
+    return p, q
+
+
+class TestHankelTerms:
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_scalar_term_count_matches_array_rule_bitwise(self, m):
+        rng = np.random.default_rng(5 + m)
+        arrays = [
+            np.array([12.0]),
+            np.array([12.0, 2000.0]),
+            rng.uniform(12.0, 2000.0, 300),
+            rng.uniform(12.0, 15.0, 50),
+            np.concatenate([rng.uniform(200.0, 2000.0, 40), [19.9955]]),
+        ]
+        for z in arrays:
+            p, q = specfun._hankel_pq(z, m)
+            p_ref, q_ref = _hankel_pq_array_rule(z, m)
+            assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 16, 30, 45, 60])
+    def test_mixed_size_arrays_against_scipy(self, order):
+        # one array spans the expansion's whole range, so every z gets the
+        # term count of the smallest one
+        rng = np.random.default_rng(order)
+        z = np.concatenate([[12.0, 2000.0], rng.uniform(12.0, 40.0, 60), rng.uniform(40.0, 2000.0, 60)])
+        assert np.max(np.abs(specfun.bessel_j(order, z) - sp.jv(order, z))) < 1e-10
+        ref = sp.yv(order, z)  # Y_60(12) ~ -1e40: absolute below 1, relative above
+        scale = np.maximum(1.0, np.abs(ref))
+        assert np.max(np.abs(specfun._bessel_y(order, z) - ref) / scale) < 1e-10
+
+
+class TestBesselZeroTable:
+    @pytest.mark.parametrize("order", range(17))
+    def test_batch_equals_sequential_lookups_bitwise(self, order, monkeypatch):
+        # sequential lookups grow the table 16 -> 32; one batch of 31 is
+        # refined with other array shapes and must give the same bits
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        sequential = [specfun.bessel_zero(order, k).value for k in range(31)]
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        batch = specfun.bessel_zeros(order, 31)
+        assert batch.tolist() == sequential
+        ref = sp.jn_zeros(order, 31)
+        assert np.max(np.abs(batch - ref) / ref) < 1e-12
+
+    def test_cached_results_keep_their_residuals(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        zs = specfun.bessel_zeros(4, 20)
+        for k in range(20):
+            r = specfun.bessel_zero(4, k)
+            assert r.value == zs[k]
+            assert r.residual <= 1e-12
+            assert abs(sp.jv(4, r.value)) <= 1e-12
+
+    def test_range_errors(self):
+        for order, count in [(61, 3), (-1, 3), (0, -1), (0, 202)]:
+            with pytest.raises(RangeError):
+                specfun.bessel_zeros(order, count)
+        with pytest.raises(RangeError):
+            specfun.bessel_zero(0, 201)
+        assert specfun.bessel_zeros(0, 0).shape == (0,)
+
+    def test_bad_batch_raises_and_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        good = specfun._scan_bessel_zeros
+        shifted = lambda order, count: [(v + 1e-6, i) for v, i in good(order, count)]
+        monkeypatch.setattr(specfun, "_scan_bessel_zeros", shifted)
+        with pytest.raises(RootError):
+            specfun.bessel_zeros(3, 5)
+        assert specfun._bessel_zero_cache.get(3, []) == []
+        monkeypatch.setattr(specfun, "_scan_bessel_zeros", good)
+        assert specfun.bessel_zeros(3, 5) == pytest.approx(sp.jn_zeros(3, 5), rel=1e-12)
 
 
 class TestAiry:
