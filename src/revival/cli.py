@@ -315,11 +315,12 @@ def run(scenario: Scenario) -> list[str]:
     elif scenario.command == "carpet":
         L = p["L"]
         pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
+        n_max = p["n_max"] if p["n_max"] > 0 else int(p["n0"] + 12 * packets.delta_n_estimate(pk, L)) + 8
+        # the builder's size guard runs before time_scales, which overflows at a huge n0
+        c = packets.infinite_well_coefficients(pk, L, n_max)
         s = spectra.Spectrum1D.infinite_well(L)
         t_rev = spectra.time_scales(s, max(p["n0"], 2.0)).t_revival
         t_hi = p["t_hi"] if p["t_hi"] > 0 else t_rev / 2.0
-        n_max = p["n_max"] if p["n_max"] > 0 else int(p["n0"] + 12 * packets.delta_n_estimate(pk, L)) + 8
-        c = packets.infinite_well_coefficients(pk, L, n_max)
         total, classical, quantum = wavefields.carpet(c, L, p["x_count"], p["t_count"], t_hi)
         for name, grid in (("total", total), ("classical", classical), ("quantum", quantum)):
             path = out(f"carpet_{name}.pgm")

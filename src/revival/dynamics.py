@@ -66,12 +66,12 @@ def reduced_phase(omega, t) -> np.ndarray:
     r = ((hi - k * _P1) - k * _P2) - k * _P3 + lo
     over = np.abs(hi) > _BIG_PHASE
     if np.any(over):  # exact rational reduction for extreme products
-        prod_o, prod_t = np.broadcast_arrays(omega, tarr)
-        rr = np.array(r, ndmin=1)
-        flat = np.nonzero(np.atleast_1d(over).ravel())[0]
-        for i in flat:
-            prod = Fraction(float(prod_o.ravel()[i])) * Fraction(float(prod_t.ravel()[i]))
-            rr.ravel()[i] = float(prod % _FRACTION_TWO_PI)
+        # ravel once: each ravel of a broadcast view copies the whole operand
+        prod_o, prod_t = (a.ravel() for a in np.broadcast_arrays(omega, tarr))
+        rr = np.array(r, ndmin=1).ravel()
+        for i in np.flatnonzero(over):
+            prod = Fraction(float(prod_o[i])) * Fraction(float(prod_t[i]))
+            rr[i] = float(prod % _FRACTION_TWO_PI)
         r = rr.reshape(np.shape(r))
     return r
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ContainmentError, DomainError, TruncationError
+from .errors import ContainmentError, DomainError, RangeError, TruncationError
 from .serialize import format_float
 from .spectra import DEFAULT_UNITS, UnitSystem
 
@@ -215,40 +215,40 @@ def bouncer_coefficients(
     p0: float = 0.0,
 ) -> CoefficientSet:
     """Overlap coefficients of a Gaussian packet released at height z0
-    against the linear-potential-plus-wall eigenstates (Airy functions),
-    computed by quadrature."""
+    against the linear-potential-plus-wall eigenstates N_n Ai(z/rho - y_n),
+    by Simpson quadrature over z0 +- 9 position spreads, one level at a
+    time; no identity gives this projection in closed form."""
     dx0 = width_b / math.sqrt(2.0)
     _check_contained((z0,), dx0)
     rho = (units.hbar**2 / (2.0 * units.mass * F)) ** (1.0 / 3.0)
-    lo_z = max(0.0, z0 - 9.0 * dx0)
-    hi_z = z0 + 9.0 * dx0
-    count = 8193
-    z = np.linspace(lo_z, hi_z, count)
+    z = np.linspace(max(0.0, z0 - 9.0 * dx0), z0 + 9.0 * dx0, 8193)
     w = _simpson_weights(z)
     psi = (
         (width_b * math.sqrt(math.pi)) ** -0.5
         * np.exp(-((z - z0) ** 2) / (2 * width_b**2))
         * np.exp(1j * p0 * (z - z0) / units.hbar)
     )
-    vals = np.empty(n_max + 1, dtype=complex)
-    for n in range(n_max + 1):
-        y = specfun.airy_zero(n).value
-        norm = bouncer_norm(n, rho)
-        u = norm * specfun.airy_ai(z / rho - y)
-        vals[n] = np.sum(w * u * psi)
+    levels = np.arange(n_max + 1)
+    y, norms = _airy_levels(levels), bouncer_norm(levels, rho)
+    vals = np.array([np.sum(w * (norms[n] * specfun.airy_ai(z / rho - y[n])) * psi) for n in levels])
     lo, a = _trim(0, vals, RELATIVE_FLOOR)
     return _finish_1d(lo, a, 1e-4)
 
 
-def bouncer_norm(n: int, rho: float) -> float:
-    """Normalization of Ai(z/rho - y_n) on z > 0, by quadrature out to
-    where Ai^2 has fallen below 1e-30."""
-    y = specfun.airy_zero(n).value
-    tail = 11.5  # Ai(11.5)^2 < 1e-30
-    z = np.linspace(0.0, rho * (y + tail), 4097)
-    w = _simpson_weights(z)
-    val = np.sum(w * specfun.airy_ai(z / rho - y) ** 2)
-    return 1.0 / math.sqrt(val)
+def _airy_levels(n) -> np.ndarray:
+    """The zeros y_n of Ai(-y) for an index or an index array."""
+    n = np.asarray(n, dtype=int)
+    if np.any(n < 0):
+        raise RangeError("Airy level indices must be nonnegative")
+    return specfun.airy_zeros(int(np.max(n)) + 1)[n]
+
+
+def bouncer_norm(n, rho: float):
+    """Normalization N_n of Ai(z/rho - y_n) on z > 0, for an index or an
+    index array. The integral of Ai^2 from a zero a_n to infinity is
+    Ai'(a_n)^2 (DLMF 9.11(iv)), so N_n = 1/(sqrt(rho) |Ai'(-y_n)|)."""
+    y = _airy_levels(n)
+    return 1.0 / (math.sqrt(rho) * np.abs(specfun.airy_ai_prime(-y)))
 
 
 def _simpson_weights(x: np.ndarray) -> np.ndarray:

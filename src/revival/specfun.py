@@ -458,14 +458,15 @@ def _airy_march_eval(x, derivative=False):
 
 
 def _airy_neg_asym(y, derivative=False):
-    # Oscillatory expansion for Ai(-y), y >= 9.
+    # Oscillatory expansion for Ai(-y), y >= 9. 18 terms are needed at the
+    # y = 9 edge (zeta = 18) to hold Ai and Ai' within 4e-15 of mpmath.
     zeta = (2.0 / 3.0) * y ** 1.5
     s = np.zeros_like(y)
     c = np.zeros_like(y)
     sd = np.zeros_like(y)
     cd = np.zeros_like(y)
     u = np.ones_like(y)
-    for k in range(0, 12):
+    for k in range(0, 18):
         term = u / zeta**k
         d_term = term * (-(6 * k + 1) / (6 * k - 1) if k > 0 else 1.0)
         sign = 1.0 if (k // 2) % 2 == 0 else -1.0
@@ -539,12 +540,10 @@ def airy_zero_seed(n: int) -> float:
 _airy_zero_cache: list[RootResult] = []  # validated zeros 0, 1, ...
 
 
-def airy_zero(n: int) -> RootResult:
-    """n-th zero y_n > 0 of Ai(-y) (n = 0 is the first zero, ~2.338)."""
-    if n < 0 or n > AIRY_ZERO_MAX:
-        raise RangeError(f"Airy zero index {n} outside validated range (<= {AIRY_ZERO_MAX})")
-    if len(_airy_zero_cache) <= n:
-        ks = np.arange(len(_airy_zero_cache), n + 1)
+def _airy_zero_table(count: int) -> list[RootResult]:
+    """The cached zeros of Ai(-y), grown to at least `count` entries."""
+    if len(_airy_zero_cache) < count:
+        ks = np.arange(len(_airy_zero_cache), count)
         seeds = np.array([airy_zero_seed(int(k)) for k in ks])
         below = np.array([airy_zero_seed(int(k) - 1) if k > 0 else 0.0 for k in ks])
         above = np.array([airy_zero_seed(int(k) + 1) for k in ks])
@@ -566,7 +565,21 @@ def airy_zero(n: int) -> RootResult:
             RootResult(value=float(r), residual=float(e), iterations=int(i))
             for r, e, i in zip(roots, residuals, iters)
         )
-    return _airy_zero_cache[n]
+    return _airy_zero_cache
+
+
+def airy_zeros(count: int) -> np.ndarray:
+    """The first `count` zeros y_0 < y_1 < ... of Ai(-y), as an array."""
+    if count < 0 or count > AIRY_ZERO_MAX + 1:
+        raise RangeError(f"Airy zero count {count} outside validated range (<= {AIRY_ZERO_MAX + 1})")
+    return np.array([r.value for r in _airy_zero_table(count)[:count]])
+
+
+def airy_zero(n: int) -> RootResult:
+    """n-th zero y_n > 0 of Ai(-y) (n = 0 is the first zero, ~2.338)."""
+    if n < 0 or n > AIRY_ZERO_MAX:
+        raise RangeError(f"Airy zero index {n} outside validated range (<= {AIRY_ZERO_MAX})")
+    return _airy_zero_table(n + 1)[n]
 
 
 # ----------------------------------------------------------------------

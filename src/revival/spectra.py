@@ -170,12 +170,14 @@ def _airy_derivs(scale: float, n: np.ndarray):
     # E(n) = scale * y_n, interpolated between integers; 5-point central
     # differences with unit step at the rounded index, the stencil kept
     # inside the validated zero table
+    xs = np.atleast_1d(n)
+    centers = [min(max(int(round(float(x))), 2), specfun.AIRY_ZERO_MAX - 2) for x in xs]
+    zeros = specfun.airy_zeros(max(centers) + 3)
     out = []
-    for x in np.atleast_1d(n):
-        c = min(max(int(round(float(x))), 2), specfun.AIRY_ZERO_MAX - 2)
+    for x, c in zip(xs, centers):
         if x > c + 2:
             raise RangeError(f"Airy index {float(x)} above the zero table")
-        y = np.array([specfun.airy_zero(c + j).value for j in range(-2, 3)])
+        y = zeros[c - 2 : c + 3]
         e = scale * float(np.interp(float(x), np.arange(c - 2, c + 3), y))
         e1 = scale * (y[0] - 8 * y[1] + 8 * y[3] - y[4]) / 12.0
         e2 = scale * (-y[0] + 16 * y[1] - 30 * y[2] + 16 * y[3] - y[4]) / 12.0

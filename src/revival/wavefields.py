@@ -12,7 +12,7 @@ import numpy as np
 from . import specfun
 from .dynamics import _CHUNK, _phase_block
 from .errors import DomainError, TruncationError
-from .packets import CoefficientSet, bouncer_norm, _simpson_weights
+from .packets import CoefficientSet, _airy_levels, bouncer_norm
 from .serialize import write_grid_csv, write_pgm
 from .spectra import DEFAULT_UNITS, Spectrum1D, UnitSystem, eval_energy
 
@@ -132,80 +132,68 @@ class InfiniteWellBasis:
 
     def momentum_transform(self, n: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Momentum-space eigenfunctions (rows: states), i.e. the Fourier
-        transform of the sine modes over (0, L)."""
+        transform of the sine modes over (0, L): with q = p/hbar it is
+        [E(k_n - q) - E(-k_n - q)] / 2i, E(a) = L e^{iaL/2} sinc(aL/2), which
+        has no removable singularity at q = +-k_n."""
         hbar = self.units.hbar
         kn = np.asarray(n, dtype=float)[:, None] * math.pi / self.L
         q = p[None, :] / hbar
         pref = np.sqrt(2.0 / self.L) / math.sqrt(2.0 * math.pi * hbar)
-        sign = np.where(np.asarray(n, dtype=int)[:, None] % 2 == 0, 1.0, -1.0)
-        num = 1.0 - sign * np.exp(-1j * q * self.L)
-        den = kn**2 - q**2
-        small = np.abs(den) < 1e-9 * kn**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            val = pref * kn * num / den
-        if np.any(small):
-            # the q -> +-kn points are removable; settle them by quadrature
-            x = np.linspace(0.0, self.L, 2049)
-            w = _simpson_weights(x)
-            for i, j in np.argwhere(small):
-                u = math.sqrt(2.0 / self.L) * np.sin(kn[i, 0] * x)
-                val[i, j] = np.sum(w * u * np.exp(-1j * q[0, j] * x)) / math.sqrt(
-                    2.0 * math.pi * hbar
-                )
-        return val
+
+        def e(a):  # integral of e^{iax} over (0, L); np.sinc(v) = sin(pi v)/(pi v)
+            return self.L * np.exp(0.5j * a * self.L) * np.sinc(a * self.L / (2.0 * math.pi))
+
+        return pref * (e(kn - q) - e(-kn - q)) / 2j
 
 
 class BouncerBasis:
-    """Airy eigenstates of the linear-potential-plus-wall system; matrix
-    elements by quadrature."""
+    """Airy eigenstates N_n Ai(z/rho - y_n) of the linear-potential-plus-wall
+    system, rho = (hbar^2 / 2mF)^(1/3). Matrix elements are the closed
+    forms over the zeros y_n (Goodmanson, Am. J. Phys. 68 (2000) 866):
+    with s = (-1)^(n-m+1) and d = y_n - y_m,
+    <n|z|m> = 2 rho s / d^2 (diagonal 2 rho y_n / 3),
+    <n|z^2|m> = 24 rho^2 s / d^4 (diagonal 8 rho^2 y_n^2 / 15), and
+    <n|p|m> = i m (E_n - E_m) <n|z|m> / hbar = i hbar s / (rho d).
+    """
 
-    def __init__(self, F: float = 1.0, units: UnitSystem = DEFAULT_UNITS, z_max: float | None = None):
+    def __init__(self, F: float = 1.0, units: UnitSystem = DEFAULT_UNITS):
         self.F = F
         self.units = units
         self.rho = (units.hbar**2 / (2.0 * units.mass * F)) ** (1.0 / 3.0)
-        self.z_max = z_max
         self.spectrum = Spectrum1D.bouncer_airy(F, units)
-        self._table = None
 
-    def _quadrature(self, n: np.ndarray) -> tuple:
-        """(z, weights, u, du) on the 8193-point grid: the states n and
-        their z-derivatives. The table of the last n is kept."""
-        key = tuple(int(k) for k in np.asarray(n))
-        if self._table is None or self._table[0] != key:
-            top = self.z_max
-            if top is None:
-                top = self.rho * (specfun.airy_zero(max(key)).value + 14.0)
-            z = np.linspace(0.0, top, 8193)
-            u = self.functions(n, z)
-            du = np.array(
-                [
-                    bouncer_norm(k, self.rho)
-                    * specfun.airy_ai_prime(z / self.rho - specfun.airy_zero(k).value)
-                    / self.rho
-                    for k in key
-                ]
-            )
-            self._table = (key, z, _simpson_weights(z), u, du)
-        return self._table[1:]
+    def _pairs(self, n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(y_n, s, d) with d = y_n - y_m off the diagonal and 1 on it."""
+        n = np.asarray(n, dtype=int)
+        y = _airy_levels(n)
+        s = np.where((n[:, None] - n[None, :]) % 2 == 0, -1.0, 1.0)
+        d = y[:, None] - y[None, :]
+        np.fill_diagonal(d, 1.0)
+        return y, s, d
 
     def functions(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
-        rows = []
-        for k in np.asarray(n):
-            y = specfun.airy_zero(int(k)).value
-            rows.append(bouncer_norm(int(k), self.rho) * specfun.airy_ai(x / self.rho - y))
-        return np.array(rows)
+        # rows: states, columns: positions
+        n = np.asarray(n, dtype=int)
+        y = _airy_levels(n)
+        return bouncer_norm(n, self.rho)[:, None] * specfun.airy_ai(x[None, :] / self.rho - y[:, None])
 
     def x_matrix(self, n: np.ndarray) -> np.ndarray:
-        z, w, u, _ = self._quadrature(n)
-        return (u * w * z) @ u.T
+        y, s, d = self._pairs(n)
+        val = 2.0 * self.rho * s / d**2
+        np.fill_diagonal(val, 2.0 * self.rho * y / 3.0)
+        return val
 
     def x2_matrix(self, n: np.ndarray) -> np.ndarray:
-        z, w, u, _ = self._quadrature(n)
-        return (u * w * z**2) @ u.T
+        y, s, d = self._pairs(n)
+        val = 24.0 * self.rho**2 * s / d**4
+        np.fill_diagonal(val, 8.0 * self.rho**2 * y**2 / 15.0)
+        return val
 
     def p_matrix(self, n: np.ndarray) -> np.ndarray:
-        _, w, u, du = self._quadrature(n)
-        return -1j * self.units.hbar * (u * w) @ du.T
+        _, s, d = self._pairs(n)
+        val = 1j * self.units.hbar * s / (self.rho * d)
+        np.fill_diagonal(val, 0.0)
+        return val
 
     def p2_matrix(self, n: np.ndarray) -> np.ndarray:
         # p^2 = 2m (H - F z)
@@ -232,25 +220,18 @@ def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
     """Expectation values and spreads of position and momentum over time,
     from basis matrix elements."""
     n = _basis_indices(c, basis)
-    xm = basis.x_matrix(n)
-    x2m = basis.x2_matrix(n)
-    pm = basis.p_matrix(n)
-    p2m = basis.p2_matrix(n)
+    mats = np.stack([basis.x_matrix(n), basis.x2_matrix(n), basis.p_matrix(n), basis.p2_matrix(n)])
     t_grid = np.asarray(t_grid, dtype=float)
-    mean_x = np.empty(len(t_grid))
-    sd_x = np.empty(len(t_grid))
-    mean_p = np.empty(len(t_grid))
-    sd_p = np.empty(len(t_grid))
+    moments = np.empty((4, len(t_grid)))
     for start in range(0, len(t_grid), _CHUNK):
         block = _phase_block(t_grid[start : start + _CHUNK], n, basis.spectrum)
-        for i, phases in enumerate(block.T, start):
-            a = c.coefficients * np.conj(phases)
-            mean_x[i] = np.real(np.conj(a) @ xm @ a)
-            x2 = np.real(np.conj(a) @ x2m @ a)
-            sd_x[i] = math.sqrt(max(x2 - mean_x[i] ** 2, 0.0))
-            mean_p[i] = np.real(np.conj(a) @ pm @ a)
-            p2 = np.real(np.conj(a) @ p2m @ a)
-            sd_p[i] = math.sqrt(max(p2 - mean_p[i] ** 2, 0.0))
+        a = c.coefficients[:, None] * np.conj(block)  # evolved coefficients, (N, T)
+        # conj(a) . M . a for the four matrices at every time of the block
+        quad = np.einsum("nt,knm,mt->kt", np.conj(a), mats, a, optimize=True)
+        moments[:, start : start + _CHUNK] = quad.real
+    mean_x, x2, mean_p, p2 = moments
+    sd_x = np.sqrt(np.maximum(x2 - mean_x**2, 0.0))
+    sd_p = np.sqrt(np.maximum(p2 - mean_p**2, 0.0))
     return ObservableSeries(t_grid, mean_x, sd_x, mean_p, sd_p)
 
 

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import revival
 from revival import wavefields
 from revival.cli import build_scenario, main, parse_config, run
 from revival.errors import ConfigError
@@ -268,6 +272,17 @@ class TestBilliardContract:
         err = capsys.readouterr().err
         assert code == 3
         assert "GiB" in err and "Traceback" not in err
+
+    def test_huge_n0_carpet_prints_no_warning(self, tmp_path):
+        # the builder's size guard must refuse the packet before the
+        # revival time overflows; run as a process to see its real stderr
+        src = os.path.dirname(os.path.dirname(revival.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["carpet", "--n0", "1e300", "--out", str(tmp_path)]
+        proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 # each value is drawn from its whole range or, as often, from the part

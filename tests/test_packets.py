@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+from revival import specfun
 from revival.errors import ContainmentError, DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
+    _simpson_weights,
     bouncer_coefficients,
+    bouncer_norm,
     circular_coefficients,
     circular_mode_norm,
     delta_n_estimate,
@@ -19,7 +22,7 @@ from revival.packets import (
     triangle_coefficients,
     triangle_wavefunction,
 )
-from revival.spectra import Spectrum1D, eval_energy
+from revival.spectra import DEFAULT_UNITS as UNITS, Spectrum1D, eval_energy
 
 L = 1.0
 WELL_PACKET = PacketParams1D(x0=0.5, p0=400 * math.pi, width_b=0.05 * math.sqrt(2.0))
@@ -145,6 +148,19 @@ class TestBouncer:
         )
         # E = F z0 + <p^2>/2m + width corrections; dominated by F z0 = 25
         assert e_mean == pytest.approx(25.0 + 0.25, abs=0.05)
+
+    def test_norm_against_simpson(self):
+        # N_n = 1/(sqrt(rho) |Ai'(-y_n)|) against Simpson's rule on 4097
+        # points out to where Ai^2 < 1e-30
+        rho = (UNITS.hbar**2 / (2.0 * UNITS.mass)) ** (1.0 / 3.0)
+        n = np.arange(60)
+        got = bouncer_norm(n, rho)
+        for k in n:
+            y = specfun.airy_zero(int(k)).value
+            z = np.linspace(0.0, rho * (y + 11.5), 4097)
+            want = 1.0 / math.sqrt(np.sum(_simpson_weights(z) * specfun.airy_ai(z / rho - y) ** 2))
+            assert got[k] == pytest.approx(want, rel=1e-12), k
+            assert bouncer_norm(int(k), rho) == got[k]
 
     def test_center_index_matches_semiclassical_identification(self):
         c = bouncer_coefficients(z0=25.0, width_b=math.sqrt(2.0))

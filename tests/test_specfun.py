@@ -243,6 +243,36 @@ class TestAiry:
         assert specfun.airy_zero(37) == first
         assert first.residual <= 1e-12
 
+    def test_zero_array_is_the_zero_table(self):
+        for count in (1, 7, 61):
+            zs = specfun.airy_zeros(count)
+            assert zs.shape == (count,)
+            assert all(zs[n] == specfun.airy_zero(n).value for n in range(count))
+        assert specfun.airy_zeros(0).shape == (0,)
+
+    def test_zero_array_count_range(self):
+        assert len(specfun.airy_zeros(specfun.AIRY_ZERO_MAX + 1)) == specfun.AIRY_ZERO_MAX + 1
+        for count in (-1, specfun.AIRY_ZERO_MAX + 2):
+            with pytest.raises(RangeError):
+                specfun.airy_zeros(count)
+
+    def test_oscillatory_expansion_at_its_edge_against_mpmath(self):
+        # x = -9 starts the asymptotic branch; y_5 = 9.02 lies just past it
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        y = np.linspace(9.0, 12.0, 31)
+        val = [float(mpmath.airyai(-mpmath.mpf(v))) for v in y]
+        der = [float(mpmath.airyai(-mpmath.mpf(v), derivative=1)) for v in y]
+        assert np.max(np.abs(specfun.airy_ai(-y) - val)) < 1e-14
+        assert np.max(np.abs(specfun.airy_ai_prime(-y) - der)) < 1e-14
+
+    def test_zeros_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 30
+        ns = [0, 3, 5, 6, 7, 8, 20, 59]
+        want = np.array([float(-mpmath.airyaizero(n + 1)) for n in ns])
+        assert np.max(np.abs(specfun.airy_zeros(60)[ns] - want)) < 2e-14
+
 
 class TestIntegrate:
     def test_constant(self):

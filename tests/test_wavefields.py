@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from revival import specfun
+from revival.dynamics import _phase_block
 from revival.errors import DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
+    _simpson_weights,
     bouncer_coefficients,
     infinite_well_coefficients,
 )
@@ -99,6 +102,25 @@ class TestObservables:
         assert obs.sd_x[0] == pytest.approx(PACKET.dx0, rel=1e-5)
         assert obs.sd_p[0] == pytest.approx(PACKET.dp0, rel=1e-3)
 
+    @pytest.mark.parametrize("which", ["box", "bouncer"])
+    def test_batched_forms_match_per_time_loop(self, cset, which):
+        # reference: four quadratic forms per time, as before the einsum
+        if which == "box":
+            c, basis, grid = cset, WELL, np.linspace(0.0, 0.3 * TREV, 37)
+        else:
+            c, basis = bouncer_coefficients(z0=20.0, width_b=math.sqrt(2.0), n_max=60), BouncerBasis()
+            grid = np.linspace(0.0, 400.0, 37)
+        obs = observables(c, basis, grid)
+        n = c.indices
+        mats = [basis.x_matrix(n), basis.x2_matrix(n), basis.p_matrix(n), basis.p2_matrix(n)]
+        for i, t in enumerate(grid):
+            a = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
+            mx, x2, mp, p2 = (float(np.real(np.conj(a) @ m @ a)) for m in mats)
+            assert obs.mean_x[i] == pytest.approx(mx, rel=1e-9, abs=1e-12)
+            assert obs.mean_p[i] == pytest.approx(mp, rel=1e-9, abs=1e-9)
+            assert obs.sd_x[i] == pytest.approx(math.sqrt(max(x2 - mx**2, 0.0)), rel=1e-9)
+            assert obs.sd_p[i] == pytest.approx(math.sqrt(max(p2 - mp**2, 0.0)), rel=1e-9)
+
     def test_uncertainty_product(self, cset):
         rng = np.random.default_rng(3)
         grid = np.sort(rng.uniform(0.0, TREV, 60))
@@ -141,6 +163,24 @@ class TestMomentumDensity:
         dhalf = momentum_density(cset, WELL, p[::-1], 0.1 * TREV + TREV / 2.0)
         assert np.max(np.abs(dhalf - d0)) / d0.max() < 1e-6
 
+
+class TestMomentumTransform:
+    def test_poles_against_mpmath(self):
+        # q = +-k_n, where the k (1 - (-1)^n e^{-iqL}) / (k^2 - q^2) form is 0/0
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 20
+        hbar = WELL.units.hbar
+        nodes = mpmath.linspace(0, L, 21)
+        for k in (1, 2, 7, 40):
+            kk = k * mpmath.pi / L
+            for sign in (1, -1):
+                p = sign * k * math.pi * hbar / L
+                q = mpmath.mpf(p) / hbar
+                f = lambda x: mpmath.sin(kk * x) * mpmath.expj(-q * x)
+                integral = mpmath.quad(f, nodes, method="gauss-legendre")
+                want = complex(mpmath.sqrt(2 / mpmath.mpf(L)) * integral / mpmath.sqrt(2 * mpmath.pi * hbar))
+                got = WELL.momentum_transform(np.array([k]), np.array([p]))[0, 0]
+                assert abs(got - want) < 1e-13, (k, sign)
 
 class TestWigner:
     N0 = 40
@@ -275,6 +315,21 @@ class TestCarpet:
             carpet(cset, L, 32, 96, 0.1)
 
 
+def _bouncer_quadrature(basis, n):
+    """x, x^2 and p matrices by Simpson's rule on 8193 points out to 14
+    units of rho past the top level's turning point, with the levels
+    normalised on the same grid and p = -i hbar d/dz from Ai'."""
+    y = np.array([specfun.airy_zero(int(k)).value for k in n])
+    z = np.linspace(0.0, basis.rho * (y.max() + 14.0), 8193)
+    w = _simpson_weights(z)
+    arg = z[None, :] / basis.rho - y[:, None]
+    ai = specfun.airy_ai(arg)
+    norms = 1.0 / np.sqrt(np.sum(w * ai**2, axis=1))[:, None]
+    u = norms * ai
+    du = norms * specfun.airy_ai_prime(arg) / basis.rho
+    return (u * w * z) @ u.T, (u * w * z**2) @ u.T, -1j * basis.units.hbar * (u * w) @ du.T
+
+
 class TestBouncerBasis:
     @pytest.fixture(scope="class")
     @staticmethod
@@ -305,6 +360,32 @@ class TestBouncerBasis:
         obs = observables(c, basis, [0.0, t_cl])
         assert obs.mean_x[1] == pytest.approx(obs.mean_x[0], abs=0.15)
 
+
+    def test_closed_forms_match_quadrature(self, bouncer):
+        basis, c = bouncer
+        n = c.indices
+        x_quad, x2_quad, p_quad = _bouncer_quadrature(basis, n)
+        for got, want, rel in (
+            (basis.x_matrix(n), x_quad, 1e-10),
+            (basis.x2_matrix(n), x2_quad, 1e-10),
+            (basis.p_matrix(n), p_quad, 1e-8),
+        ):
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= rel * scale
+
+    def test_momentum_elements_against_mpmath(self, bouncer):
+        # i m (E_n - E_m) <n|z|m> / hbar on mpmath's zeros, 30 digits
+        mpmath = pytest.importorskip("mpmath")
+        basis, _ = bouncer
+        mpmath.mp.dps = 30
+        u = basis.units
+        rho = mpmath.cbrt(mpmath.mpf(u.hbar) ** 2 / (2 * mpmath.mpf(u.mass) * basis.F))
+        for n, m in [(55, 54), (40, 43), (10, 59), (3, 0)]:
+            yn, ym = (-mpmath.airyaizero(k + 1) for k in (n, m))
+            z_nm = 2 * rho * (-1) ** (n - m + 1) / (yn - ym) ** 2
+            want = complex(1j * u.mass * basis.F * rho * (yn - ym) * z_nm / u.hbar)
+            got = basis.p_matrix(np.array([n, m]))[0, 1]
+            assert abs(got - want) <= 1e-12 * abs(want), (n, m)
 
     def test_quadrature_table_follows_the_indices(self, bouncer):
         basis, c = bouncer
