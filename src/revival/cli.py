@@ -121,7 +121,7 @@ _SCHEMAS: dict[str, dict] = {
         "dn": (_float_key, _REQUIRED),
         "cutoff": (_float_key, 1e-8),
         "tmax": (_float_key, _REQUIRED),
-        "steps": (_int_key, _REQUIRED),
+        "steps": (_bounded(_int_key, 1), _REQUIRED),
         "anti": (_int_key, 0),
     },
     "fractional": {
@@ -150,12 +150,12 @@ _SCHEMAS: dict[str, dict] = {
         "format": (_str_key(("csv", "pgm")), "csv"),
     },
     "observables": {
-        "L": (_float_key, 1.0),
+        "L": (_POSITIVE, 1.0),
         "n0": (_float_key, 400.0),
         "x0": (_float_key, 0.5),
-        "dx0": (_float_key, 0.05),
+        "dx0": (_POSITIVE, 0.05),
         "tmax": (_float_key, _REQUIRED),
-        "steps": (_int_key, _REQUIRED),
+        "steps": (_bounded(_int_key, 1), _REQUIRED),
     },
     "billiard2d": {
         "geometry": (_str_key(("square", "equilateral", "circle", "annulus")), _REQUIRED),

@@ -17,9 +17,27 @@ from .serialize import write_timeseries_csv
 from .spectra import DEFAULT_UNITS, Spectrum1D, eval_energy
 
 TWO_PI = 2.0 * math.pi
-_FRACTION_TWO_PI = Fraction(
-    "6.28318530717958647692528676655900576839433879875021164194988918461563281"
-)
+
+
+def _two_pi_fraction(bits: int) -> Fraction:
+    """2 pi to within 2^-bits, from Machin's pi = 16 acot(5) - 4 acot(239)
+    in integer arithmetic; 16 guard bits absorb the truncations."""
+    one = 1 << (bits + 16)
+
+    def acot(x: int) -> int:
+        total, power, k, sign = 0, one // x, 1, 1
+        while power:
+            total += sign * (power // k)
+            power //= x * x
+            k, sign = k + 2, -sign
+        return total
+
+    return Fraction((2 * (16 * acot(5) - 4 * acot(239))) >> 16, 1 << bits)
+
+
+# every |omega t| of two finite doubles is below 2^2048, so 2200 bits keep
+# k * (error of 2 pi) far below one ulp of the reduced phase
+_FRACTION_TWO_PI = _two_pi_fraction(2200)
 _BIG_PHASE = 1e8
 _CHUNK = 4096  # times per phase block; bounds the (modes x times) temporaries
 
@@ -55,23 +73,130 @@ def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+def _two_sum(a, b):
+    # Knuth's TwoSum: a + b = s + err exactly, for any ordering of |a|, |b|
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+# 2*pi as 16-bit chunks P_i = c_i * 2^-(13 + 16 i), 192 bits in all; with
+# k split into 26-bit halves every k_half * P_i is exact (below 2^42 ulps)
+def _two_pi_chunks() -> np.ndarray:
+    rest, chunks = _FRACTION_TWO_PI, []
+    for i in range(12):
+        scale = 13 + 16 * i
+        chunks.append(math.ldexp(math.floor(rest * 2**scale), -scale))
+        rest -= Fraction(chunks[-1])
+    return np.array(chunks)
+
+
+_PC = _two_pi_chunks()
+_QC = _PC * 2.0**26  # 2^26 * P_i: the chunks seen by the high half of k
+_EXACT_CAP = 2.0**52 * TWO_PI  # |omega t| below this has k < 2^52
+# the fixed grids of the three-word sum: word 1 holds multiples of 2^-47,
+# word 2 multiples of 2^-97, word 3 the rest
+_G1, _G2 = 2.0**-47, 2.0**-97
+
+
+def _split_on_grid(x, grid: float):
+    """x = head + tail exactly, head rounded to a multiple of `grid` (a
+    power of two); needs |x| < 2^51 * grid."""
+    sigma = 1.5 * 2.0**52 * grid
+    head = (sigma + x) - sigma
+    return head, x - head
+
+
+def _two_pi_words() -> tuple[float, float, float]:
+    # 2 pi as one word on each grid, so m * 2 pi adds exactly to words 1, 2
+    w1 = round(_FRACTION_TWO_PI / Fraction(_G1)) * _G1
+    rest = _FRACTION_TWO_PI - Fraction(w1)
+    w2 = round(rest / Fraction(_G2)) * _G2
+    return w1, w2, float(rest - Fraction(w2))
+
+
+_W1, _W2, _W3 = _two_pi_words()
+
+
+def _reduce_exact(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """(hi + lo) mod 2*pi, folded into [0, 2*pi) like Fraction.__mod__, for
+    1e8 < |hi| < _EXACT_CAP (so k = floor(|hi| / 2 pi) < 2^52).
+
+    With a = |hi|, l = sign * lo and k = k_h 2^26 + k_l, the exact value is
+    a + l - sum_i (k_h 2^26 P_i + k_l P_i). Each d_i = k_h 2^26 P_{i+1} +
+    k_l P_i is exact (52 bits on the grid of P_i), and the first four
+    subtractions from a are exact: each partial sum stays below 2^53 ulps
+    of its grid while the big terms cancel. The remaining terms are split
+    on the fixed grids _G1 and _G2 and summed word by word; words 1 and 2
+    are exact sums, word 3 is below 2^-95 and rounds by less than 2^-145.
+    With the 192-bit table the value is off by < 2^-137 before the one
+    final rounding."""
+    sign = np.where(hi < 0, -1.0, 1.0)
+    a = np.abs(hi)
+    k = np.floor(a / TWO_PI)
+    k_h = np.floor(k * 2.0**-26)
+    k_l = k - k_h * 2.0**26
+    d = [k_h * _QC[i + 1] + k_l * _PC[i] for i in range(len(_PC) - 1)]
+    s1 = (((a - k_h * _QC[0]) - d[0]) - d[1]) - d[2]  # |s1| < 13, on 2^-45
+    s2 = 0.0
+    for x in (sign * lo, -d[3], -d[4], -d[5]):
+        head, tail = _split_on_grid(x, _G1)
+        s1 = s1 + head
+        s2 = s2 + tail
+    s3 = 0.0
+    for x in (-d[6], -d[7], -d[8]):
+        head, tail = _split_on_grid(x, _G2)
+        s2 = s2 + head
+        s3 = s3 + tail
+    s3 = s3 - (d[9] + d[10] + k_l * _PC[-1])
+    s1, s2, s3 = sign * s1, sign * s2, sign * s3
+
+    def rounded(m):
+        # the words of value + m 2 pi, then one rounding of their sum
+        h, e = _two_sum(s1 + m * _W1, s2 + m * _W2)
+        return h + (e + (s3 + m * _W3))
+
+    m = -np.floor((s1 + (s2 + s3)) / TWO_PI)
+    r = rounded(m)
+    # m comes from an approximate sum: step it where the phase left [0, 2 pi).
+    # A phase that rounds to TWO_PI lies just below 2 pi (kept) or at or
+    # above it (folded), as the sign of the phase minus 2 pi tells.
+    over = (r > TWO_PI) | ((r == TWO_PI) & (rounded(m - 1.0) >= 0.0))
+    return rounded(m + (r < 0.0) - over)
+
+
 def reduced_phase(omega, t) -> np.ndarray:
     """omega * t reduced modulo 2*pi with extended-precision arithmetic,
     so that revival-scale phase alignments survive large |omega * t|.
-    Broadcasts over both arguments."""
+    Broadcasts over both arguments.
+
+    |omega t| <= 1e8 takes a three-part Cody-Waite reduction; up to
+    _EXACT_CAP the product is reduced exactly (_reduce_exact) and
+    rounded once, as Fraction arithmetic would; only products beyond
+    that, or whose Dekker split overflows, use Fraction."""
     omega = np.asarray(omega, dtype=float)
     tarr = np.asarray(t, dtype=float)
-    hi, lo = _two_product(omega, tarr)
-    k = np.rint(hi / TWO_PI)
-    r = ((hi - k * _P1) - k * _P2) - k * _P3 + lo
-    over = np.abs(hi) > _BIG_PHASE
-    if np.any(over):  # exact rational reduction for extreme products
-        # ravel once: each ravel of a broadcast view copies the whole operand
-        prod_o, prod_t = (a.ravel() for a in np.broadcast_arrays(omega, tarr))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow goes to the tail
+        hi, lo = _two_product(omega, tarr)
+        k = np.rint(hi / TWO_PI)
+        r = ((hi - k * _P1) - k * _P2) - k * _P3 + lo
+    far = (np.abs(hi) > _BIG_PHASE) | (np.isfinite(hi) & ~np.isfinite(lo))
+    if np.any(far):
         rr = np.array(r, ndmin=1).ravel()
-        for i in np.flatnonzero(over):
-            prod = Fraction(float(prod_o[i])) * Fraction(float(prod_t[i]))
-            rr[i] = float(prod % _FRACTION_TWO_PI)
+        idx = np.flatnonzero(far)
+        hi_f, lo_f = np.ravel(hi)[idx], np.ravel(lo)[idx]
+        exact = (np.abs(hi_f) < _EXACT_CAP) & np.isfinite(lo_f)
+        idx_e, hi_e, lo_e = idx[exact], hi_f[exact], lo_f[exact]
+        for start in range(0, idx_e.size, _CHUNK):  # bounds the temporaries
+            part = slice(start, start + _CHUNK)
+            rr[idx_e[part]] = _reduce_exact(hi_e[part], lo_e[part])
+        tail = idx[~exact]
+        if tail.size:  # exact rational reduction for extreme products
+            # ravel once: each ravel of a broadcast view copies the whole operand
+            prod_o, prod_t = (a.ravel() for a in np.broadcast_arrays(omega, tarr))
+            for i in tail:
+                prod = Fraction(float(prod_o[i])) * Fraction(float(prod_t[i]))
+                rr[i] = float(prod % _FRACTION_TWO_PI)
         r = rr.reshape(np.shape(r))
     return r
 
@@ -98,12 +223,6 @@ class TimeSeries:
 
     def to_csv(self, path) -> None:
         write_timeseries_csv(path, self.times, self.values)
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - bb) + (b - (s - bb))
 
 
 def _dd_cycles(g: list[float], n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

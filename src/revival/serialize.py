@@ -41,7 +41,9 @@ def write_pgm(path, values) -> None:
     arr = np.asarray(values, dtype=float)
     vmax = float(arr.max())
     scale = 65535.0 / vmax if vmax > 0 else 0.0
-    pixels = np.clip(np.rint(arr * scale), 0, 65535).astype(">u2")
+    scaled = arr * scale  # one float temporary, rounded and clipped in place
+    np.rint(scaled, out=scaled)
+    pixels = np.clip(scaled, 0, 65535, out=scaled).astype(">u2")
     height, width = arr.shape
     with open(path, "wb") as fh:
         fh.write(b"P5\n")

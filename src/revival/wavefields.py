@@ -405,6 +405,32 @@ def wigner_marginals(grid: FieldGrid, taper_fraction: float = 0.12) -> tuple[np.
 # Space-time rasters
 # ----------------------------------------------------------------------
 
+_CARPET_TIMES = 32  # times per (T, N) @ (N, X) product in carpet
+
+
+def _carpet_parts(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
+    """The (X, T) classical and quantum rasters of `carpet`. Each sub-block
+    of _CARPET_TIMES times takes one (T, N) @ (N, X) product per wave
+    direction; a @ conj(e_plus) is formed as conj(conj(a) @ e_plus), which
+    needs no (N, X) conjugate copy. The working arrays are freed on return,
+    before the caller allocates the total raster."""
+    L = basis.L
+    n = _basis_indices(c, basis).astype(float)
+    e_plus = np.exp(1j * (math.pi * np.outer(n, x) / L))  # (N, X)
+    cls = np.empty((len(x), len(ts)))
+    qc = np.empty((len(x), len(ts)))
+    for start in range(0, len(ts), _CHUNK):
+        block = _phase_block(ts[start : start + _CHUNK], n, basis.spectrum)
+        for sub in range(0, block.shape[1], _CARPET_TIMES):
+            a_t = (c.coefficients[:, None] * np.conj(block[:, sub : sub + _CARPET_TIMES])).T
+            w_plus = a_t @ e_plus
+            w_minus = np.conj(np.conj(a_t) @ e_plus)
+            cols = slice(start + sub, start + sub + len(a_t))
+            cls[:, cols] = ((np.abs(w_plus) ** 2 + np.abs(w_minus) ** 2) / (2.0 * L)).T
+            qc[:, cols] = (-np.real(w_plus * np.conj(w_minus)) / L).T
+    return cls, qc
+
+
 def carpet(
     c: CoefficientSet,
     L: float,
@@ -423,21 +449,7 @@ def carpet(
     if x_count < 64 or t_count < 64:
         raise DomainError("raster needs at least 64 x 64 samples")
     basis = InfiniteWellBasis(L, units)
-    n = _basis_indices(c, basis).astype(float)
-    x = np.linspace(0.0, L, x_count)
-    ts = np.linspace(0.0, t_hi, t_count)
-    xi = math.pi * np.outer(n, x) / L  # (N, X)
-    e_plus = np.exp(1j * xi)
-    cls = np.empty((x_count, t_count))
-    qc = np.empty((x_count, t_count))
-    for start in range(0, t_count, _CHUNK):
-        block = _phase_block(ts[start : start + _CHUNK], n, basis.spectrum)
-        for j, phases in enumerate(block.T, start):
-            a_t = c.coefficients * np.conj(phases)
-            w_plus = a_t @ e_plus
-            w_minus = a_t @ np.conj(e_plus)
-            cls[:, j] = (np.abs(w_plus) ** 2 + np.abs(w_minus) ** 2) / (2.0 * L)
-            qc[:, j] = -np.real(w_plus * np.conj(w_minus)) / L
+    cls, qc = _carpet_parts(c, basis, np.linspace(0.0, L, x_count), np.linspace(0.0, t_hi, t_count))
     ax1 = AxisSpec("x", 0.0, L, x_count)
     ax2 = AxisSpec("t", 0.0, t_hi, t_count)
     return (

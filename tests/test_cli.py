@@ -285,6 +285,38 @@ class TestBilliardContract:
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+class TestSeriesContract:
+    AUTOCORR = ["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1"]
+    OBSERVABLES = ["observables", "--tmax", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [(AUTOCORR, "steps", "-5"), (AUTOCORR, "steps", "0"),
+         (OBSERVABLES, "steps", "-3"), (OBSERVABLES, "steps", "0"),
+         (OBSERVABLES + ["--steps", "10"], "L", "0"), (OBSERVABLES + ["--steps", "10"], "L", "-1"),
+         (OBSERVABLES + ["--steps", "10"], "dx0", "0")],
+    )
+    def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
+        assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and "Traceback" not in err
+
+    def test_huge_tmax_prints_nothing(self, tmp_path):
+        # products of omega and t near 1.7e308 overflow the Dekker split;
+        # they take the exact tail silently. Run as a process to see stderr
+        src = os.path.dirname(os.path.dirname(revival.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["autocorr", "--model", "bouncer_airy", "--n0", "400", "--dn", "2",
+                "--tmax", "1.7e308", "--steps", "10", "--out", str(tmp_path)]
+        proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        rows = (tmp_path / "autocorr.csv").read_text().splitlines()[1:]
+        assert len(rows) == 11
+        assert all(float(r.split(",")[3]) <= 1.0 + 1e-12 for r in rows)
+
+
 # each value is drawn from its whole range or, as often, from the part
 # the range checks accept, so that most examples reach the builders
 def _signed(lo: float, hi: float):

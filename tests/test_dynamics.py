@@ -2,10 +2,13 @@
 lower bound."""
 
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from revival import dynamics
 from revival.dynamics import (
     TimeSeries,
     accelerating_A,
@@ -54,7 +57,21 @@ class TestAutocorrelation:
         tt = np.array([13.375, 401.125, 777.25, 1122.0625])
         a1 = autocorrelation(MODEL_SET, CASE_A, tt).values
         a2 = autocorrelation(MODEL_SET, CASE_A, tt + 1600.0).values
-        assert np.max(np.abs(a1 - a2)) < 1e-10
+        assert np.max(np.abs(a1 - a2)) < 1e-11
+
+    @pytest.mark.parametrize("t", [13.375, 401.125, 1122.0625, 1600.0, 123456.789, 1e6 + 0.3])
+    def test_mpmath_oracle(self, t):
+        # the same float weights and model coefficients, phases at 40 digits
+        g = CASE_A.frequency_polynomial()
+        n = MODEL_SET.indices.astype(float)
+        with mpmath.workdps(40):
+            tt = mpmath.mpf(t)
+            want = complex(mpmath.fsum(
+                mpmath.mpf(float(w)) * mpmath.expj(2 * mpmath.pi * tt * mpmath.fsum(
+                    mpmath.mpf(gj) * mpmath.mpf(k) ** j for j, gj in enumerate(g)))
+                for w, k in zip(MODEL_SET.weights(), n)))
+        got = autocorrelation(MODEL_SET, CASE_A, [t]).values[0]
+        assert abs(got - want) < 1e-14
 
     def test_modulus_bounded(self):
         rng = np.random.default_rng(7)
@@ -312,3 +329,158 @@ class TestTimeSeries:
         assert float(row[1]) == 0.5
         assert float(row[2]) == -0.25
         assert float(row[3]) == pytest.approx(0.3125, rel=1e-15)
+
+
+def _fraction_phase(omega: float, t: float) -> float:
+    """The reference reduction: exact rational omega * t mod 2 pi, rounded once."""
+    return float((Fraction(omega) * Fraction(t)) % dynamics._FRACTION_TWO_PI)
+
+
+def _mp_phase(omega: float, t: float) -> mpmath.mpf:
+    """omega * t mod 2 pi with mpmath's own pi, at enough digits for |omega t| <= 1e310."""
+    with mpmath.workdps(360):
+        return mpmath.fmod(mpmath.mpf(omega) * mpmath.mpf(t), 2 * mpmath.pi) % (2 * mpmath.pi)
+
+
+def _two_pi_convergents(lo: float, hi: float) -> list[int]:
+    """Numerators p of the continued-fraction convergents p/q of 2 pi with
+    lo < p < hi: integers that lie unusually close to multiples of 2 pi."""
+    out = []
+    with mpmath.workdps(80):
+        x = 2 * mpmath.pi
+        p0, p1 = 1, int(mpmath.floor(x))
+        y = 1 / (x - p1)
+        while p1 < hi:
+            a = int(mpmath.floor(y))
+            y = 1 / (y - a)
+            p0, p1 = p1, a * p1 + p0
+            if p1 > lo:
+                out.append(p1)
+    return out
+
+
+@pytest.fixture
+def no_fraction(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction constructed on the vectorised path")
+
+    monkeypatch.setattr(dynamics, "Fraction", refuse)
+
+
+class TestExactArithmetic:
+    def test_two_sum_is_error_free(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal(20000) * 10.0 ** rng.integers(-20, 20, 20000)
+        b = rng.standard_normal(20000) * 10.0 ** rng.integers(-20, 20, 20000)
+        s, e = dynamics._two_sum(a, b)
+        assert all(Fraction(x) + Fraction(y) == Fraction(p) + Fraction(q)
+                   for x, y, p, q in zip(a, b, s, e))
+
+    @pytest.mark.parametrize("g", [
+        Spectrum1D.case_a().frequency_polynomial(),
+        Spectrum1D.case_b().frequency_polynomial(),
+        [0.5216456408716835, -0.010873346050071174, -5.225271947579381e-06, -6.966470921883104e-10],
+    ], ids=["caseA", "caseB", "cubic"])
+    def test_dd_cycles_is_double_double(self, g):
+        n = np.arange(0, 3000, dtype=float)
+        hi, lo = dynamics._dd_cycles(g, n)
+        for k, h, l in zip(n, hi, lo):
+            exact = sum(Fraction(gj) * Fraction(k) ** j for j, gj in enumerate(g))
+            assert abs(Fraction(h) + Fraction(l) - exact) <= 1e-30 * abs(exact)
+
+
+class TestReducedPhase:
+    CAP = 2.0**52 * dynamics.TWO_PI  # k = floor(|omega t| / 2 pi) < 2^52 below it
+
+    def test_random_products_match_fraction_bitwise(self, no_fraction):
+        rng = np.random.default_rng(20)
+        omega = 10.0 ** rng.uniform(-3, 3, 12000) * rng.choice([-1.0, 1.0], 12000)
+        t = 10.0 ** rng.uniform(8, 16.4, 12000) / np.abs(omega) * rng.choice([-1.0, 1.0], 12000)
+        got = dynamics.reduced_phase(omega, t)
+        assert np.count_nonzero((np.abs(omega * t) > 1e8) & (np.abs(omega * t) < self.CAP)) > 10000
+        want = np.array([_fraction_phase(o, tt) for o, tt in zip(omega, t)])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 3.0, 1.0 / 3.0, 7.0, 1e-3, 123.456])
+    def test_convergents_of_two_pi(self, scale):
+        # products within ~1e-15 of a multiple of 2 pi, either sign
+        for p in _two_pi_convergents(1e8, self.CAP):
+            for sign in (1.0, -1.0):
+                omega, t = scale, sign * float(p) / scale
+                got = float(dynamics.reduced_phase(omega, t))
+                assert abs(got - _fraction_phase(omega, t)) <= 1e-20
+                assert abs(got - float(_mp_phase(omega, t))) <= 1e-20
+
+    def test_convergent_results_are_tiny(self):
+        # the oracle comparison above is only adversarial if some products
+        # sit much closer to a multiple of 2 pi than one ulp of it
+        r = dynamics.reduced_phase(1.0, np.array(_two_pi_convergents(1e8, self.CAP), dtype=float))
+        assert np.count_nonzero(np.minimum(r, dynamics.TWO_PI - r) < 1e-10) >= 8
+
+    def test_negative_products_match_fraction(self, no_fraction):
+        rng = np.random.default_rng(22)
+        omega = rng.uniform(0.5, 50.0, 1000)
+        t = -(10.0 ** rng.uniform(8, 16, 1000)) / omega
+        want = [_fraction_phase(o, tt) for o, tt in zip(omega, t)]
+        assert np.array_equal(dynamics.reduced_phase(omega, t), want)
+
+    def test_both_sides_of_the_fast_path_switch(self):
+        omega = np.array([1.0, 3.0, -7.0, 0.1])
+        below = np.nextafter(1e8, 0.0) / omega
+        above = np.nextafter(1e8, 2e8) / omega
+        want_below = [_fraction_phase(o, tt) for o, tt in zip(omega, below)]
+        want_above = [_fraction_phase(o, tt) for o, tt in zip(omega, above)]
+        # Cody-Waite below 1e8 is within a few ulps of 2 pi; exact above
+        assert np.max(np.abs(dynamics.reduced_phase(omega, below) - want_below)) <= 4e-15
+        assert np.array_equal(dynamics.reduced_phase(omega, above), want_above)
+
+    def test_both_sides_of_the_exact_cap(self, monkeypatch):
+        omega = np.array([1.0, -1.0, 1.0, -1.0])
+        t = np.array([np.nextafter(self.CAP, 0.0), np.nextafter(self.CAP, 0.0),
+                      np.nextafter(self.CAP, 1e17), 2.0 * self.CAP])
+        want = np.array([_fraction_phase(o, tt) for o, tt in zip(omega, t)])
+        built = []
+        real = dynamics.Fraction
+        monkeypatch.setattr(dynamics, "Fraction", lambda x: built.append(x) or real(x))
+        assert np.array_equal(dynamics.reduced_phase(omega, t), want)
+        assert len(built) == 4  # two operands for each of the two products at or above the cap
+
+    def test_broadcast_grid_below_the_cap(self, no_fraction):
+        omega = np.array([[1.0], [2.5], [-40.0]])
+        t = np.linspace(1e8, 1e14, 500)[None, :]
+        got = dynamics.reduced_phase(omega, t)
+        want = [[_fraction_phase(o, tt) for tt in t[0]] for o in omega[:, 0]]
+        assert got.shape == (3, 500) and np.array_equal(got, want)
+
+    def test_tail_product_at_1e300(self):
+        omega, t = 3.0, 1e300 / 3.0
+        got = float(dynamics.reduced_phase(omega, t))
+        assert got == _fraction_phase(omega, t)
+        assert abs(got - float(_mp_phase(omega, t))) <= 1e-15
+
+    def test_overflowing_products_take_the_tail(self):
+        omega = np.array([1e10, 1e-300, 2.0])
+        t = np.array([1.7e308, 1.7e308, 1e16])
+        with np.errstate(all="raise"):
+            got = dynamics.reduced_phase(omega, t)
+        want = [_fraction_phase(o, tt) for o, tt in zip(omega, t)]
+        assert np.array_equal(got, want)
+
+    def test_fold_just_below_multiples_of_two_pi(self):
+        # hi sits just below K * 2 pi, so floor(hi / 2 pi) = K - 1, and lo
+        # lifts hi + lo to within 1e-21 of K * 2 pi on either side: the fold
+        # must still land in [0, 2 pi) where Fraction.__mod__ puts it
+        his, los = [], []
+        for k in range(2**25, 2**25 + 400):
+            x = k * dynamics._FRACTION_TWO_PI
+            h = float(x)
+            while math.floor(h / dynamics.TWO_PI) >= k:
+                h = math.nextafter(h, 0.0)
+            for d in (1e-21, -1e-21):
+                his.append(h)
+                los.append(float(x - Fraction(h)) + d)
+        for sign in (1.0, -1.0):
+            hi, lo = sign * np.array(his), sign * np.array(los)
+            want = [float((Fraction(h) + Fraction(l)) % dynamics._FRACTION_TWO_PI)
+                    for h, l in zip(hi, lo)]
+            assert np.array_equal(dynamics._reduce_exact(hi, lo), want)

@@ -314,6 +314,24 @@ class TestCarpet:
         with pytest.raises(DomainError):
             carpet(cset, L, 32, 96, 0.1)
 
+    def test_matches_per_time_loop(self, cset):
+        # 300 times: several full sub-blocks of times and a partial one
+        tot, cls, qc = carpet(cset, L, 80, 300, TREV / 3)
+        x = np.linspace(0.0, L, 80)
+        ts = np.linspace(0.0, TREV / 3, 300)
+        e_plus = np.exp(1j * math.pi * np.outer(cset.indices, x) / L)
+        want_c = np.empty((80, 300))
+        want_q = np.empty((80, 300))
+        for j, phases in enumerate(_phase_block(ts, cset.indices.astype(float), WELL.spectrum).T):
+            a_t = cset.coefficients * np.conj(phases)
+            w_plus, w_minus = a_t @ e_plus, a_t @ np.conj(e_plus)
+            want_c[:, j] = (np.abs(w_plus) ** 2 + np.abs(w_minus) ** 2) / (2.0 * L)
+            want_q[:, j] = -np.real(w_plus * np.conj(w_minus)) / L
+        scale = np.max(want_c)
+        assert np.max(np.abs(cls.values - want_c)) <= 1e-13 * scale
+        assert np.max(np.abs(qc.values - want_q)) <= 1e-13 * scale
+        assert np.max(np.abs(tot.values - (want_c + want_q))) <= 1e-13 * scale
+
 
 def _bouncer_quadrature(basis, n):
     """x, x^2 and p matrices by Simpson's rule on 8193 points out to 14
