@@ -185,9 +185,11 @@ def circular_spectrum(
     _check_size(R)
     table = {}
     scale = units.hbar**2 / (2.0 * units.mass * R**2)
+    if mode == "refined":
+        zeros = specfun.bessel_zeros_batch(range(m_cap + 1), nr_cap + 1).tolist()
     for m in range(-m_cap, m_cap + 1):
         if mode == "refined":
-            zs = specfun.bessel_zeros(abs(m), nr_cap + 1).tolist()
+            zs = zeros[abs(m)]
         elif m == 0:
             z0s = [(k + 0.75) * math.pi for k in range(nr_cap + 1)]
             zs = [z0 + 1.0 / (8.0 * z0) for z0 in z0s]
@@ -223,77 +225,117 @@ def annulus_levels(
 ) -> Spectrum2D:
     """Ring billiard levels from the Bessel cross-product condition
     J_m(kR) Y_m(kfR) - J_m(kfR) Y_m(kR) = 0: a sign-change scan in k,
-    then a batched Illinois regula falsi on every bracket of an order."""
+    then one batched Illinois regula falsi on the brackets of every
+    order."""
     if not 0.0 < f < 1.0:
         raise DomainError("inner-radius fraction must satisfy 0 < f < 1")
     _check_size(R)
     table = {}
     scale = units.hbar**2 / (2.0 * units.mass)
+    roots = _annulus_roots(range(m_cap + 1), R, f, nr_cap + 1)
     for m in range(-m_cap, m_cap + 1):
-        ks = _annulus_roots(abs(m), R, f, nr_cap + 1)
-        for k_idx, kval in enumerate(ks):
+        for k_idx, kval in enumerate(roots[abs(m)]):
             table[(m, k_idx)] = scale * kval**2
     return Spectrum2D("annulus", {"R": R, "f": f}, units, table)
+
+
+def _ring_condition(orders, k, R: float, f: float) -> np.ndarray:
+    """The normalized cross-product at flat arrays of orders and k, from
+    one J and one Y kernel call on the outer and inner arguments."""
+    n = k.size
+    z = np.concatenate([k * R, k * f * R])
+    both = np.concatenate([orders, orders])
+    j = specfun._bessel_batch(both, z)
+    y = specfun._bessel_batch(both, z, "y")
+    a = j[:n] * y[n:]
+    b = j[n:] * y[:n]
+    scale = np.abs(a) + np.abs(b)
+    return np.where(scale > 0, (a - b) / np.where(scale > 0, scale, 1.0), 0.0)
 
 
 def annulus_condition(m: int, k, R: float, f: float):
     """Normalized cross-product whose zeros are the ring eigenvalues; a
     float for a scalar k, an array for an array of k."""
     karr = np.asarray(k, dtype=float)
-    outer = karr * R
-    inner = karr * f * R
-    a = specfun.bessel_j(m, outer) * specfun._bessel_y(m, inner)
-    b = specfun.bessel_j(m, inner) * specfun._bessel_y(m, outer)
-    scale = np.abs(a) + np.abs(b)
-    g = np.where(scale > 0, (a - b) / np.where(scale > 0, scale, 1.0), 0.0)
+    flat = karr.ravel()
+    g = _ring_condition(np.full(flat.shape, int(m)), flat, R, f).reshape(karr.shape)
     return float(g) if karr.ndim == 0 else g
 
 
 _annulus_cache: dict = {}
 
 
-def _annulus_roots(m: int, R: float, f: float, count: int) -> list[float]:
-    key = (m, R, f)
-    cached = _annulus_cache.setdefault(key, [])
-    if len(cached) >= count:
-        return cached[:count]
-    lo, hi, g_lo, g_hi = _annulus_brackets(m, R, f, count)
-    roots, residuals = _illinois(lambda k: annulus_condition(m, k, R, f), lo, hi, g_lo, g_hi)
-    if np.max(residuals) > 1e-10:
-        raise RootError(f"ring level residual too large at m={m}")
-    cached[:] = roots.tolist()
-    return cached[:count]
+def _annulus_roots(orders, R: float, f: float, count: int) -> dict[int, list[float]]:
+    """The first `count` ring levels k of every order, from the cache or
+    from one bracket scan and one Illinois batch over the missing orders.
+
+    A level passes when |g| <= 1e-10, or when its final bracket is two
+    adjacent floats across which g changes sign, so that k is known to
+    one ulp although the condition's slope makes |g| at both ends larger
+    than the gate."""
+    todo = [m for m in orders if len(_annulus_cache.get((m, R, f), ())) < count]
+    if todo:
+        lo, hi, g_lo, g_hi, order_of = _annulus_brackets(todo, R, f, count)
+        roots, residuals, pinned = _illinois(
+            lambda x, idx: _ring_condition(order_of[idx], x, R, f), lo, hi, g_lo, g_hi
+        )
+        failed = np.flatnonzero((residuals > 1e-10) & ~pinned)
+        if failed.size:
+            raise RootError(f"ring level residual too large at m={order_of[failed[0]]}")
+        for m in todo:
+            _annulus_cache[(m, R, f)] = roots[order_of == m].tolist()
+    return {m: _annulus_cache[(m, R, f)][:count] for m in orders}
 
 
-def _annulus_brackets(m: int, R: float, f: float, count: int):
-    """Brackets (lo, hi, g(lo), g(hi)) of the first `count` ring levels
-    of order m, from a k grid at a quarter of the asymptotic spacing
-    pi / (R (1 - f)), scanned one array call per extension."""
+def _annulus_brackets(orders, R: float, f: float, count: int):
+    """Brackets (lo, hi, g(lo), g(hi), order) of the first `count` ring
+    levels of every order, order-major. Each order's k grid is at a
+    quarter of the asymptotic spacing pi / (R (1 - f)); all grids are
+    scanned in one condition call per extension, and an order with too
+    few sign changes is extended."""
     step = math.pi / (R * (1.0 - f)) / 4.0
-    k0 = max(1e-6, 0.5 * m / R)
-    # levels lie above m / R; scan to about two spacings past the last
-    width = 4 * (count + 2) + int(math.ceil(0.5 * m / (R * step)))
-    ks = np.empty(0)
-    gs = np.empty(0)
-    while True:
-        new = k0 + step * np.arange(len(ks), len(ks) + width)
-        new = new[new * R <= specfun.ARG_MAX]
-        if new.size == 0:
-            raise RootError(f"failed to bracket {count} ring levels at m={m}")
-        ks = np.concatenate([ks, new])
-        gs = np.concatenate([gs, annulus_condition(m, new, R, f)])
-        flips = np.flatnonzero(np.sign(gs[:-1]) != np.sign(gs[1:]))[:count]
-        if len(flips) == count:
-            return ks[flips], ks[flips + 1], gs[flips], gs[flips + 1]
+    ks = [np.empty(0) for _ in orders]
+    gs = [np.empty(0) for _ in orders]
+    found = [None] * len(orders)
+    short = list(range(len(orders)))
+    while short:
+        new = []
+        for i in short:
+            m = orders[i]
+            k0 = max(1e-6, 0.5 * m / R)
+            # levels lie above m / R; scan to about two spacings past the last
+            width = 4 * (count + 2) + int(math.ceil(0.5 * m / (R * step)))
+            grid = k0 + step * np.arange(len(ks[i]), len(ks[i]) + width)
+            grid = grid[grid * R <= specfun.ARG_MAX]
+            if grid.size == 0:
+                raise RootError(f"failed to bracket {count} ring levels at m={m}")
+            new.append(grid)
+        sizes = [len(g) for g in new]
+        vals = np.split(
+            _ring_condition(np.repeat([orders[i] for i in short], sizes), np.concatenate(new), R, f),
+            np.cumsum(sizes)[:-1],
+        )
+        for i, grid, g in zip(short, new, vals):
+            ks[i] = np.concatenate([ks[i], grid])
+            gs[i] = np.concatenate([gs[i], g])
+            flips = np.flatnonzero(np.sign(gs[i][:-1]) != np.sign(gs[i][1:]))[:count]
+            if len(flips) == count:
+                found[i] = flips
+        short = [i for i in short if found[i] is None]
+    ends = [(k[i], k[i + 1], g[i], g[i + 1]) for k, g, i in zip(ks, gs, found)]
+    lo, hi, g_lo, g_hi = (np.concatenate(part) for part in zip(*ends))
+    return lo, hi, g_lo, g_hi, np.repeat(orders, count)
 
 
 def _illinois(g, lo, hi, g_lo, g_hi):
     """Refine a batch of sign-change brackets by the Illinois regula
-    falsi, evaluating g once per iteration on the unfinished brackets.
+    falsi; each iteration makes one call g(x, idx) for the points x of
+    the unfinished brackets idx.
 
     A bracket is finished when its ends are adjacent floats or one end
     has |g| <= 1e-14; its root is the end with the smaller |g|. Returns
-    (roots, |g(roots)|).
+    (roots, |g(roots)|, pinned), pinned marking the brackets that end on
+    adjacent floats with g of strictly opposite signs.
     """
     lo, hi, g_lo, g_hi = (np.array(v, dtype=float) for v in (lo, hi, g_lo, g_hi))
     w_lo, w_hi = g_lo.copy(), g_hi.copy()  # end values the Illinois rule halves
@@ -306,7 +348,7 @@ def _illinois(g, lo, hi, g_lo, g_hi):
         a, b, wa, wb = lo[todo], hi[todo], w_lo[todo], w_hi[todo]
         x = b - wb * (b - a) / (wb - wa)
         x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
-        gx = g(x)
+        gx = g(x, todo)
         to_lo = np.sign(gx) == np.sign(g_lo[todo])
         on_lo, on_hi = todo[to_lo], todo[~to_lo]
         # a second move of the same end halves the other end's weight
@@ -315,7 +357,8 @@ def _illinois(g, lo, hi, g_lo, g_hi):
         lo[on_lo], g_lo[on_lo], w_lo[on_lo], last[on_lo] = x[to_lo], gx[to_lo], gx[to_lo], -1
         hi[on_hi], g_hi[on_hi], w_hi[on_hi], last[on_hi] = x[~to_lo], gx[~to_lo], gx[~to_lo], 1
     pick_lo = np.abs(g_lo) <= np.abs(g_hi)
-    return np.where(pick_lo, lo, hi), np.where(pick_lo, np.abs(g_lo), np.abs(g_hi))
+    pinned = (np.nextafter(lo, hi) >= hi) & (np.sign(g_lo) * np.sign(g_hi) < 0)
+    return np.where(pick_lo, lo, hi), np.where(pick_lo, np.abs(g_lo), np.abs(g_hi)), pinned
 
 
 # ----------------------------------------------------------------------
@@ -484,9 +527,11 @@ def autocorrelation_2d(c: CoefficientSet2D, s: Spectrum2D, t_grid) -> TimeSeries
         if not s.index_ok(lab):
             raise DomainError(f"label {lab} invalid for {s.geometry}")
         energies.append(s.energy(lab[0], lab[1]))
-    omegas = np.asarray(energies) / s.units.hbar
+    # levels of exactly equal energy (the disk's +-m, the triangle's +-
+    # pair, the square's swapped labels) share one phase row
+    omegas, row = np.unique(np.asarray(energies) / s.units.hbar, return_inverse=True)
+    w = np.bincount(row, weights=c.weights(), minlength=len(omegas))
     t = np.asarray(t_grid, dtype=float)
-    w = c.weights()
     vals = np.empty(len(t), dtype=complex)
     for start in range(0, len(t), _CHUNK):
         vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], omegas)

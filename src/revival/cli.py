@@ -85,6 +85,13 @@ def _bounded(parse, lo: float, strict: bool = False):
 _POSITIVE = _bounded(_float_key, 0.0, strict=True)
 
 
+def _nonzero(raw: str, key: str) -> float:
+    val = _float_key(raw, key)
+    if val == 0.0:
+        raise ConfigError(f"key {key!r}: must be nonzero, got {raw!r}")
+    return val
+
+
 def _str_key(choices):
     def parse(raw: str, key: str) -> str:
         if choices and raw not in choices:
@@ -103,7 +110,7 @@ _MODEL_KEYS = {
     "beta": (_float_key, 0.0),
     "L": (_float_key, 1.0),
     "F": (_float_key, 1.0),
-    "inertia": (_float_key, 1.0),
+    "inertia": (_POSITIVE, 1.0),
     "V0": (_float_key, 0.0),
     "omega": (_float_key, 1.0),
 }
@@ -120,7 +127,7 @@ _SCHEMAS: dict[str, dict] = {
         "n0": (_float_key, _REQUIRED),
         "dn": (_float_key, _REQUIRED),
         "cutoff": (_float_key, 1e-8),
-        "tmax": (_float_key, _REQUIRED),
+        "tmax": (_POSITIVE, _REQUIRED),
         "steps": (_bounded(_int_key, 1), _REQUIRED),
         "anti": (_int_key, 0),
     },
@@ -168,7 +175,7 @@ _SCHEMAS: dict[str, dict] = {
         "dx0": (_POSITIVE, 0.05),
         "m_cap": (_bounded(_int_key, 1), 16),
         "nr_cap": (_bounded(_int_key, 0), 30),
-        "tmax": (_bounded(_float_key, 0.0), _REQUIRED),
+        "tmax": (_POSITIVE, _REQUIRED),
         "steps": (_bounded(_int_key, 1), _REQUIRED),
     },
     "jc": {
@@ -181,7 +188,7 @@ _SCHEMAS: dict[str, dict] = {
     "bec": {
         "alpha_re": (_float_key, _REQUIRED),
         "alpha_im": (_float_key, 0.0),
-        "u0": (_float_key, _REQUIRED),
+        "u0": (_nonzero, _REQUIRED),
         "t_over_trev": (_float_key, 0.5),
         "half_span": (_float_key, 0.0),  # 0 -> |alpha| + 3
         "grid_count": (_int_key, 201),

@@ -439,16 +439,24 @@ def circular_coefficients(
     phases = np.exp(-1j * np.outer(ms, theta)) * wt
     fm = phases @ psi.T  # (n_m, n_r)
 
+    # one radial table per |m|, shared by +-m: J_|m|(z_k r / R) for every
+    # order in one kernel call, and one more for the norms J_{|m|+1}(z_k)
+    orders = np.arange(m_cap + 1)
+    n_k, n_r = nr_cap + 1, len(r)
+    zs = specfun.bessel_zeros_batch(orders, n_k)  # (n_order, n_k)
+    args = zs[:, :, None] * r / R
+    radial = specfun._bessel_batch(np.repeat(orders, n_k * n_r), args.ravel())
+    radial = radial.reshape(m_cap + 1, n_k, n_r)
+    j_next = specfun._bessel_batch(np.repeat(orders + 1, n_k), zs.ravel()).reshape(zs.shape)
+    norms = math.sqrt(2.0) / (R * np.abs(j_next))
+
     labels = []
     vals = []
     for im, m in enumerate(ms):
         order = abs(int(m))
-        zs = specfun.bessel_zeros(order, nr_cap + 1)
-        radial = specfun.bessel_j(order, np.outer(zs, r) / R)  # (n_k, n_r)
-        norms = math.sqrt(2.0) / (R * np.abs(specfun.bessel_j(order + 1, zs)))
-        integ = radial @ (wr * r * fm[im])
-        coeff = norms * integ / math.sqrt(2.0 * math.pi)
-        for k in range(nr_cap + 1):
+        integ = radial[order] @ (wr * r * fm[im])
+        coeff = norms[order] * integ / math.sqrt(2.0 * math.pi)
+        for k in range(n_k):
             labels.append((int(m), k))
             vals.append(coeff[k])
     vals = np.asarray(vals, dtype=complex)

@@ -33,7 +33,7 @@ class RootResult:
 
 
 # ----------------------------------------------------------------------
-# Bessel J
+# Bessel J and Y: one order-batched kernel
 # ----------------------------------------------------------------------
 
 def _j01_series(z, m):
@@ -66,133 +66,38 @@ def _hankel_terms(zmin: float, m: int) -> int:
     return 17
 
 
-def _hankel_pq(z, m):
-    # P and Q of the large-argument expansion, summed to the smallest term.
+def _hankel_pq(z, m, terms=None):
+    # P and Q of the large-argument expansion, summed to the smallest term;
+    # `terms` holds per-element term counts (default: the array-wide count).
+    if terms is None:
+        terms = np.full(z.shape, _hankel_terms(float(np.min(z)), m))
     mu = 4.0 * m * m
     p = np.ones_like(z)
     q = np.zeros_like(z)
     a = np.ones_like(z)
     zinv = 1.0 / z
-    for j in range(1, _hankel_terms(float(np.min(z)), m) + 1):
+    for j in range(1, int(np.max(terms)) + 1):
         a = a * (mu - (2 * j - 1) ** 2) / (8.0 * j) * zinv
         # P = a0 - a2 + a4 - ...,  Q = a1 - a3 + a5 - ...
         sgn = 1.0 if (j // 2) % 2 == 0 else -1.0
+        live = terms >= j
         if j % 2 == 1:
-            q += sgn * a
+            q = np.where(live, q + sgn * a, q)
         else:
-            p += sgn * a
+            p = np.where(live, p + sgn * a, p)
     return p, q
 
 
-def _j01_asym(z, m):
-    chi = z - (0.5 * m + 0.25) * np.pi
-    p, q = _hankel_pq(z, m)
-    return np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) - q * np.sin(chi))
-
-
-def _y01_asym(z, m):
-    chi = z - (0.5 * m + 0.25) * np.pi
-    p, q = _hankel_pq(z, m)
-    return np.sqrt(2.0 / (np.pi * z)) * (p * np.sin(chi) + q * np.cos(chi))
-
-
-def _j01(z, m):
-    out = np.empty_like(z)
-    small = z < _ASYMPTOTIC_SPLIT
-    if np.any(small):
-        out[small] = _j01_series(z[small], m)
-    if np.any(~small):
-        out[~small] = _j01_asym(z[~small], m)
-    return out
-
-
-def _miller_down(z, m):
-    # Downward recurrence for z < m, normalized via J_0 + 2*sum J_{2k} = 1.
-    start = m + int(math.ceil(math.sqrt(160.0 * max(m, 1)))) + 14
-    if start % 2 == 1:
-        start += 1
-    jp = np.zeros_like(z)
-    jc = np.full_like(z, 1e-30)
-    norm = np.zeros_like(z)
-    target = np.zeros_like(z)
-    zsafe = np.where(z > 0, z, 1.0)
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / zsafe) * jc - jp
-        jp = jc
-        jc = jm
-        big = np.abs(jc) > 1e100
-        if np.any(big):
-            scale = np.where(big, 1e-100, 1.0)
-            jc = jc * scale
-            jp = jp * scale
-            norm = norm * scale
-            target = target * scale
-        if (k - 1) == m:
-            target = jc.copy()
-        if (k - 1) > 0 and (k - 1) % 2 == 0:
-            norm += 2.0 * jc
-    norm += jc  # jc now holds J_0
-    result = np.where(z > 0, target / norm, 0.0)
-    return result
-
-
-def _bessel_j_impl(m, z):
-    if m == 0:
-        return _j01(z, 0)
-    if m == 1:
-        return _j01(z, 1)
-    out = np.zeros_like(z)
-    up = z >= m
-    if np.any(up):
-        zu = z[up]
-        jm1 = _j01(zu, 0)
-        jc = _j01(zu, 1)
-        for k in range(1, m):
-            jm1, jc = jc, (2.0 * k / zu) * jc - jm1
-        out[up] = jc
-    down = (~up) & (z > 1e-12)
-    if np.any(down):
-        out[down] = _miller_down(z[down], m)
-    return out
-
-
-def _validate_bessel_args(order, z):
-    if order < 0 or order != int(order):
-        raise RangeError(f"Bessel order must be a nonnegative integer, got {order}")
-    if order > ORDER_MAX:
-        raise RangeError(f"Bessel order {order} outside validated range (<= {ORDER_MAX})")
-    if np.any(z < 0):
-        raise RangeError("Bessel argument must be nonnegative")
-    if np.any(z > ARG_MAX):
-        raise RangeError(f"Bessel argument outside validated range (<= {ARG_MAX})")
-
-
-def bessel_j(order: int, z) -> float | np.ndarray:
-    """Bessel function of the first kind J_order(z) for z >= 0.
-
-    Accepts a scalar or ndarray argument.
-    """
-    zarr = np.asarray(z, dtype=float)
-    _validate_bessel_args(order, zarr)
-    scalar = zarr.ndim == 0
-    out = _bessel_j_impl(int(order), np.atleast_1d(zarr))
-    return float(out[0]) if scalar else out
-
-
-def bessel_j_prime(order: int, z) -> float | np.ndarray:
-    """Derivative J'_order(z)."""
-    zarr = np.asarray(z, dtype=float)
-    _validate_bessel_args(order, zarr)
-    scalar = zarr.ndim == 0
-    za = np.atleast_1d(zarr)
-    m = int(order)
-    if m == 0:
-        out = -_bessel_j_impl(1, za)
-    else:
-        zsafe = np.where(za > 0, za, 1.0)
-        out = _bessel_j_impl(m - 1, za) - (m / zsafe) * _bessel_j_impl(m, za)
-        out = np.where(za > 0, out, 0.5 if m == 1 else 0.0)
-    return float(out[0]) if scalar else out
+def _hankel_counts(z, orders, m):
+    # Per-element term counts of the J_m / Y_m expansion (m = 0, 1): the
+    # elements of each order take the count of that order's smallest
+    # argument, as a single-order call on their array would.
+    zmin = np.full(int(np.max(orders)) + 1, np.inf)
+    np.minimum.at(zmin, orders, z)
+    counts = np.zeros(len(zmin), dtype=int)
+    for k in np.flatnonzero(zmin < np.inf):
+        counts[k] = _hankel_terms(float(zmin[k]), m)
+    return counts[orders]
 
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -228,35 +133,169 @@ def _y01_series(z, m):
     )
 
 
-def _y01(z, m):
-    out = np.empty_like(z)
+def _j01_asym(z, m, terms):
+    chi = z - (0.5 * m + 0.25) * np.pi
+    p, q = _hankel_pq(z, m, terms)
+    return np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) - q * np.sin(chi))
+
+
+def _y01_asym(z, m, terms):
+    chi = z - (0.5 * m + 0.25) * np.pi
+    p, q = _hankel_pq(z, m, terms)
+    return np.sqrt(2.0 / (np.pi * z)) * (p * np.sin(chi) + q * np.cos(chi))
+
+
+def _order01(z, orders, kind):
+    """(F_0(z), F_1(z)) for F = J (kind 'j') or Y ('y'): the ascending
+    series below the split, the Hankel expansion above it with the term
+    count of each element's order."""
+    series, asym = (_j01_series, _j01_asym) if kind == "j" else (_y01_series, _y01_asym)
+    f0 = np.empty_like(z)
+    f1 = np.empty_like(z)
     small = z < _ASYMPTOTIC_SPLIT
     if np.any(small):
-        out[small] = _y01_series(z[small], m)
-    if np.any(~small):
-        out[~small] = _y01_asym(z[~small], m)
+        f0[small] = series(z[small], 0)
+        f1[small] = series(z[small], 1)
+    big = ~small
+    if np.any(big):
+        zb, ob = z[big], orders[big]
+        f0[big] = asym(zb, 0, _hankel_counts(zb, ob, 0))
+        f1[big] = asym(zb, 1, _hankel_counts(zb, ob, 1))
+    return f0, f1
+
+
+def _upward(orders, z, f0, f1):
+    """F_m(z) from F_0 and F_1 by the forward three-term recurrence, each
+    element stopped at its own order m (stable for Y, and for J at z >= m).
+    Rows are swept in order of m, so each step touches only the rows that
+    still need it."""
+    out = np.where(orders == 0, f0, f1)
+    rows = np.flatnonzero(orders >= 2)
+    if rows.size == 0:
+        return out
+    rows = rows[np.argsort(orders[rows], kind="stable")]
+    m = orders[rows]
+    cut = np.searchsorted(m, np.arange(int(m[-1]) + 2))  # first row of order >= j
+    zs, fm1, fc = z[rows], f0[rows], f1[rows]
+    lo = 0
+    for k in range(1, int(m[-1])):
+        s = cut[k + 1]
+        fm1, fc = fc[s - lo :], (2.0 * k / zs[s:]) * fc[s - lo :] - fm1[s - lo :]
+        lo = s
+        out[rows[s : cut[k + 2]]] = fc[: cut[k + 2] - s]
     return out
+
+
+def _miller_down(z, orders):
+    # Downward recurrence for z < m, normalized via J_0 + 2*sum J_{2k} = 1.
+    # Each element joins the one sweep at its own order's start index.
+    start = orders + np.ceil(np.sqrt(160.0 * np.maximum(orders, 1))).astype(int) + 14
+    start += start % 2
+    joins = set(start.tolist())
+    targets = set(orders.tolist())
+    jp = np.zeros_like(z)
+    jc = np.zeros_like(z)
+    norm = np.zeros_like(z)
+    target = np.zeros_like(z)
+    for k in range(int(np.max(start)), 0, -1):
+        if k in joins:
+            jc = np.where(start == k, 1e-30, jc)
+        jm = (2.0 * k / z) * jc - jp
+        jp = jc
+        jc = jm
+        big = np.abs(jc) > 1e100
+        if np.any(big):
+            scale = np.where(big, 1e-100, 1.0)
+            jc = jc * scale
+            jp = jp * scale
+            norm = norm * scale
+            target = target * scale
+        if (k - 1) in targets:
+            target = np.where(orders == k - 1, jc, target)
+        if (k - 1) > 0 and (k - 1) % 2 == 0:
+            norm += 2.0 * jc
+    norm += jc  # jc now holds J_0
+    return target / norm
+
+
+def _bessel_batch(orders, z, kind="j"):
+    """J_m(z) (kind 'j') or Y_m(z) (kind 'y') for flat arrays of integer
+    orders m and arguments z, all orders in one pass: J_0/J_1 (Y_0/Y_1)
+    once, one forward recurrence that stops each element at its own
+    order, and for J at z < m one Miller sweep with per-order starts.
+
+    The elements of one order stand for one single-order call on their
+    array: the Hankel term count is fixed by that order's own smallest
+    argument, so they are bitwise what `bessel_j` / `_bessel_y` return
+    for that array."""
+    orders = np.asarray(orders, dtype=int)
+    z = np.asarray(z, dtype=float)
+    if orders.size and (np.min(orders) < 0 or np.max(orders) > ORDER_MAX):
+        raise RangeError(f"Bessel order outside validated range (0 .. {ORDER_MAX})")
+    if np.any(z < 0) or np.any(z > ARG_MAX):
+        raise RangeError(f"Bessel argument outside validated range [0, {ARG_MAX}]")
+    if kind == "y":
+        if np.any(z <= 0):
+            raise RangeError("Y_m requires z > 0")
+        return _upward(orders, z, *_order01(z, orders, "y"))
+    out = np.zeros_like(z)
+    up = (orders <= 1) | (z >= orders)
+    if np.any(up):
+        zu, ou = z[up], orders[up]
+        out[up] = _upward(ou, zu, *_order01(zu, ou, "j"))
+    down = ~up & (z > 1e-12)
+    if np.any(down):
+        out[down] = _miller_down(z[down], orders[down])
+    return out
+
+
+def _j_and_prime(orders, z):
+    """(J_m(z), J'_m(z)) for flat arrays, from one kernel call on J_m and
+    J_{m-1} (J_1 for m = 0): J'_m = J_{m-1} - (m/z) J_m, J'_0 = -J_1,
+    and J'_1(0) = 1/2."""
+    lower = np.where(orders == 0, 1, orders - 1)
+    j = _bessel_batch(np.concatenate([orders, lower]), np.concatenate([z, z]))
+    j_m, j_low = j[: z.size], j[z.size :]
+    zsafe = np.where(z > 0, z, 1.0)
+    d = np.where(orders == 0, -j_low, j_low - (orders / zsafe) * j_m)
+    return j_m, np.where((z > 0) | (orders == 0), d, np.where(orders == 1, 0.5, 0.0))
+
+
+def _validate_order(order):
+    if order < 0 or order != int(order):
+        raise RangeError(f"Bessel order must be a nonnegative integer, got {order}")
+    if order > ORDER_MAX:
+        raise RangeError(f"Bessel order {order} outside validated range (<= {ORDER_MAX})")
+
+
+def bessel_j(order: int, z) -> float | np.ndarray:
+    """Bessel function of the first kind J_order(z) for z >= 0.
+
+    Accepts a scalar or ndarray argument.
+    """
+    _validate_order(order)
+    zarr = np.asarray(z, dtype=float)
+    flat = zarr.ravel()
+    out = _bessel_batch(np.full(flat.shape, int(order)), flat).reshape(zarr.shape)
+    return float(out) if zarr.ndim == 0 else out
+
+
+def bessel_j_prime(order: int, z) -> float | np.ndarray:
+    """Derivative J'_order(z)."""
+    _validate_order(order)
+    zarr = np.asarray(z, dtype=float)
+    flat = zarr.ravel()
+    out = _j_and_prime(np.full(flat.shape, int(order)), flat)[1].reshape(zarr.shape)
+    return float(out) if zarr.ndim == 0 else out
 
 
 def _bessel_y(order: int, z) -> float | np.ndarray:
     """Bessel function of the second kind (internal; used by the annular
     eigenvalue condition). Upward recurrence is stable for Y."""
     zarr = np.asarray(z, dtype=float)
-    if np.any(zarr <= 0):
-        raise RangeError("Y_m requires z > 0")
-    if order < 0 or order > ORDER_MAX:
-        raise RangeError(f"Bessel order {order} outside validated range")
-    scalar = zarr.ndim == 0
-    za = np.atleast_1d(zarr)
-    ym1 = _y01(za, 0)
-    if order == 0:
-        out = ym1
-    else:
-        yc = _y01(za, 1)
-        for k in range(1, order):
-            ym1, yc = yc, (2.0 * k / za) * yc - ym1
-        out = yc
-    return float(out[0]) if scalar else out
+    flat = zarr.ravel()
+    out = _bessel_batch(np.full(flat.shape, int(order)), flat, "y").reshape(zarr.shape)
+    return float(out) if zarr.ndim == 0 else out
 
 
 # ----------------------------------------------------------------------
@@ -282,94 +321,172 @@ def bessel_zero_seed(order: int, n_r: int) -> float:
     )
 
 
-def _vector_newton(f, fp, lo, hi, x0, tol_residual=1e-13, cap=90):
-    """Safeguarded Newton on a batch of bracketed simple roots; returns
-    (roots, per-root iteration counts)."""
+# Newton iterations without a new smallest |f| after which a root already
+# within tolerance is taken to sit at the evaluation-noise floor. The J
+# series carries ~1e-13 of cancellation noise just below the z = 12 split;
+# there a converging zero goes at most 4 iterations without a new best.
+_NEWTON_PATIENCE = 6
+
+
+def _vector_newton(fdf, lo, hi, x0, tol_residual=1e-13, cap=90):
+    """Safeguarded Newton on a batch of bracketed simple roots; `fdf(x)`
+    returns (f, f'). Returns (roots, per-root iteration counts).
+
+    A root is done when |f| <= tol_residual and the raw Newton step is
+    below 1e-14 relative, or, at the noise floor where the step never
+    gets that small, when its smallest |f| so far is within tolerance and
+    has not improved for _NEWTON_PATIENCE iterations; it then takes the
+    iterate of that smallest |f|."""
     lo = lo.copy()
     hi = hi.copy()
     x = np.clip(x0, lo, hi)
-    slo = np.sign(f(lo))
+    slo = np.sign(fdf(lo)[0])
     iters = np.zeros(len(np.atleast_1d(x)), dtype=int)
     settled = np.zeros_like(iters, dtype=bool)
+    best_f = np.full(len(iters), np.inf)
+    best_x = x.copy()
+    since_best = np.zeros_like(iters)
     for _ in range(cap):
-        fx = f(x)
+        fx, d = fdf(x)
         same = np.sign(fx) == slo
         lo = np.where(same, x, lo)
         hi = np.where(same, hi, x)
-        d = fp(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             raw = x - fx / d
         # convergence judged on the raw Newton step, before safeguarding
         step_tiny = np.abs(raw - x) <= 1e-14 * np.maximum(1.0, np.abs(x))
-        done = (np.abs(fx) <= tol_residual) & np.isfinite(raw) & step_tiny
+        converged = (np.abs(fx) <= tol_residual) & np.isfinite(raw) & step_tiny
+        better = np.abs(fx) < best_f
+        best_f = np.where(better, np.abs(fx), best_f)
+        best_x = np.where(better, x, best_x)
+        since_best = np.where(better, 0, since_best + 1)
+        stalled = (best_f <= tol_residual) & (since_best >= _NEWTON_PATIENCE)
         bad = ~np.isfinite(raw) | (raw < lo) | (raw > hi)
         xn = np.where(bad, 0.5 * (lo + hi), raw)
         iters += ~settled
-        settled |= done
-        x = np.where(done, x, xn)
-        if np.all(done):
+        x = np.where(settled | converged, x, np.where(stalled, best_x, xn))
+        settled |= converged | stalled
+        if np.all(settled):
             return x, iters
-    fx = f(x)
-    if np.all(np.abs(fx) <= tol_residual):
+    if np.all(np.abs(fdf(x)[0]) <= tol_residual):
         return x, iters
     raise RootError("batch root refinement stalled")
 
 
-def _scan_bessel_zeros(order: int, count: int) -> list[tuple[float, int]]:
-    """First `count` positive zeros of J_order, located by sign-change scan
-    (guarantees the index) then Newton-polished as a batch; returns
-    (value, iterations) pairs."""
-    m = order
-    # J_m > 0 on (0, first zero); zero spacing is > 3.1 for all orders.
-    start = m + 0.1 if m > 0 else 0.25
-    step = 1.2
-    top = bessel_zero_seed(m, count + 1) + 4.0
-    if top > ARG_MAX:
-        raise RootError(f"zero {count} of J_{m} outside validated range")
-    grid = np.arange(start, top, step)
-    vals = bessel_j(m, grid)
-    flips = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0][:count]
-    if len(flips) < count:
-        raise RootError(f"failed to bracket zero {count} of J_{m}")
-    lo = grid[flips]
-    hi = grid[flips + 1]
-    seeds = np.array([bessel_zero_seed(m, k) for k in range(count)])
+def _scan_zero_batch(orders, counts) -> list[list[tuple[float, int]]]:
+    """First counts[i] positive zeros of J_orders[i] for every i (orders
+    distinct), located by one sign-change scan over all the orders' grids
+    (it guarantees the index) and Newton-polished as one batch; returns
+    per-order lists of (value, iterations) pairs."""
+    grids = []
+    for m, count in zip(orders, counts):
+        # J_m > 0 on (0, first zero); zero spacing is > 3.1 for all orders.
+        start = m + 0.1 if m > 0 else 0.25
+        top = bessel_zero_seed(m, count + 1) + 4.0
+        if top > ARG_MAX:
+            raise RootError(f"zero {count} of J_{m} outside validated range")
+        grids.append(np.arange(start, top, 1.2))
+    seg = np.repeat(np.arange(len(grids)), [len(g) for g in grids])
+    grid = np.concatenate(grids)
+    order_of = np.asarray(orders, dtype=int)[seg]
+    vals = _bessel_batch(order_of, grid)
+    flips = np.flatnonzero((seg[:-1] == seg[1:]) & (np.sign(vals[:-1]) != np.sign(vals[1:])))
+    rank = np.arange(flips.size) - np.searchsorted(seg[flips], seg[flips])
+    flips = flips[rank < np.asarray(counts)[seg[flips]]]
+    missing = np.flatnonzero(np.bincount(seg[flips], minlength=len(grids)) < np.asarray(counts))
+    if missing.size:
+        i = missing[0]
+        raise RootError(f"failed to bracket zero {counts[i]} of J_{orders[i]}")
+    m = order_of[flips]
+    seeds = np.array([bessel_zero_seed(o, k) for o, c in zip(orders, counts) for k in range(c)])
     roots, iters = _vector_newton(
-        lambda x: bessel_j(m, x), lambda x: bessel_j_prime(m, x), lo, hi, seeds
+        lambda x: _j_and_prime(m, x), grid[flips], grid[flips + 1], seeds
     )
-    return [(float(r), int(i)) for r, i in zip(roots, iters)]
+    pairs = [(float(r), int(i)) for r, i in zip(roots, iters)]
+    ends = np.cumsum(counts)
+    return [pairs[e - c : e] for c, e in zip(counts, ends)]
+
+
+def _scan_bessel_zeros(order: int, count: int) -> list[tuple[float, int]]:
+    """First `count` positive zeros of J_order as (value, iterations)."""
+    return _scan_zero_batch((order,), (count,))[0]
 
 
 BESSEL_ZERO_MAX = 200
 _bessel_zero_cache: dict[int, list[RootResult]] = {}  # order -> validated zeros 0, 1, ...
 
 
-def _bessel_zero_table(order: int, count: int) -> list[RootResult]:
-    """The cached zeros of J_order, grown to at least `count` entries."""
+def _check_order(order: int) -> None:
     if order < 0 or order > ORDER_MAX:
         raise RangeError(f"order {order} outside validated range (<= {ORDER_MAX})")
-    cached = _bessel_zero_cache.setdefault(order, [])
-    if len(cached) < count:
-        # grow geometrically so sequential requests stay linear overall
-        found = _scan_bessel_zeros(order, max(count, 2 * len(cached), 16))
-        roots = np.array([value for value, _ in found])
-        residuals = np.abs(bessel_j(order, roots))
-        bad = np.flatnonzero(residuals > 1e-12)
-        if bad.size:
-            k = bad[0]
-            raise RootError(f"zero {k} of J_{order} has residual {residuals[k]:.3e}")
-        cached[:] = [
+
+
+def _grown_count(order: int, count: int) -> int:
+    # grow geometrically so sequential requests stay linear overall
+    return max(count, 2 * len(_bessel_zero_cache.get(order, ())), 16)
+
+
+def _cache_zero_tables(orders, found) -> None:
+    """Check the residuals of freshly refined zeros of J_m, m in `orders`,
+    in one vectorised call and cache them; a batch with a residual above
+    1e-12 raises and caches nothing."""
+    counts = [len(pairs) for pairs in found]
+    roots = np.array([value for pairs in found for value, _ in pairs])
+    residuals = np.abs(_bessel_batch(np.repeat(orders, counts), roots))
+    bad = np.flatnonzero(residuals > 1e-12)
+    if bad.size:
+        i = int(bad[0])
+        j = int(np.searchsorted(np.cumsum(counts), i, side="right"))
+        k = i - sum(counts[:j])
+        raise RootError(f"zero {k} of J_{orders[j]} has residual {residuals[i]:.3e}")
+    pos = 0
+    for m, pairs in zip(orders, found):
+        _bessel_zero_cache[m] = [
             RootResult(value=value, residual=float(e), iterations=iterations)
-            for (value, iterations), e in zip(found, residuals)
+            for (value, iterations), e in zip(pairs, residuals[pos : pos + len(pairs)])
         ]
-    return cached
+        pos += len(pairs)
+
+
+def _bessel_zero_table(order: int, count: int) -> list[RootResult]:
+    """The cached zeros of J_order, grown to at least `count` entries."""
+    _check_order(order)
+    if len(_bessel_zero_cache.get(order, ())) < count:
+        n = _grown_count(order, count)
+        _cache_zero_tables([order], [_scan_bessel_zeros(order, n)])
+    return _bessel_zero_cache[order]
+
+
+def _bessel_zero_tables(orders: list[int], count: int) -> list[list[RootResult]]:
+    """The cached zeros of J_m for every m in `orders`, each grown to at
+    least `count` entries; the short tables are refined as one batch."""
+    for order in orders:
+        _check_order(order)
+    short = [m for m in dict.fromkeys(orders) if len(_bessel_zero_cache.get(m, ())) < count]
+    if short:
+        counts = [_grown_count(m, count) for m in short]
+        _cache_zero_tables(short, _scan_zero_batch(short, counts))
+    return [_bessel_zero_cache[m] for m in orders]
+
+
+def _check_zero_count(count: int) -> None:
+    if count < 0 or count > BESSEL_ZERO_MAX + 1:
+        raise RangeError(f"zero count {count} outside validated range (<= {BESSEL_ZERO_MAX + 1})")
 
 
 def bessel_zeros(order: int, count: int) -> np.ndarray:
     """The first `count` positive zeros of J_order, as an array."""
-    if count < 0 or count > BESSEL_ZERO_MAX + 1:
-        raise RangeError(f"zero count {count} outside validated range (<= {BESSEL_ZERO_MAX + 1})")
+    _check_zero_count(count)
     return np.array([r.value for r in _bessel_zero_table(order, count)[:count]])
+
+
+def bessel_zeros_batch(orders, count: int) -> np.ndarray:
+    """The first `count` positive zeros of J_m for every m in `orders`, as
+    a (len(orders), count) array; tables still short are filled by one
+    scan and one Newton batch, then cached per order."""
+    _check_zero_count(count)
+    tables = _bessel_zero_tables([int(m) for m in orders], count)
+    return np.array([[r.value for r in t[:count]] for t in tables]).reshape(len(tables), count)
 
 
 def bessel_zero(order: int, n_r: int) -> RootResult:
@@ -554,7 +671,7 @@ def _airy_zero_table(count: int) -> list[RootResult]:
         if np.any(np.sign(fvals_lo) == np.sign(fvals_hi)):
             raise RootError("failed to bracket an Airy zero")
         roots, iters = _vector_newton(
-            lambda y: airy_ai(-y), lambda y: -airy_ai_prime(-y), lo, hi, seeds
+            lambda y: (airy_ai(-y), -airy_ai_prime(-y)), lo, hi, seeds
         )
         residuals = np.abs(airy_ai(-roots))
         bad = np.flatnonzero(residuals > 1e-12)

@@ -23,7 +23,8 @@ from revival.billiards import (
     square_spectrum,
     triangle_fold_spectrum,
 )
-from revival.errors import DomainError, OrbitUnsupportedError
+from revival import billiards, specfun
+from revival.errors import DomainError, OrbitUnsupportedError, RootError
 from revival.packets import circular_coefficients, triangle_coefficients
 from revival.spectra import DEFAULT_UNITS
 
@@ -323,6 +324,144 @@ class TestRingLevelOracle:
         ring = annulus_levels(self.R, 0.99, 0, 5)
         want = _scipy_ring_levels(0, 0.99, 2000.0)[:6]
         np.testing.assert_allclose(_ring_ks(ring, 0), want, rtol=1e-9)
+
+
+class TestRingGate:
+    # the normalized condition jumps by more than the 1e-10 gate between
+    # adjacent floats at these levels; they pass because the final
+    # bracket is two adjacent floats with a sign change of g
+    @pytest.mark.parametrize("f, m_cap", [(0.5, 25), (0.5, 40), (1e-8, 2), (0.2, 40)])
+    def test_steep_levels_match_scipy(self, f, m_cap):
+        ring = annulus_levels(1.0, f, m_cap, 3)
+        for m in range(m_cap + 1):
+            got = _ring_ks(ring, m)
+            assert len(got) == 4
+            want = _scipy_ring_levels(m, f, got[-1] + 0.5)[:4]
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+            np.testing.assert_array_equal(_ring_ks(ring, -m), got)
+
+    def test_batched_condition_is_bitwise_the_four_single_order_calls(self):
+        # outer arguments all above 40, inner ones down to 20, whose Hankel
+        # term counts differ (15 against 17) when taken apart
+        rng = np.random.default_rng(3)
+        orders = rng.integers(0, 17, 300)
+        ks = rng.uniform(40.0, 80.0, 300)
+        got = billiards._ring_condition(orders, ks, 1.0, 0.5)
+        for m in range(17):
+            k = ks[orders == m]
+            a = specfun.bessel_j(m, k) * specfun._bessel_y(m, k * 0.5)
+            b = specfun.bessel_j(m, k * 0.5) * specfun._bessel_y(m, k)
+            assert np.array_equal(got[orders == m], (a - b) / (np.abs(a) + np.abs(b)))
+
+    def test_pinned_bracket_of_a_step_is_accepted_to_one_ulp(self):
+        step = lambda x, idx: np.where(x < 2.5, -1.0, 1.0)
+        roots, residuals, pinned = billiards._illinois(step, [1.0], [4.0], [-1.0], [1.0])
+        assert pinned[0] and residuals[0] == 1.0
+        assert roots[0] in (np.nextafter(2.5, 0.0), 2.5)
+
+    def test_level_with_residual_and_no_sign_change_fails(self, monkeypatch):
+        monkeypatch.setattr(billiards, "_annulus_cache", {})
+        real = billiards._illinois
+
+        def unpinned(g, lo, hi, g_lo, g_hi):
+            roots, residuals, pinned = real(g, lo, hi, g_lo, g_hi)
+            return roots, residuals + 1.0, np.zeros_like(pinned)
+
+        monkeypatch.setattr(billiards, "_illinois", unpinned)
+        with pytest.raises(RootError, match="m=0"):
+            annulus_levels(1.0, 0.5, 2, 2)
+        assert billiards._annulus_cache == {}
+
+
+def _square_set(L, n_cap):
+    from revival.packets import CoefficientSet2D, PacketParams1D, infinite_well_coefficients
+
+    width = 0.05 * math.sqrt(2)
+    cx = infinite_well_coefficients(PacketParams1D(0.3 * L, 20.0, width), L, n_cap)
+    cy = infinite_well_coefficients(PacketParams1D(0.4 * L, 10.0, width), L, n_cap)
+    labels = tuple((int(nx), int(ny)) for nx in cx.indices for ny in cy.indices)
+    vals = np.outer(cx.coefficients, cy.coefficients).ravel()
+    return CoefficientSet2D(labels, vals, 0.0)
+
+
+class TestMergedAutocorrelation:
+    """Levels of equal energy share one phase row; the sum over distinct
+    energies must match the per-label sum."""
+
+    T = np.linspace(0.0, 10.0, 4001)
+
+    @staticmethod
+    def _per_label(c, s, t):
+        from revival.dynamics import _CHUNK, _phase_block
+
+        omegas = np.array([s.energy(lab[0], lab[1]) for lab in c.labels]) / s.units.hbar
+        w = c.weights()
+        return np.concatenate(
+            [w @ _phase_block(t[i : i + _CHUNK], omegas) for i in range(0, len(t), _CHUNK)]
+        )
+
+    def _check(self, c, s, distinct_below):
+        got = autocorrelation_2d(c, s, self.T).values
+        omegas = [s.energy(lab[0], lab[1]) for lab in c.labels]
+        assert len(set(omegas)) < distinct_below * len(omegas)
+        assert np.max(np.abs(got - self._per_label(c, s, self.T))) <= 1e-14
+        assert abs(got[0] - np.sum(c.weights())) <= 1e-15
+
+    def test_circle(self):
+        c = circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2), 1.0, 16, 30)
+        self._check(c, circular_spectrum(1.0, 16, 30), 0.6)
+
+    def test_one_phase_row_per_distinct_energy(self, monkeypatch):
+        rows = []
+        real = billiards._phase_block
+
+        def recording(ts, omegas, *rest):
+            rows.append(len(omegas))
+            return real(ts, omegas, *rest)
+
+        monkeypatch.setattr(billiards, "_phase_block", recording)
+        c = _square_set(1.0, 16)
+        s = square_spectrum(1.0, n_cap=16)
+        autocorrelation_2d(c, s, self.T)
+        distinct = len({s.energy(lab[0], lab[1]) for lab in c.labels})
+        assert rows == [distinct] * len(rows) and distinct < len(c.labels)
+
+    def test_triangle(self):
+        c = triangle_coefficients(0.0, 0.55, 20.0, 10.0, 0.05 * math.sqrt(2), 1.0, 16)
+        self._check(c, equilateral_spectrum(1.0, m_cap=16), 0.6)
+
+    def test_square(self):
+        self._check(_square_set(1.0, 16), square_spectrum(1.0, n_cap=16), 0.6)
+
+
+class TestKernelCallBudget:
+    """Deterministic guard against de-batching: the number of calls into
+    the order-batched Bessel kernel, with fresh caches at the bench caps.
+    The builders make 17 (circle) and 48 (ring) calls; evaluating order
+    by order would take hundreds (731 and 620 single-order J/Y calls)."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        monkeypatch.setattr(billiards, "_annulus_cache", {})
+        count = [0]
+        kernel = specfun._bessel_batch
+
+        def counting(*args, **kwargs):
+            count[0] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "_bessel_batch", counting)
+        return count
+
+    def test_circle_table_and_coefficients(self, calls):
+        circular_spectrum(1.0, 16, 30)
+        circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2), 1.0, 16, 30)
+        assert calls[0] <= 20
+
+    def test_ring_levels(self, calls):
+        annulus_levels(1.0, 0.5, 8, 10)
+        assert calls[0] <= 56
 
 
 class TestAutocorrelation2D:

@@ -301,6 +301,25 @@ class TestSeriesContract:
         err = capsys.readouterr().err
         assert f"key {key!r}" in err and "Traceback" not in err
 
+    CASE_A = ["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--steps", "10"]
+    ROTOR = ["autocorr", "--model", "rotor", "--n0", "10", "--dn", "2", "--tmax", "1", "--steps", "10"]
+    BEC = ["bec", "--alpha_re", "4"]
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [(CASE_A, "tmax", "0"), (CASE_A, "tmax", "-1"), (ROTOR, "inertia", "0"),
+         (["spectrum", "--model", "rotor", "--n0", "10"], "inertia", "-1"),
+         (BEC, "u0", "0"), (BEC, "u0", "-0.0"),
+         (["billiard2d", "--geometry", "square", "--steps", "10"], "tmax", "0")],
+    )
+    def test_nonphysical_values_exit_two(self, tmp_path, capsys, argv, key, value):
+        assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and "Traceback" not in err
+
+    def test_negative_u0_still_runs(self, tmp_path):
+        assert main(self.BEC + ["--u0", "-1", "--out", str(tmp_path)]) == 0
+
     def test_huge_tmax_prints_nothing(self, tmp_path):
         # products of omega and t near 1.7e308 overflow the Dekker split;
         # they take the exact tail silently. Run as a process to see stderr

@@ -192,6 +192,169 @@ class TestBesselZeroTable:
         assert specfun.bessel_zeros(3, 5) == pytest.approx(sp.jn_zeros(3, 5), rel=1e-12)
 
 
+def _kernel_arrays(m, rng):
+    # one order's arguments: both sides of the 1e-12 floor and of z = m,
+    # spreads below 12, and Hankel-range arguments from a per-order floor
+    # (some orders straddle the z = 12 split, others start far above it,
+    # so their term counts differ)
+    low = 12.0 + 7.0 * (m % 9)
+    return np.concatenate([
+        [0.0, 1e-13, 1e-12, 2e-12],
+        [11.999999999, 12.0, 12.000000001] if m % 9 == 0 else [low],
+        [max(m - 1e-9, 0.0), float(m), m + 1e-9] if m > 0 else [],
+        rng.uniform(max(m - 4.0, 0.0), m + 4.0, 24),
+        rng.uniform(0.0, 12.0, 12),
+        rng.uniform(low, 2000.0, 24),
+    ])
+
+
+class TestOrderBatchedKernel:
+    ORDERS = range(61)
+
+    def test_mixed_orders_equal_single_order_calls_bitwise(self):
+        rng = np.random.default_rng(8)
+        per_order = {m: _kernel_arrays(m, rng) for m in self.ORDERS}
+        orders = np.concatenate([np.full(len(z), m) for m, z in per_order.items()])
+        z = np.concatenate(list(per_order.values()))
+        mix = rng.permutation(len(z))  # interleave the orders
+        j = np.empty_like(z)
+        j[mix] = specfun._bessel_batch(orders[mix], z[mix])
+        pos = z > 0
+        y = np.empty_like(z)
+        with np.errstate(over="ignore", invalid="ignore"):  # Y_60 near 0 overflows
+            y[mix[pos[mix]]] = specfun._bessel_batch(orders[mix][pos[mix]], z[mix][pos[mix]], "y")
+            start = 0
+            for m, zm in per_order.items():
+                part = slice(start, start + len(zm))
+                assert np.array_equal(j[part], specfun.bessel_j(m, zm))
+                ym = specfun._bessel_y(m, zm[zm > 0])
+                assert np.array_equal(y[part][zm > 0], ym, equal_nan=True)
+                start += len(zm)
+
+    def test_range_errors(self):
+        with pytest.raises(RangeError):
+            specfun._bessel_batch(np.array([61]), np.array([1.0]))
+        with pytest.raises(RangeError):
+            specfun._bessel_batch(np.array([2]), np.array([2001.0]))
+        with pytest.raises(RangeError):
+            specfun._bessel_batch(np.array([2]), np.array([0.0]), "y")
+
+
+def _step_rule_newton(f, fp, lo, hi, x0, tol=1e-13, cap=90):
+    """Newton with the step-size stop alone (no noise-floor stop): the
+    oracle for every root that converges under that rule."""
+    lo, hi = lo.copy(), hi.copy()
+    x = np.clip(x0, lo, hi)
+    slo = np.sign(f(lo))
+    iters = np.zeros(len(x), dtype=int)
+    settled = np.zeros(len(x), dtype=bool)
+    for _ in range(cap):
+        fx = f(x)
+        same = np.sign(fx) == slo
+        lo, hi = np.where(same, x, lo), np.where(same, hi, x)
+        raw = x - fx / fp(x)
+        done = (np.abs(fx) <= tol) & (np.abs(raw - x) <= 1e-14 * np.maximum(1.0, np.abs(x)))
+        bad = (raw < lo) | (raw > hi)
+        iters += ~settled
+        settled |= done
+        x = np.where(done, x, np.where(bad, 0.5 * (lo + hi), raw))
+        if np.all(done):
+            break
+    return x, np.where(settled, iters, cap)
+
+
+class TestNewtonStopRule:
+    def test_every_zero_below_31_settles_within_16_iterations(self, monkeypatch):
+        # J_0 zero 3 (11.79) and J_2 zero 2 (11.62) sit in the J series'
+        # ~1e-13 cancellation noise just below z = 12; under the step rule
+        # alone they ran to the 90-iteration cap
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        zeros = specfun.bessel_zeros_batch(range(61), 31)
+        for m in range(61):
+            table = specfun._bessel_zero_cache[m]
+            assert max(r.iterations for r in table) <= 16
+            ref = sp.jn_zeros(m, 31)
+            assert np.max(np.abs(zeros[m] - ref) / ref) < 1e-12
+        assert specfun._bessel_zero_cache[0][3].iterations <= 16
+        assert specfun._bessel_zero_cache[2][2].iterations <= 16
+
+    @pytest.mark.parametrize("order", [0, 2, 6, 7, 16, 33, 60])
+    def test_zeros_converging_under_the_step_rule_keep_their_bits(self, order, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        got = specfun.bessel_zeros(order, 31)
+        start = order + 0.1 if order > 0 else 0.25
+        grid = np.arange(start, specfun.bessel_zero_seed(order, 32) + 4.0, 1.2)
+        vals = specfun.bessel_j(order, grid)
+        flips = np.flatnonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[:31]
+        seeds = np.array([specfun.bessel_zero_seed(order, k) for k in range(31)])
+        want, iters = _step_rule_newton(
+            lambda x: specfun.bessel_j(order, x), lambda x: specfun.bessel_j_prime(order, x),
+            grid[flips], grid[flips + 1], seeds,
+        )
+        converged = iters < 90
+        assert np.count_nonzero(~converged) == {0: 1, 2: 1}.get(order, 0)
+        assert np.array_equal(got[converged], want[converged])
+
+    def test_airy_table_unchanged_by_the_noise_floor_stop(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_airy_zero_cache", [])
+        got = specfun.airy_zeros(501)
+        ks = np.arange(501)
+        seeds = np.array([specfun.airy_zero_seed(int(k)) for k in ks])
+        below = np.array([specfun.airy_zero_seed(int(k) - 1) if k > 0 else 0.0 for k in ks])
+        above = np.array([specfun.airy_zero_seed(int(k) + 1) for k in ks])
+        lo = np.where(ks > 0, 0.5 * (below + seeds), 0.4 * seeds)
+        hi = 0.5 * (seeds + above)
+        want, iters = _step_rule_newton(
+            lambda y: specfun.airy_ai(-y), lambda y: -specfun.airy_ai_prime(-y), lo, hi, seeds
+        )
+        assert np.max(iters) <= 3
+        assert np.array_equal(got, want)
+
+
+class TestBatchedZeroTables:
+    def test_batch_equals_per_order_tables_bitwise(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        batch = specfun.bessel_zeros_batch(range(17), 31)
+        batch_iters = [[r.iterations for r in specfun._bessel_zero_cache[m]] for m in range(17)]
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        for m in range(17):
+            assert specfun.bessel_zeros(m, 31).tolist() == batch[m].tolist()
+            assert [r.iterations for r in specfun._bessel_zero_cache[m]] == batch_iters[m]
+
+    def test_mixed_cache_states_and_repeated_orders(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        specfun.bessel_zeros(3, 40)  # one order already deep, one short
+        specfun.bessel_zeros(5, 4)
+        got = specfun.bessel_zeros_batch([5, 3, 0, 5], 20)
+        assert got.shape == (4, 20)
+        for row, m in zip(got, [5, 3, 0, 5]):
+            assert np.max(np.abs(row - sp.jn_zeros(m, 20)) / sp.jn_zeros(m, 20)) < 1e-12
+        assert len(specfun._bessel_zero_cache[3]) == 40
+        assert specfun.bessel_zeros_batch([], 5).shape == (0, 5)
+
+    def test_range_errors(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        with pytest.raises(RangeError):
+            specfun.bessel_zeros_batch([0, 61], 3)
+        with pytest.raises(RangeError):
+            specfun.bessel_zeros_batch([0, 1], 202)
+        assert specfun._bessel_zero_cache == {}
+
+    def test_bad_batch_raises_and_caches_nothing(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
+        good = specfun._scan_zero_batch
+
+        def shifted(orders, counts):
+            found = good(orders, counts)
+            found[1] = [(v + 1e-6, i) for v, i in found[1]]
+            return found
+
+        monkeypatch.setattr(specfun, "_scan_zero_batch", shifted)
+        with pytest.raises(RootError, match="zero 0 of J_4"):
+            specfun.bessel_zeros_batch([2, 4, 6], 5)
+        assert specfun._bessel_zero_cache == {}
+
+
 class TestAiry:
     def test_against_scipy_dense(self):
         x = np.linspace(-170.0, 12.0, 4001)
