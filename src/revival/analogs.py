@@ -27,9 +27,6 @@ class JCParams:
         if self.nbar < 0 or self.coupling <= 0:
             raise DomainError("require nbar >= 0 and coupling > 0")
 
-    def rabi(self, n) -> np.ndarray:
-        return np.sqrt(np.asarray(n, dtype=float) * self.coupling**2 + self.detuning**2 / 4.0)
-
 
 @dataclass(frozen=True)
 class CoherentState:

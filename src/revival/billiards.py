@@ -7,26 +7,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import specfun
 from .dynamics import _CHUNK, TimeSeries, _phase_block
 from .errors import DomainError, OrbitUnsupportedError, RootError
-from .packets import CoefficientSet2D
+from .packets import CoefficientSet2D, triangle_state_labels
 from .serialize import format_float
 from .spectra import DEFAULT_UNITS, UnitSystem
-
-GEOMETRIES = (
-    "square",
-    "rectangle",
-    "isosceles_right",
-    "equilateral",
-    "triangle_30_60_90",
-    "circle",
-    "half_circle",
-    "annulus",
-)
 
 # overall phase advance per radial-sector revival of a central packet,
 # in units of pi: 1/4 + 1/pi^2
@@ -45,8 +36,13 @@ def _check_size(value: float) -> None:
 
 @dataclass(frozen=True)
 class Spectrum2D:
-    """Level set of a 2D billiard: analytic for the polygonal cases,
-    tabulated for the circular family."""
+    """Level set of a 2D billiard: integer quadratic forms for the
+    polygonal cases, tabulated for the circular family.
+
+    All that depends on the geometry is its entry in GEOMETRIES, with four
+    fields: `energy` (E at arrays of labels), `label_ok` (which labels are
+    states), `candidates` (the labels that levels() filters) and
+    `revival` (the two-index revival times)."""
 
     geometry: str
     params: dict
@@ -60,81 +56,143 @@ class Spectrum2D:
             if key in self.params:
                 _check_size(self.params[key])
 
-    # -- continuous energy (used for derivative-based times) -------------
-
-    def energy(self, q1: float, q2: float) -> float:
-        u = self.units
-        p = self.params
-        g = self.geometry
-        if g in ("square", "rectangle", "isosceles_right"):
-            lx = p["L"] if g != "rectangle" else p["Lx"]
-            ly = p["L"] if g != "rectangle" else p["Ly"]
-            c = u.hbar**2 * math.pi**2 / (2 * u.mass)
-            return c * (q1**2 / lx**2 + q2**2 / ly**2)
-        if g in ("equilateral", "triangle_30_60_90"):
-            c = (u.hbar**2 / (2 * u.mass * p["L"] ** 2)) * (4 * math.pi / 3) ** 2
-            return c * (q1**2 + q2**2 - q1 * q2)
-        if g in ("circle", "half_circle", "annulus"):
-            key = (int(round(q1)), int(round(q2)))
-            if key not in self.table:
-                raise DomainError(f"level {key} not tabulated")
-            return self.table[key]
-        raise DomainError(g)
+    def energy(self, q1, q2):
+        """E at the label (q1, q2): a float for scalars, an array for
+        arrays. The polygons take continuous indices too."""
+        return GEOMETRIES[self.geometry].energy(self, q1, q2)
 
     def index_ok(self, label) -> bool:
-        g = self.geometry
-        if g in ("square", "rectangle"):
-            return label[0] >= 1 and label[1] >= 1
-        if g == "isosceles_right":
-            return 1 <= label[0] < label[1]
-        if g == "equilateral":
-            m, n = label[0], label[1]
-            sym = label[2] if len(label) > 2 else "+"
-            if n < 1 or m < 2 * n:
-                return False
-            return not (m == 2 * n and sym == "-")
-        if g == "triangle_30_60_90":
-            return label[1] >= 1 and label[0] > 2 * label[1]
-        if g == "half_circle":
-            return abs(label[0]) >= 1 and label[1] >= 0
-        return label[1] >= 0
+        return bool(GEOMETRIES[self.geometry].label_ok(*_label_arrays([label]))[0])
 
     def levels(self) -> list[tuple]:
-        """(q1, q2, symmetry, energy) rows, deterministically ordered."""
-        g = self.geometry
-        rows = []
-        if g in ("square", "rectangle", "isosceles_right"):
-            cap = self.params.get("n_cap", 12)
-            for nx in range(1, cap + 1):
-                for ny in range(1, cap + 1):
-                    if g == "isosceles_right" and not nx < ny:
-                        continue
-                    rows.append((nx, ny, "", self.energy(nx, ny)))
-        elif g in ("equilateral", "triangle_30_60_90"):
-            cap = self.params.get("m_cap", 12)
-            for n in range(1, cap // 2 + 1):
-                for m in range(2 * n, cap + 1):
-                    e = self.energy(m, n)
-                    if g == "triangle_30_60_90":
-                        if m > 2 * n:
-                            rows.append((m, n, "-", e))
-                    elif m == 2 * n:
-                        rows.append((m, n, "o", e))
-                    else:
-                        rows.append((m, n, "+", e))
-                        rows.append((m, n, "-", e))
-        else:
-            for (m, k), e in sorted(self.table.items()):
-                if g == "half_circle" and m < 1:
-                    continue
-                rows.append((m, k, "", e))
-        return rows
+        """(q1, q2, symmetry, energy) rows, deterministically ordered: the
+        geometry's candidate labels that its label rule keeps."""
+        entry = GEOMETRIES[self.geometry]
+        q1, q2, sym = entry.candidates(self)
+        keep = entry.label_ok(q1, q2, sym)
+        q1, q2, sym = q1[keep], q2[keep], sym[keep]
+        e = entry.energy(self, q1, q2)
+        return list(zip(q1.tolist(), q2.tolist(), sym.tolist(), e.tolist()))
 
     def write_levels_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             fh.write("q1,q2,symmetry,energy\n")
             for q1, q2, sym, e in self.levels():
                 fh.write(f"{q1},{q2},{sym},{format_float(e)}\n")
+
+
+def _label_arrays(labels):
+    """(q1, q2, symmetry) arrays of (q1, q2) or (q1, q2, symmetry) labels;
+    a missing symmetry reads as ''."""
+    return (
+        np.array([lab[0] for lab in labels]),
+        np.array([lab[1] for lab in labels]),
+        np.array([lab[2] if len(lab) > 2 else "" for lab in labels], dtype=str),
+    )
+
+
+# ----------------------------------------------------------------------
+# The geometry table
+# ----------------------------------------------------------------------
+
+def _revival_times(hbar: float, *second) -> tuple[float, ...]:
+    """2 pi hbar over |d|/2 for each second derivative d of E(q1, q2),
+    the mixed one entered doubled; +inf where d vanishes."""
+    return tuple(math.inf if abs(d) < 1e-300 else 2.0 * math.pi * hbar / (abs(d) / 2.0) for d in second)
+
+
+@dataclass(frozen=True)
+class _QuadraticForm:
+    """E = c (q1^2/d1 + q2^2/d2 + k q1 q2), (c, d1, d2, k) = coefficients(params,
+    units): the polygons are integer quadratic forms (Robinett 2004, sec. 5)."""
+
+    coefficients: Callable
+
+    def __call__(self, s: Spectrum2D, q1, q2):
+        c, d1, d2, k = self.coefficients(s.params, s.units)
+        return c * (q1**2 / d1 + q2**2 / d2 + k * q1 * q2)
+
+    def gradient(self, s: Spectrum2D, q1, q2):
+        c, d1, d2, k = self.coefficients(s.params, s.units)
+        return c * (2 * q1 / d1 + k * q2), c * (2 * q2 / d2 + k * q1)
+
+    def revival(self, s: Spectrum2D, center):
+        c, d1, d2, k = self.coefficients(s.params, s.units)
+        return _revival_times(s.units.hbar, 2 * c / d1, 2 * c / d2, 2 * c * k)
+
+
+# hbar^2 pi^2 / (2 mu) (nx^2/Lx^2 + ny^2/Ly^2), the square's sides both L
+_BOX = _QuadraticForm(lambda p, u: (
+    u.hbar**2 * math.pi**2 / (2 * u.mass), p.get("Lx", p.get("L")) ** 2, p.get("Ly", p.get("L")) ** 2, 0.0))
+# hbar^2 / (2 mu L^2) (4 pi / 3)^2 (m^2 + n^2 - m n)
+_TRIANGLE = _QuadraticForm(lambda p, u: (
+    (u.hbar**2 / (2 * u.mass * p["L"] ** 2)) * (4 * math.pi / 3) ** 2, 1.0, 1.0, -1.0))
+
+
+def _tabulated(s: Spectrum2D, q1, q2):
+    """s.table at the rounded labels."""
+    m, k = np.broadcast_arrays(np.rint(q1), np.rint(q2))
+    try:
+        e = np.array([s.table[int(a), int(b)] for a, b in zip(m.ravel().tolist(), k.ravel().tolist())])
+    except KeyError as exc:
+        raise DomainError(f"level {exc.args[0]} not tabulated") from None
+    return float(e[0]) if m.ndim == 0 else e.reshape(m.shape)
+
+
+def _grid(s: Spectrum2D):
+    # (nx, ny) on the n_cap x n_cap grid, nx-major
+    cap = max(s.params.get("n_cap", 12), 0)
+    nx, ny = np.divmod(np.arange(cap * cap), cap)
+    return nx + 1, ny + 1, np.full(cap * cap, "")
+
+
+def _disk_revival(s: Spectrum2D, center, radial_sector: bool = False):
+    """d2E/dnr2, d2E/dm2 at m != 0 and d2E/dm dnr of the disk. With
+    radial_sector, a packet in the m = 0 sector gets the full realignment
+    time 4*T0 as its radial entry: the derivative-based value halves it,
+    but the linear radial phase is then misaligned by half a period for
+    every level."""
+    u, R = s.units, s.params["R"]
+    scale = u.hbar**2 * math.pi**2 / (2 * u.mass * R**2)
+    t1, t2, cross = _revival_times(u.hbar, 2 * scale, scale * (0.5 - 2.0 / math.pi**2), 2 * scale)
+    return (circle_scales(R, u)[1] if radial_sector and abs(center[0]) < 0.5 else t1), t2, cross
+
+
+def _no_revival(s: Spectrum2D, center):
+    raise DomainError(f"no closed-form revival times for {s.geometry!r}")
+
+
+class _Geometry(NamedTuple):
+    energy: Callable      # (spectrum, q1, q2) -> E, on scalars or arrays
+    label_ok: Callable    # (q1, q2, symmetry) arrays -> bool array
+    candidates: Callable  # spectrum -> the (q1, q2, symmetry) arrays levels() filters
+    revival: Callable     # (spectrum, center) -> (t_rev_q1, t_rev_q2, t_rev_cross)
+
+
+_pairs_ok = lambda q1, q2, sym: (q1 >= 1) & (q2 >= 1)
+_radial_ok = lambda q1, q2, sym: q2 >= 0
+_triangle_labels = lambda s: _label_arrays(triangle_state_labels(s.params.get("m_cap", 12)))
+_table_labels = lambda s: _label_arrays(sorted(s.table))
+
+GEOMETRIES = {
+    "square": _Geometry(_BOX, _pairs_ok, _grid, _BOX.revival),
+    "rectangle": _Geometry(_BOX, _pairs_ok, _grid, _BOX.revival),
+    # the square's diagonal fold: antisymmetric combinations only
+    "isosceles_right": _Geometry(_BOX, lambda q1, q2, sym: (q1 >= 1) & (q1 < q2), _grid, _BOX.revival),
+    # m >= 2n: two states for m > 2n, a single symmetric one at m = 2n
+    "equilateral": _Geometry(
+        _TRIANGLE, lambda q1, q2, sym: (q2 >= 1) & (q1 >= 2 * q2) & ~((q1 == 2 * q2) & (sym == "-")),
+        _triangle_labels, _TRIANGLE.revival),
+    # the equilateral billiard's fold: odd states only
+    "triangle_30_60_90": _Geometry(
+        _TRIANGLE, lambda q1, q2, sym: (q2 >= 1) & (q1 > 2 * q2) & (sym != "+"),
+        _triangle_labels, _TRIANGLE.revival),
+    "circle": _Geometry(_tabulated, _radial_ok, _table_labels, partial(_disk_revival, radial_sector=True)),
+    # the disk's diameter fold: sine angular states only
+    "half_circle": _Geometry(
+        _tabulated, lambda q1, q2, sym: (np.abs(q1) >= 1) & (q2 >= 0), _table_labels, _disk_revival),
+    "annulus": _Geometry(_tabulated, _radial_ok, _table_labels, _no_revival),
+}
 
 
 # ----------------------------------------------------------------------
@@ -183,20 +241,14 @@ def circular_spectrum(
     if mode not in ("refined", "wkb"):
         raise DomainError(f"unknown mode {mode!r}")
     _check_size(R)
-    table = {}
     scale = units.hbar**2 / (2.0 * units.mass * R**2)
     if mode == "refined":
         zeros = specfun.bessel_zeros_batch(range(m_cap + 1), nr_cap + 1).tolist()
-    for m in range(-m_cap, m_cap + 1):
-        if mode == "refined":
-            zs = zeros[abs(m)]
-        elif m == 0:
-            z0s = [(k + 0.75) * math.pi for k in range(nr_cap + 1)]
-            zs = [z0 + 1.0 / (8.0 * z0) for z0 in z0s]
-        else:
-            zs = [specfun.bessel_zero_seed(abs(m), k) for k in range(nr_cap + 1)]
-        for k, z in enumerate(zs):
-            table[(m, k)] = scale * z * z
+    else:
+        ks = range(nr_cap + 1)
+        zeros = [[z0 + 1.0 / (8.0 * z0) for z0 in ((k + 0.75) * math.pi for k in ks)]]
+        zeros += [[specfun.bessel_zero_seed(m, k) for k in ks] for m in range(1, m_cap + 1)]
+    table = {(m, k): scale * z * z for m in range(-m_cap, m_cap + 1) for k, z in enumerate(zeros[abs(m)])}
     return Spectrum2D("circle", {"R": R}, units, table)
 
 
@@ -230,12 +282,9 @@ def annulus_levels(
     if not 0.0 < f < 1.0:
         raise DomainError("inner-radius fraction must satisfy 0 < f < 1")
     _check_size(R)
-    table = {}
     scale = units.hbar**2 / (2.0 * units.mass)
     roots = _annulus_roots(range(m_cap + 1), R, f, nr_cap + 1)
-    for m in range(-m_cap, m_cap + 1):
-        for k_idx, kval in enumerate(roots[abs(m)]):
-            table[(m, k_idx)] = scale * kval**2
+    table = {(m, i): scale * k**2 for m in range(-m_cap, m_cap + 1) for i, k in enumerate(roots[abs(m)])}
     return Spectrum2D("annulus", {"R": R, "f": f}, units, table)
 
 
@@ -247,10 +296,15 @@ def _ring_condition(orders, k, R: float, f: float) -> np.ndarray:
     both = np.concatenate([orders, orders])
     j = specfun._bessel_batch(both, z)
     y = specfun._bessel_batch(both, z, "y")
-    a = j[:n] * y[n:]
-    b = j[n:] * y[:n]
+    # a J that is exactly zero beside an overflowed Y gives a zero product
+    a = np.multiply(j[:n], y[n:], out=np.zeros(n), where=j[:n] != 0)
+    b = np.multiply(j[n:], y[:n], out=np.zeros(n), where=j[n:] != 0)
     scale = np.abs(a) + np.abs(b)
-    return np.where(scale > 0, (a - b) / np.where(scale > 0, scale, 1.0), 0.0)
+    ok = np.isfinite(scale) & (scale > 0)
+    # beyond the double range (Y_m of a tiny inner argument) only the sign
+    # of the dominant product is left
+    g = np.where(np.isfinite(scale), 0.0, np.where(np.abs(a) >= np.abs(b), np.sign(a), -np.sign(b)))
+    return np.divide(np.subtract(a, b, where=ok, out=np.zeros(n)), scale, where=ok, out=g)
 
 
 def annulus_condition(m: int, k, R: float, f: float):
@@ -367,47 +421,8 @@ def _illinois(g, lo, hi, g_lo, g_hi):
 
 def revival_times_2d(s: Spectrum2D, center: tuple[float, float]) -> tuple[float, float, float]:
     """(t_rev_q1, t_rev_q2, t_rev_cross) from the quadratic index
-    dependence; +inf where the second derivative vanishes.
-
-    For the disk's zero-angular-momentum sector the radial entry is the
-    full phase-realignment time 4*T0 (the derivative-based value halves
-    it, but the linear radial phase is then misaligned by half a period
-    for every level, so relocalization only completes at 4*T0).
-    """
-    u = s.units
-    p = s.params
-    g = s.geometry
-    two_pi_hbar = 2.0 * math.pi * u.hbar
-
-    def from_second(d2):
-        return math.inf if abs(d2) < 1e-300 else two_pi_hbar / (abs(d2) / 2.0)
-
-    if g in ("square", "rectangle", "isosceles_right"):
-        lx = p["L"] if g != "rectangle" else p["Lx"]
-        ly = p["L"] if g != "rectangle" else p["Ly"]
-        c = u.hbar**2 * math.pi**2 / (2 * u.mass)
-        return (
-            from_second(2 * c / lx**2),
-            from_second(2 * c / ly**2),
-            math.inf,
-        )
-    if g in ("equilateral", "triangle_30_60_90"):
-        c = (u.hbar**2 / (2 * u.mass * p["L"] ** 2)) * (4 * math.pi / 3) ** 2
-        t = from_second(2 * c)
-        cross = two_pi_hbar / c  # |d2E/dm dn| = c
-        return (t, t, cross)
-    if g in ("circle", "half_circle"):
-        scale = u.hbar**2 * math.pi**2 / (2 * u.mass * p["R"] ** 2)
-        t0, t_radial, _ = circle_scales(p["R"], u)
-        m0 = abs(center[0])
-        if g == "circle" and m0 < 0.5:
-            t1 = t_radial
-        else:
-            t1 = from_second(2 * scale)
-        t2 = from_second(scale * (0.5 - 2.0 / math.pi**2))  # d2E/dm2 at m != 0
-        cross = two_pi_hbar / scale  # |d2E/dm dnr| = scale
-        return (t1, t2, cross)
-    raise DomainError(f"no closed-form revival times for {g!r}")
+    dependence about `center`; +inf where the second derivative vanishes."""
+    return GEOMETRIES[s.geometry].revival(s, center)
 
 
 @dataclass(frozen=True)
@@ -507,29 +522,26 @@ def orbit_period_from_indices(
     geometry: str, p: int, q: int, q1: float, q2: float, size: float, units: UnitSystem = DEFAULT_UNITS
 ) -> float:
     """Closed-orbit period rebuilt from the index pair (consistency check
-    for commensurate_indices)."""
-    two_pi_hbar = 2.0 * math.pi * units.hbar
-    if geometry == "square":
-        c = units.hbar**2 * math.pi**2 / (2 * units.mass * size**2)
-        t_cl_x = two_pi_hbar / (2.0 * c * q1)
-        return p * t_cl_x
-    if geometry == "equilateral":
-        c = (units.hbar**2 / (2 * units.mass * size**2)) * (4 * math.pi / 3) ** 2
-        t_cl_m = two_pi_hbar / (c * abs(2.0 * q1 - q2))
-        return q * t_cl_m
-    raise DomainError(geometry)
+    for commensurate_indices). Along a (p, q) orbit the two index
+    frequencies |dE/dq|/hbar are 2 pi p/T and 2 pi q/T in some order, so
+    T = 2 pi hbar (p + q) / (|dE/dq1| + |dE/dq2|) on the side-L polygon."""
+    s = Spectrum2D(geometry, {"L": size}, units)
+    form = GEOMETRIES[geometry].energy
+    if not isinstance(form, _QuadraticForm):
+        raise DomainError(f"no index-period formula for {geometry!r}")
+    e1, e2 = form.gradient(s, q1, q2)
+    return 2.0 * math.pi * units.hbar * (p + q) / (abs(e1) + abs(e2))
 
 
 def autocorrelation_2d(c: CoefficientSet2D, s: Spectrum2D, t_grid) -> TimeSeries:
     """A(t) = sum |a|^2 e^{+i E t / hbar} over the retained 2D modes."""
-    energies = []
-    for lab in c.labels:
-        if not s.index_ok(lab):
-            raise DomainError(f"label {lab} invalid for {s.geometry}")
-        energies.append(s.energy(lab[0], lab[1]))
+    q1, q2, sym = _label_arrays(c.labels)
+    bad = np.flatnonzero(~GEOMETRIES[s.geometry].label_ok(q1, q2, sym))
+    if bad.size:
+        raise DomainError(f"label {c.labels[bad[0]]} invalid for {s.geometry}")
     # levels of exactly equal energy (the disk's +-m, the triangle's +-
     # pair, the square's swapped labels) share one phase row
-    omegas, row = np.unique(np.asarray(energies) / s.units.hbar, return_inverse=True)
+    omegas, row = np.unique(np.asarray(s.energy(q1, q2)) / s.units.hbar, return_inverse=True)
     w = np.bincount(row, weights=c.weights(), minlength=len(omegas))
     t = np.asarray(t_grid, dtype=float)
     vals = np.empty(len(t), dtype=complex)

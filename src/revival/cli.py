@@ -413,34 +413,19 @@ def _run_billiard(scenario: Scenario, out) -> list[str]:
     written = []
     geometry = p["geometry"]
     size = p["size"]
-    width_b = p["dx0"] * math.sqrt(2.0)
+    packet = (p["x0"], p["y0"], p["p0x"], p["p0y"], p["dx0"] * math.sqrt(2.0), size)
     if geometry == "circle":
         s2d = billiards.circular_spectrum(size, p["m_cap"], p["nr_cap"])
-        c2d = packets.circular_coefficients(
-            p["x0"], p["y0"], p["p0x"], p["p0y"], width_b, size, p["m_cap"], p["nr_cap"]
-        )
+        c2d = packets.circular_coefficients(*packet, p["m_cap"], p["nr_cap"])
     elif geometry == "equilateral":
         s2d = billiards.equilateral_spectrum(size, m_cap=p["m_cap"])
-        c2d = packets.triangle_coefficients(
-            p["x0"], p["y0"], p["p0x"], p["p0y"], width_b, size, p["m_cap"]
-        )
+        c2d = packets.triangle_coefficients(*packet, p["m_cap"])
     elif geometry == "annulus":
         s2d = billiards.annulus_levels(size, p["f"], p["m_cap"], p["nr_cap"])
         c2d = None
     else:  # square: separable product of 1D box coefficients
         s2d = billiards.square_spectrum(size, n_cap=p["m_cap"])
-        px = packets.PacketParams1D(p["x0"], p["p0x"], width_b)
-        py = packets.PacketParams1D(p["y0"], p["p0y"], width_b)
-        n_max = p["m_cap"]
-        cx = packets.infinite_well_coefficients(px, size, n_max)
-        cy = packets.infinite_well_coefficients(py, size, n_max)
-        labels = []
-        vals = []
-        for i, nx in enumerate(cx.indices):
-            for j, ny in enumerate(cy.indices):
-                labels.append((int(nx), int(ny)))
-                vals.append(cx.coefficients[i] * cy.coefficients[j])
-        c2d = packets.CoefficientSet2D(tuple(labels), np.asarray(vals), 0.0)
+        c2d = packets.square_coefficients(*packet, p["m_cap"])
     levels_path = out("levels.csv")
     s2d.write_levels_csv(levels_path)
     written.append(levels_path)

@@ -5,6 +5,7 @@ circular billiards."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -122,6 +123,12 @@ def _finish_1d(index_lo, values, warn_above=math.inf, warning="norm deficit {:.2
     return CoefficientSet(index_lo, values, deficit, warnings)
 
 
+def _finish_2d(labels, values, warn_above: float, cap: str) -> CoefficientSet2D:
+    deficit = _deficit(values)
+    warnings = (f"norm deficit {deficit:.2e}: {cap} may be too small",) if deficit > warn_above else ()
+    return CoefficientSet2D(tuple(labels), values, deficit, warnings)
+
+
 def gaussian_model_coefficients(
     n0: float, delta_n: float, cutoff: float = 1e-8, index_min: int = 0
 ) -> CoefficientSet:
@@ -204,6 +211,23 @@ def infinite_well_coefficients(p: PacketParams1D, L: float, n_max: int) -> Coeff
     a = pref / 2j * (plus - minus)
     lo, a = _trim(1, a, RELATIVE_FLOOR)
     return _finish_1d(lo, a, 1e-4)
+
+
+def square_coefficients(
+    x0: float, y0: float, p0x: float, p0y: float, width_b: float, L: float, n_max: int,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> CoefficientSet2D:
+    """Separable square-billiard coefficients a_nx b_ny: the outer product
+    of the two closed-form 1D box sets, labels (nx, ny) nx-major."""
+    cx, cy = (infinite_well_coefficients(PacketParams1D(x, p, width_b, units), L, n_max)
+              for x, p in ((x0, p0x), (y0, p0y)))
+    a, b = cx.coefficients, cy.coefficients
+    # real and imaginary parts apart: the array complex multiply rounds
+    # differently from the scalar product
+    vals = (np.multiply.outer(a.real, b.real) - np.multiply.outer(a.imag, b.imag)).astype(complex)
+    vals.imag = np.multiply.outer(a.real, b.imag) + np.multiply.outer(a.imag, b.real)
+    labels = itertools.product(cx.indices.tolist(), cy.indices.tolist())
+    return _finish_2d(labels, vals.ravel(), 1e-4, "n_max")
 
 
 def bouncer_coefficients(
@@ -379,11 +403,7 @@ def triangle_coefficients(
                 - ix_cos(0.0) * iy_sin(2 * cy * n)
             ) * norm_o
         vals[i] = gauss_norm * val
-    deficit = _deficit(vals)
-    warnings = []
-    if deficit > 1e-4:
-        warnings.append(f"norm deficit {deficit:.2e}: basis_cap may be too small")
-    return CoefficientSet2D(tuple(labels), vals, deficit, tuple(warnings))
+    return _finish_2d(labels, vals, 1e-4, "basis_cap")
 
 
 # ----------------------------------------------------------------------
@@ -450,21 +470,8 @@ def circular_coefficients(
     j_next = specfun._bessel_batch(np.repeat(orders + 1, n_k), zs.ravel()).reshape(zs.shape)
     norms = math.sqrt(2.0) / (R * np.abs(j_next))
 
-    labels = []
-    vals = []
-    for im, m in enumerate(ms):
-        order = abs(int(m))
-        integ = radial[order] @ (wr * r * fm[im])
-        coeff = norms[order] * integ / math.sqrt(2.0 * math.pi)
-        for k in range(n_k):
-            labels.append((int(m), k))
-            vals.append(coeff[k])
-    vals = np.asarray(vals, dtype=complex)
+    vals = np.concatenate([norms[abs(m)] * (radial[abs(m)] @ (wr * r * fm[i])) / math.sqrt(2.0 * math.pi)
+                           for i, m in enumerate(ms)])
     keep = np.abs(vals) >= RELATIVE_FLOOR * np.max(np.abs(vals))
-    labels = tuple(lab for lab, k in zip(labels, keep) if k)
-    vals = vals[keep]
-    deficit = _deficit(vals)
-    warnings = []
-    if deficit > 1e-3:
-        warnings.append(f"norm deficit {deficit:.2e}: caps may be too small")
-    return CoefficientSet2D(labels, vals, deficit, tuple(warnings))
+    labels = itertools.compress(itertools.product(ms.tolist(), range(n_k)), keep)
+    return _finish_2d(labels, vals[keep], 1e-3, "caps")

@@ -178,11 +178,15 @@ def _upward(orders, z, f0, f1):
     cut = np.searchsorted(m, np.arange(int(m[-1]) + 2))  # first row of order >= j
     zs, fm1, fc = z[rows], f0[rows], f1[rows]
     lo = 0
-    for k in range(1, int(m[-1])):
-        s = cut[k + 1]
-        fm1, fc = fc[s - lo :], (2.0 * k / zs[s:]) * fc[s - lo :] - fm1[s - lo :]
-        lo = s
-        out[rows[s : cut[k + 2]]] = fc[: cut[k + 2] - s]
+    # Y_m of a small argument may pass the double range: an element that
+    # overflowed keeps its infinity, since the recurrence only grows there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, int(m[-1])):
+            s = cut[k + 1]
+            fm1, fc = fc[s - lo :], (2.0 * k / zs[s:]) * fc[s - lo :] - fm1[s - lo :]
+            fc = np.where(np.isinf(fm1), fm1, fc)
+            lo = s
+            out[rows[s : cut[k + 2]]] = fc[: cut[k + 2] - s]
     return out
 
 
@@ -407,11 +411,6 @@ def _scan_zero_batch(orders, counts) -> list[list[tuple[float, int]]]:
     return [pairs[e - c : e] for c, e in zip(counts, ends)]
 
 
-def _scan_bessel_zeros(order: int, count: int) -> list[tuple[float, int]]:
-    """First `count` positive zeros of J_order as (value, iterations)."""
-    return _scan_zero_batch((order,), (count,))[0]
-
-
 BESSEL_ZERO_MAX = 200
 _bessel_zero_cache: dict[int, list[RootResult]] = {}  # order -> validated zeros 0, 1, ...
 
@@ -448,15 +447,6 @@ def _cache_zero_tables(orders, found) -> None:
         pos += len(pairs)
 
 
-def _bessel_zero_table(order: int, count: int) -> list[RootResult]:
-    """The cached zeros of J_order, grown to at least `count` entries."""
-    _check_order(order)
-    if len(_bessel_zero_cache.get(order, ())) < count:
-        n = _grown_count(order, count)
-        _cache_zero_tables([order], [_scan_bessel_zeros(order, n)])
-    return _bessel_zero_cache[order]
-
-
 def _bessel_zero_tables(orders: list[int], count: int) -> list[list[RootResult]]:
     """The cached zeros of J_m for every m in `orders`, each grown to at
     least `count` entries; the short tables are refined as one batch."""
@@ -477,7 +467,7 @@ def _check_zero_count(count: int) -> None:
 def bessel_zeros(order: int, count: int) -> np.ndarray:
     """The first `count` positive zeros of J_order, as an array."""
     _check_zero_count(count)
-    return np.array([r.value for r in _bessel_zero_table(order, count)[:count]])
+    return np.array([r.value for r in _bessel_zero_tables([order], count)[0][:count]])
 
 
 def bessel_zeros_batch(orders, count: int) -> np.ndarray:
@@ -493,7 +483,7 @@ def bessel_zero(order: int, n_r: int) -> RootResult:
     """n_r-th positive zero of J_order (n_r = 0 is the first zero)."""
     if n_r < 0 or n_r > BESSEL_ZERO_MAX:
         raise RangeError(f"zero index {n_r} outside validated range (<= {BESSEL_ZERO_MAX})")
-    return _bessel_zero_table(order, n_r + 1)[n_r]
+    return _bessel_zero_tables([order], n_r + 1)[0][n_r]
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,13 @@ class Spectrum1D:
         if self.model not in _MODELS:
             raise DomainError(f"unknown spectrum model {self.model!r}")
         object.__setattr__(self, "params", dict(self.params))
+        # a tiny inertia or length overflows the energy scale itself
+        try:
+            finite = np.all(np.isfinite(_MODELS[self.model][2](self.params, self.units)))
+        except (ZeroDivisionError, OverflowError):
+            finite = False
+        if not finite:
+            raise DomainError(f"{self.model} parameters {self.params} give a non-finite energy scale")
 
     # -- factories ------------------------------------------------------
 

@@ -1,6 +1,8 @@
 """2D billiard spectra, revival times, closed orbits, overlap series."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,11 +27,33 @@ from revival.billiards import (
 )
 from revival import billiards, specfun
 from revival.errors import DomainError, OrbitUnsupportedError, RootError
-from revival.packets import circular_coefficients, triangle_coefficients
+from revival.packets import (
+    CoefficientSet2D,
+    circular_coefficients,
+    square_coefficients,
+    triangle_coefficients,
+)
 from revival.spectra import DEFAULT_UNITS
 
 HBAR = DEFAULT_UNITS.hbar
 MU = DEFAULT_UNITS.mass
+
+GEOMETRY_NAMES = ("square", "rectangle", "isosceles_right", "equilateral", "triangle_30_60_90",
+                  "circle", "half_circle", "annulus")
+
+
+def _spectrum(geometry, size):
+    """One spectrum per geometry at side or radius `size`, small caps."""
+    return {
+        "square": lambda: square_spectrum(size, n_cap=7),
+        "rectangle": lambda: rectangle_spectrum(size, 1.3 * size, n_cap=6),
+        "isosceles_right": lambda: isosceles_right_spectrum(size, n_cap=7),
+        "equilateral": lambda: equilateral_spectrum(size, m_cap=9),
+        "triangle_30_60_90": lambda: triangle_fold_spectrum(size, m_cap=9),
+        "circle": lambda: circular_spectrum(size, 3, 4),
+        "half_circle": lambda: half_circle_spectrum(size, 3, 4),
+        "annulus": lambda: annulus_levels(size, 0.4, 2, 3),
+    }[geometry]()
 
 
 class TestRevivalTimes:
@@ -55,6 +79,31 @@ class TestRevivalTimes:
         assert t0 == pytest.approx(2 * MU * R**2 / (HBAR * math.pi), rel=1e-12)
         t1, _, _ = revival_times_2d(s, (0, 4))
         assert t1 == pytest.approx(4 * t0, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [1.0, 0.7])
+    @pytest.mark.parametrize("geometry", GEOMETRY_NAMES)
+    def test_every_geometry(self, geometry, size):
+        box = 4 * MU * size**2 / (HBAR * math.pi)  # 2 pi hbar / (pi^2 hbar^2 / (2 mu L^2))
+        tri = 9 * MU * size**2 / (4 * HBAR * math.pi)
+        # the disk: d2E/dnr2 = 2 s, d2E/dm2 = s (1/2 - 2/pi^2), d2E/dm dnr = s
+        # with s = pi^2 hbar^2 / (2 mu R^2); the m = 0 sector takes 4 T0
+        angular = 2 * box / (0.5 - 2 / math.pi**2)
+        want = {
+            "square": [(box, box, math.inf)] * 2,
+            "rectangle": [(box, 1.69 * box, math.inf)] * 2,
+            "isosceles_right": [(box, box, math.inf)] * 2,
+            "equilateral": [(tri, tri, tri)] * 2,
+            "triangle_30_60_90": [(tri, tri, tri)] * 2,
+            "circle": [(2 * box, angular, box), (box, angular, box)],
+            "half_circle": [(box, angular, box), (box, angular, box)],
+        }
+        s = _spectrum(geometry, size)
+        for center, expected in zip([(0.0, 3.0), (2.0, 3.0)], want.get(geometry, [None, None])):
+            if expected is None:
+                with pytest.raises(DomainError, match="no closed-form revival times"):
+                    revival_times_2d(s, center)
+                continue
+            assert revival_times_2d(s, center) == pytest.approx(expected, rel=1e-12)
 
     def test_circle_sector_ratio(self):
         # angular-sector realignment sits at (pi^2/2) x the radial one
@@ -196,6 +245,78 @@ class TestTriangleLevels:
         s = rectangle_spectrum(1.0, 2.0, n_cap=4)
         t1, t2, _ = revival_times_2d(s, (2, 2))
         assert t2 / t1 == pytest.approx(4.0, rel=1e-12)
+
+
+def _closed_form_levels(geometry, size, s):
+    """levels() rows written out from the closed forms, each in the
+    spectra's order of operations: the box and triangle quadratic forms,
+    the disk's hbar^2 z^2 / (2 mu R^2) over the Bessel zeros z, and the
+    ring's sorted table."""
+    if geometry in ("square", "rectangle", "isosceles_right"):
+        c = HBAR**2 * math.pi**2 / (2 * MU)
+        ly = 1.3 * size if geometry == "rectangle" else size
+        pairs = itertools.product(range(1, s.params["n_cap"] + 1), repeat=2)
+        return [(nx, ny, "", c * (nx**2 / size**2 + ny**2 / ly**2)) for nx, ny in pairs
+                if geometry != "isosceles_right" or nx < ny]
+    if geometry in ("equilateral", "triangle_30_60_90"):
+        c = (HBAR**2 / (2 * MU * size**2)) * (4 * math.pi / 3) ** 2
+        cap = s.params["m_cap"]
+        # m >= 2n: one symmetric state at m = 2n, a +- pair above it; the
+        # fold keeps the odd ones
+        pairs = itertools.product(range(1, cap // 2 + 1), range(cap + 1))
+        labels = [(m, n, sym) for n, m in pairs if m >= 2 * n for sym in ("o" if m == 2 * n else "+-")]
+        keep = {"-"} if geometry == "triangle_30_60_90" else {"o", "+", "-"}
+        return [(m, n, sym, c * (m**2 + n**2 - m * n)) for m, n, sym in labels if sym in keep]
+    if geometry == "annulus":
+        return [(m, k, "", e) for (m, k), e in sorted(s.table.items())]
+    scale = HBAR**2 / (2.0 * MU * size**2)
+    zeros = specfun.bessel_zeros_batch(range(4), 5).tolist()  # m_cap 3, nr_cap 4
+    ms = range(1, 4) if geometry == "half_circle" else range(-3, 4)
+    return [(m, k, "", scale * z * z) for m in ms for k, z in enumerate(zeros[abs(m)])]
+
+
+class TestGeometryTable:
+    @pytest.mark.parametrize("size", [1.0, 0.7])
+    @pytest.mark.parametrize("geometry", GEOMETRY_NAMES)
+    def test_levels_match_closed_forms(self, geometry, size):
+        s = _spectrum(geometry, size)
+        want = _closed_form_levels(geometry, size, s)
+        assert len(want) > 0 and s.levels() == want
+
+    def test_ring_table_holds_the_solver_roots(self):
+        roots = billiards._annulus_roots(range(3), 0.7, 0.4, 4)
+        scale = HBAR**2 / (2.0 * MU)
+        want = {(m, k): scale * v**2 for m in range(-2, 3) for k, v in enumerate(roots[abs(m)])}
+        assert _spectrum("annulus", 0.7).table == want
+
+    @pytest.mark.parametrize("geometry", GEOMETRY_NAMES)
+    def test_vectorised_energy_is_the_per_label_energy(self, geometry):
+        s = _spectrum(geometry, 0.7)
+        q1, q2 = (np.array([row[i] for row in s.levels()]) for i in (0, 1))
+        for shift in (0.0, 0.25):  # continuous indices; the tables round them
+            per_label = [s.energy(a, b) for a, b in zip((q1 + shift).tolist(), q2.tolist())]
+            assert all(isinstance(e, float) for e in per_label)
+            assert np.array_equal(s.energy(q1 + shift, q2), per_label)
+
+    @pytest.mark.parametrize(
+        "geometry, bad",
+        [("square", (0, 2)), ("rectangle", (2, 0)), ("isosceles_right", (3, 3)),
+         ("equilateral", (4, 2, "-")), ("triangle_30_60_90", (5, 2, "+")),
+         ("triangle_30_60_90", (4, 2)), ("circle", (1, -1)), ("half_circle", (0, 2)),
+         ("annulus", (2, -1))],
+    )
+    def test_batch_with_one_invalid_label_names_it(self, geometry, bad):
+        s = _spectrum(geometry, 1.0)
+        good = [row[:3] if row[2] else row[:2] for row in s.levels()[:4]]
+        assert all(s.index_ok(lab) for lab in good) and not s.index_ok(bad)
+        labels = tuple(good[:2] + [bad] + good[2:])
+        c = CoefficientSet2D(labels, np.full(len(labels), 0.5 + 0j), 0.0)
+        with pytest.raises(DomainError, match=f"label {re.escape(str(bad))} invalid for {geometry}"):
+            autocorrelation_2d(c, s, [0.0])
+
+    def test_untabulated_level_is_named(self):
+        with pytest.raises(DomainError, match=r"level \(4, 0\) not tabulated"):
+            _spectrum("circle", 1.0).energy(np.array([1, 4]), np.array([0, 0]))
 
 
 class TestAnnulus:
@@ -340,6 +461,19 @@ class TestRingGate:
             np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
             np.testing.assert_array_equal(_ring_ks(ring, -m), got)
 
+    def test_point_hole_beyond_the_double_range(self):
+        # f = 1e-30: Y_m(k f R) overflows from m = 14 on, and only the sign of
+        # the dominant product J_m(kR) Y_m(kfR) is left. The m >= 1 levels
+        # are the disk's to within f^2m; m = 0 keeps its logarithmic shift
+        ring = annulus_levels(1.0, 1e-30, 16, 30)
+        for m in range(1, 17):
+            np.testing.assert_allclose(_ring_ks(ring, m), specfun.bessel_zeros(m, 31), rtol=1e-10, atol=0)
+        got = _ring_ks(ring, 0)
+        want = _scipy_ring_levels(0, 1e-30, got[-1] + 0.5)[:31]
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+        g = billiards._ring_condition(np.full(3, 14), np.array([10.0, 20.0, 30.0]), 1.0, 1e-30)
+        assert np.array_equal(g, -np.sign(specfun.bessel_j(14, np.array([10.0, 20.0, 30.0]))))
+
     def test_batched_condition_is_bitwise_the_four_single_order_calls(self):
         # outer arguments all above 40, inner ones down to 20, whose Hankel
         # term counts differ (15 against 17) when taken apart
@@ -374,14 +508,7 @@ class TestRingGate:
 
 
 def _square_set(L, n_cap):
-    from revival.packets import CoefficientSet2D, PacketParams1D, infinite_well_coefficients
-
-    width = 0.05 * math.sqrt(2)
-    cx = infinite_well_coefficients(PacketParams1D(0.3 * L, 20.0, width), L, n_cap)
-    cy = infinite_well_coefficients(PacketParams1D(0.4 * L, 10.0, width), L, n_cap)
-    labels = tuple((int(nx), int(ny)) for nx in cx.indices for ny in cy.indices)
-    vals = np.outer(cx.coefficients, cy.coefficients).ravel()
-    return CoefficientSet2D(labels, vals, 0.0)
+    return square_coefficients(0.3 * L, 0.4 * L, 20.0, 10.0, 0.05 * math.sqrt(2), L, n_cap)
 
 
 class TestMergedAutocorrelation:
@@ -467,25 +594,15 @@ class TestKernelCallBudget:
 class TestAutocorrelation2D:
     def test_square_separability(self):
         from revival.dynamics import autocorrelation
-        from revival.packets import (
-            CoefficientSet2D,
-            PacketParams1D,
-            infinite_well_coefficients,
-        )
+        from revival.packets import PacketParams1D, infinite_well_coefficients
         from revival.spectra import Spectrum1D
 
         L = 1.0
         px = PacketParams1D(x0=0.5, p0=40 * math.pi, width_b=0.05 * math.sqrt(2))
         py = PacketParams1D(x0=0.4, p0=24 * math.pi, width_b=0.05 * math.sqrt(2))
         cx = infinite_well_coefficients(px, L, 90)
-        cy = infinite_well_coefficients(py, L, 70)
-        labels = []
-        vals = []
-        for i, nx in enumerate(cx.indices):
-            for j, ny in enumerate(cy.indices):
-                labels.append((int(nx), int(ny)))
-                vals.append(cx.coefficients[i] * cy.coefficients[j])
-        c2d = CoefficientSet2D(tuple(labels), np.array(vals), 0.0)
+        cy = infinite_well_coefficients(py, L, 90)
+        c2d = square_coefficients(px.x0, py.x0, px.p0, py.p0, px.width_b, L, 90)
         s2d = square_spectrum(L)
         grid = np.linspace(0.0, 0.02, 41)
         two_d = autocorrelation_2d(c2d, s2d, grid).values
@@ -497,23 +614,9 @@ class TestAutocorrelation2D:
     def test_square_diagonal_launch_recurs_at_root2_tau(self):
         # 45-degree launch: recurrences at multiples of sqrt(p^2+q^2) tau
         # with tau = 2L/v0, here the (1,1) orbit
-        from revival.packets import (
-            CoefficientSet2D,
-            PacketParams1D,
-            infinite_well_coefficients,
-        )
-
         L = 1.0
         p0 = 200 * math.pi
-        pk = lambda x0: PacketParams1D(x0=x0, p0=p0, width_b=0.05 * math.sqrt(2))
-        cx = infinite_well_coefficients(pk(0.5), L, 320)
-        cy = infinite_well_coefficients(pk(0.5), L, 320)
-        labels, vals = [], []
-        for i, nx in enumerate(cx.indices):
-            for j, ny in enumerate(cy.indices):
-                labels.append((int(nx), int(ny)))
-                vals.append(cx.coefficients[i] * cy.coefficients[j])
-        c2d = CoefficientSet2D(tuple(labels), np.array(vals), 0.0)
+        c2d = square_coefficients(0.5, 0.5, p0, p0, 0.05 * math.sqrt(2), L, 320)
         v0 = math.hypot(p0, p0) / MU
         tau = 2 * L / v0
         orbit = closed_orbit("square", 1, 1, v0, L=L)
@@ -547,8 +650,6 @@ class TestAutocorrelation2D:
         assert abs(ser.values[0]) >= 0.999 - c.norm_deficit
 
     def test_label_validation(self):
-        from revival.packets import CoefficientSet2D
-
         c = CoefficientSet2D(((0, 0),), np.array([1.0 + 0j]), 0.0)
         with pytest.raises(DomainError):
             autocorrelation_2d(c, square_spectrum(1.0), [0.0])

@@ -116,16 +116,29 @@ class TestRun:
         first = lines[1].split(",")
         assert float(first[3]) == pytest.approx(1.0, abs=1e-9)
 
-    def test_determinism_byte_identical(self, tmp_path):
+    _BILLIARD = ("levels.csv", "autocorr2d.csv", "billiard2d.meta.txt")
+    _TIME = {"tmax": "1", "steps": "200"}
+
+    @pytest.mark.parametrize(
+        "command, values, names",
+        [("jc", {"nbar": "36", "coupling": "0.01", "tau_max": "2", "steps": "300"},
+          ("jc.csv", "jc.meta.txt")),
+         ("billiard2d", {"geometry": "square", "x0": "0.3", "y0": "0.4", "p0x": "20", "p0y": "10",
+                         "m_cap": "8", **_TIME}, _BILLIARD),
+         ("billiard2d", {"geometry": "equilateral", "y0": "0.55", "p0x": "20", "p0y": "10",
+                         "m_cap": "8", **_TIME}, _BILLIARD),
+         ("billiard2d", {"geometry": "circle", "x0": "0.3", "p0y": "20", "m_cap": "4", "nr_cap": "6",
+                         **_TIME}, _BILLIARD),
+         ("billiard2d", {"geometry": "annulus", "m_cap": "3", "nr_cap": "4", **_TIME},
+          ("levels.csv", "billiard2d.meta.txt"))],
+        ids=["jc", "square", "equilateral", "circle", "annulus"],
+    )
+    def test_determinism_byte_identical(self, tmp_path, command, values, names):
         outs = []
         for sub in ("a", "b"):
-            sc = build_scenario(
-                "jc",
-                {"nbar": "36", "coupling": "0.01", "tau_max": "2", "steps": "300"},
-                str(tmp_path / sub),
-            )
-            run(sc)
-            outs.append((tmp_path / sub / "jc.csv").read_bytes())
+            written = run(build_scenario(command, values, str(tmp_path / sub)))
+            assert sorted(os.path.basename(p) for p in written) == sorted(names)
+            outs.append([(tmp_path / sub / name).read_bytes() for name in names])
         assert outs[0] == outs[1]
 
     def test_bec_grid(self, tmp_path):
@@ -273,6 +286,17 @@ class TestBilliardContract:
         assert code == 3
         assert "GiB" in err and "Traceback" not in err
 
+    def test_point_hole_ring_runs_silently(self, tmp_path):
+        # Y_m of the inner argument overflows from m = 14 on; run as a
+        # process to see its real stderr
+        src = os.path.dirname(os.path.dirname(revival.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["billiard2d", "--geometry", "annulus", "--f", "1e-30"] + self.TIME
+        proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len((tmp_path / "levels.csv").read_text().splitlines()) == 1 + 33 * 31
+
     def test_huge_n0_carpet_prints_no_warning(self, tmp_path):
         # the builder's size guard must refuse the packet before the
         # revival time overflows; run as a process to see its real stderr
@@ -316,6 +340,18 @@ class TestSeriesContract:
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"key {key!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [ROTOR + ["--inertia", "1e-320"],
+         ["spectrum", "--model", "pendulum", "--inertia", "1e-320", "--n0", "5"]],
+        ids=["autocorr_rotor", "spectrum_pendulum"],
+    )
+    def test_overflowing_energy_scale_exits_three(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite energy scale" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
     def test_negative_u0_still_runs(self, tmp_path):
         assert main(self.BEC + ["--u0", "-1", "--out", str(tmp_path)]) == 0

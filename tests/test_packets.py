@@ -1,7 +1,9 @@
 """Coefficient builders: model Gaussian, box closed forms, bouncer
 overlaps, and the 2D billiard overlaps."""
 
+import itertools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from revival.packets import (
     gaussian_model_coefficients,
     infinite_well_coefficients,
     poisson_coefficients,
+    square_coefficients,
     triangle_coefficients,
     triangle_wavefunction,
 )
@@ -287,6 +290,23 @@ class TestCircular:
     def test_containment(self):
         with pytest.raises(ContainmentError):
             circular_coefficients(0.9, 0.0, 0.0, 0.0, self.B, 1.0, 4, 10)
+
+
+class TestSquare:
+    def test_outer_product_of_the_box_sets(self):
+        b = 0.05 * math.sqrt(2.0)
+        cx = infinite_well_coefficients(PacketParams1D(0.3, 20.0, b), L, 16)
+        cy = infinite_well_coefficients(PacketParams1D(0.4, 10.0, b), L, 16)
+        c = square_coefficients(0.3, 0.4, 20.0, 10.0, b, L, 16)
+        assert c.labels == tuple(itertools.product(cx.indices.tolist(), cy.indices.tolist()))
+        # bitwise the products of numpy complex scalars, label by label
+        scalar = np.frompyfunc(operator.mul, 2, 1).outer(list(cx.coefficients), list(cy.coefficients))
+        assert np.array_equal(c.coefficients, scalar.ravel().astype(complex))
+        assert c.norm_deficit == pytest.approx(1.0 - np.sum(c.weights()), abs=1e-15)
+
+    def test_short_basis_warns(self):
+        c = square_coefficients(0.5, 0.5, 200 * math.pi, 0.0, 0.05 * math.sqrt(2.0), L, 150)
+        assert c.norm_deficit > 1e-4 and "n_max may be too small" in c.warnings[-1]
 
 
 class TestSerialization:

@@ -182,13 +182,13 @@ class TestBesselZeroTable:
 
     def test_bad_batch_raises_and_is_not_cached(self, monkeypatch):
         monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
-        good = specfun._scan_bessel_zeros
-        shifted = lambda order, count: [(v + 1e-6, i) for v, i in good(order, count)]
-        monkeypatch.setattr(specfun, "_scan_bessel_zeros", shifted)
+        good = specfun._scan_zero_batch
+        shifted = lambda orders, counts: [[(v + 1e-6, i) for v, i in pairs] for pairs in good(orders, counts)]
+        monkeypatch.setattr(specfun, "_scan_zero_batch", shifted)
         with pytest.raises(RootError):
             specfun.bessel_zeros(3, 5)
         assert specfun._bessel_zero_cache.get(3, []) == []
-        monkeypatch.setattr(specfun, "_scan_bessel_zeros", good)
+        monkeypatch.setattr(specfun, "_scan_zero_batch", good)
         assert specfun.bessel_zeros(3, 5) == pytest.approx(sp.jn_zeros(3, 5), rel=1e-12)
 
 

@@ -44,6 +44,16 @@ class TestEvalEnergy:
         s = Spectrum1D.rotor(inertia=1.0)
         assert eval_energy(s, 3) == pytest.approx(4.5, rel=1e-14)
 
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: Spectrum1D.rotor(1e-320), lambda: Spectrum1D.pendulum(1e-320, 1.0),
+         lambda: Spectrum1D.infinite_well(0.0), lambda: Spectrum1D.infinite_well(1e200)],
+        ids=["rotor", "pendulum", "well_zero", "well_huge"],
+    )
+    def test_non_finite_energy_scale_raises(self, make):
+        with pytest.raises(DomainError, match="non-finite energy scale"):
+            make()
+
 
 class TestTimeScales:
     def test_case_a(self):
