@@ -16,7 +16,7 @@ from . import specfun
 from .dynamics import _CHUNK, TimeSeries, _phase_block
 from .errors import DomainError, OrbitUnsupportedError, RootError
 from .packets import CoefficientSet2D, triangle_state_labels
-from .serialize import format_float
+from .serialize import write_csv
 from .spectra import DEFAULT_UNITS, UnitSystem
 
 # overall phase advance per radial-sector revival of a central packet,
@@ -67,18 +67,18 @@ class Spectrum2D:
     def levels(self) -> list[tuple]:
         """(q1, q2, symmetry, energy) rows, deterministically ordered: the
         geometry's candidate labels that its label rule keeps."""
+        return list(zip(*self._level_columns()))
+
+    def _level_columns(self) -> tuple[list, list, list, list]:
         entry = GEOMETRIES[self.geometry]
         q1, q2, sym = entry.candidates(self)
         keep = entry.label_ok(q1, q2, sym)
         q1, q2, sym = q1[keep], q2[keep], sym[keep]
         e = entry.energy(self, q1, q2)
-        return list(zip(q1.tolist(), q2.tolist(), sym.tolist(), e.tolist()))
+        return q1.tolist(), q2.tolist(), sym.tolist(), e.tolist()
 
     def write_levels_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("q1,q2,symmetry,energy\n")
-            for q1, q2, sym, e in self.levels():
-                fh.write(f"{q1},{q2},{sym},{format_float(e)}\n")
+        write_csv(path, "q1,q2,symmetry,energy\n", "%s,%s,%s,%.17g\n", self._level_columns())
 
 
 def _label_arrays(labels):

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, analogs, billiards, dynamics, fractional, packets, spectra, wavefields
 from .errors import ConfigError, RevivalError
-from .serialize import format_float
+from .serialize import format_float, write_csv
 
 COMMANDS = (
     "spectrum",
@@ -108,18 +108,18 @@ _MODEL_KEYS = {
     "model": (_str_key(tuple(_SPECTRA)), _REQUIRED),
     "alpha": (_float_key, 1.0 / 800.0),
     "beta": (_float_key, 0.0),
-    "L": (_float_key, 1.0),
-    "F": (_float_key, 1.0),
+    "L": (_POSITIVE, 1.0),
+    "F": (_POSITIVE, 1.0),
     "inertia": (_POSITIVE, 1.0),
     "V0": (_float_key, 0.0),
-    "omega": (_float_key, 1.0),
+    "omega": (_POSITIVE, 1.0),
 }
 
 _SCHEMAS: dict[str, dict] = {
     "spectrum": {
         **_MODEL_KEYS,
-        "n_min": (_int_key, 0),
-        "n_max": (_int_key, 50),
+        "n_min": (_bounded(_int_key, 0), 0),
+        "n_max": (_bounded(_int_key, 0), 50),
         "n0": (_float_key, _REQUIRED),
     },
     "autocorr": {
@@ -137,7 +137,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "carpet": {
         "L": (_float_key, 1.0),
-        "n0": (_float_key, 400.0),
+        "n0": (_POSITIVE, 400.0),
         "x0": (_float_key, 0.5),
         "dx0": (_float_key, 0.05),
         "x_count": (_int_key, 256),
@@ -182,8 +182,8 @@ _SCHEMAS: dict[str, dict] = {
         "nbar": (_float_key, _REQUIRED),
         "coupling": (_float_key, _REQUIRED),
         "detuning": (_float_key, 0.0),
-        "tau_max": (_float_key, 30.0),
-        "steps": (_int_key, 6000),
+        "tau_max": (_POSITIVE, 30.0),
+        "steps": (_bounded(_int_key, 1), 6000),
     },
     "bec": {
         "alpha_re": (_float_key, _REQUIRED),
@@ -250,7 +250,9 @@ def parse_config(path: str, command: str, out_dir: str, overrides: dict[str, str
     return build_scenario(command, raw, out_dir)
 
 
-def _write_sidecar(path, scenario: Scenario, extras: dict) -> None:
+def _write_sidecar(scenario: Scenario, extras: dict) -> str:
+    """Write <command>.meta.txt (inputs, version, derived quantities); returns its path."""
+    path = os.path.join(scenario.out_dir, f"{scenario.command}.meta.txt")
     with open(path, "w", newline="") as fh:
         fh.write(f"command = {scenario.command}\n")
         fh.write(f"version = {__version__}\n")
@@ -261,6 +263,7 @@ def _write_sidecar(path, scenario: Scenario, extras: dict) -> None:
         for key in sorted(extras):
             # derived quantities are metadata; 12 digits reads cleanly
             fh.write(f"{key} = {format(extras[key], '.12g')}\n")
+    return path
 
 
 def _time_scale_extras(s, n0: float) -> dict:
@@ -281,15 +284,12 @@ def run(scenario: Scenario) -> list[str]:
 
     if scenario.command == "spectrum":
         s = _SPECTRA[p["model"]](p)
-        n_min = max(p["n_min"], int(s.ground_index))
+        ns = np.arange(max(p["n_min"], int(s.ground_index)), p["n_max"] + 1)
+        energies = spectra.eval_energy(s, ns.astype(float))  # raises before the file opens
         path = out("spectrum.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("n,energy\n")
-            for n in range(n_min, p["n_max"] + 1):
-                fh.write(f"{n},{format_float(spectra.eval_energy(s, n))}\n")
+        write_csv(path, "n,energy\n", "%d,%.17g\n", (ns, energies))
         written.append(path)
-        _write_sidecar(out("spectrum.meta.txt"), scenario, _time_scale_extras(s, p["n0"]))
-        written.append(out("spectrum.meta.txt"))
+        written.append(_write_sidecar(scenario, _time_scale_extras(s, p["n0"])))
 
     elif scenario.command == "autocorr":
         s = _SPECTRA[p["model"]](p)
@@ -303,8 +303,7 @@ def run(scenario: Scenario) -> list[str]:
         path = out("autocorr.csv")
         series.to_csv(path)
         written.append(path)
-        _write_sidecar(out("autocorr.meta.txt"), scenario, _time_scale_extras(s, p["n0"]))
-        written.append(out("autocorr.meta.txt"))
+        written.append(_write_sidecar(scenario, _time_scale_extras(s, p["n0"])))
 
     elif scenario.command == "fractional":
         table = fractional.gauss_coefficients(p["p"], p["q"])
@@ -312,12 +311,8 @@ def run(scenario: Scenario) -> list[str]:
         table.to_csv(path)
         written.append(path)
         count, spacing, peak = fractional.clone_structure(table.p, table.q)
-        _write_sidecar(
-            out("fractional.meta.txt"),
-            scenario,
-            {"clones": float(count), "spacing_over_t_cl": spacing, "peak_abs2": peak},
-        )
-        written.append(out("fractional.meta.txt"))
+        extras = {"clones": float(count), "spacing_over_t_cl": spacing, "peak_abs2": peak}
+        written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "carpet":
         L = p["L"]
@@ -333,8 +328,7 @@ def run(scenario: Scenario) -> list[str]:
             path = out(f"carpet_{name}.pgm")
             grid.to_pgm(path)
             written.append(path)
-        _write_sidecar(out("carpet.meta.txt"), scenario, {"t_hi": t_hi, "t_revival": t_rev})
-        written.append(out("carpet.meta.txt"))
+        written.append(_write_sidecar(scenario, {"t_hi": t_hi, "t_revival": t_rev}))
 
     elif scenario.command == "wigner":
         L = p["L"]
@@ -352,8 +346,7 @@ def run(scenario: Scenario) -> list[str]:
             path = out("wigner.pgm")
             grid.to_pgm(path)
         written.append(path)
-        _write_sidecar(out("wigner.meta.txt"), scenario, {"p_span": span})
-        written.append(out("wigner.meta.txt"))
+        written.append(_write_sidecar(scenario, {"p_span": span}))
 
     elif scenario.command == "observables":
         L = p["L"]
@@ -364,14 +357,11 @@ def run(scenario: Scenario) -> list[str]:
         grid = np.linspace(0.0, p["tmax"], p["steps"] + 1)
         obs = wavefields.observables(c, basis, grid)
         path = out("observables.csv")
-        with open(path, "w", newline="") as fh:
-            fh.write("t,mean_x,sd_x,mean_p,sd_p\n")
-            for row in zip(obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p):
-                fh.write(",".join(format_float(v) for v in row) + "\n")
+        write_csv(path, "t,mean_x,sd_x,mean_p,sd_p\n", ",".join(["%.17g"] * 5) + "\n",
+                  (obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p))
         written.append(path)
         s = spectra.Spectrum1D.infinite_well(L)
-        _write_sidecar(out("observables.meta.txt"), scenario, _time_scale_extras(s, p["n0"]))
-        written.append(out("observables.meta.txt"))
+        written.append(_write_sidecar(scenario, _time_scale_extras(s, p["n0"])))
 
     elif scenario.command == "billiard2d":
         written.extend(_run_billiard(scenario, out))
@@ -384,8 +374,7 @@ def run(scenario: Scenario) -> list[str]:
         path = out("jc.csv")
         series.to_csv(path)
         written.append(path)
-        _write_sidecar(out("jc.meta.txt"), scenario, {"t_revival": analogs.jc_revival_time(params)})
-        written.append(out("jc.meta.txt"))
+        written.append(_write_sidecar(scenario, {"t_revival": analogs.jc_revival_time(params)}))
 
     elif scenario.command == "bec":
         alpha = complex(p["alpha_re"], p["alpha_im"])
@@ -398,12 +387,8 @@ def run(scenario: Scenario) -> list[str]:
         path = out("bec.csv")
         grid.to_csv(path)
         written.append(path)
-        _write_sidecar(
-            out("bec.meta.txt"),
-            scenario,
-            {"t_revival": cs.t_revival, "cat_fidelity": analogs.bec_cat_fidelity(cs)},
-        )
-        written.append(out("bec.meta.txt"))
+        extras = {"t_revival": cs.t_revival, "cat_fidelity": analogs.bec_cat_fidelity(cs)}
+        written.append(_write_sidecar(scenario, extras))
 
     return written
 
@@ -440,8 +425,7 @@ def _run_billiard(scenario: Scenario, out) -> list[str]:
     if geometry != "annulus":
         t1, t2, cross = billiards.revival_times_2d(s2d, center)
         extras = {"t_revival_q1": t1, "t_revival_q2": t2, "t_revival_cross": cross}
-    _write_sidecar(out("billiard2d.meta.txt"), scenario, extras)
-    written.append(out("billiard2d.meta.txt"))
+    written.append(_write_sidecar(scenario, extras))
     return written
 
 

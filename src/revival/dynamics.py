@@ -255,11 +255,27 @@ def _phase_block(ts, n, s: Spectrum1D | None = None) -> np.ndarray:
     if g is None:
         omegas = n if s is None else eval_energy(s, n.astype(float)) / s.units.hbar
         return np.exp(1j * reduced_phase(omegas[:, None], ts))
-    q_hi, q_lo = _dd_cycles(g, n.astype(float))
-    hi, lo = _two_product(q_hi[:, None], ts)
-    lo = lo + q_lo[:, None] * ts
-    k = np.rint(hi)
-    return np.exp((2j * math.pi) * ((hi - k) + lo))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        q_hi, q_lo = _dd_cycles(g, n.astype(float))
+        hi, lo = _two_product(q_hi[:, None], ts)
+        lo += q_lo[:, None] * ts
+    if not np.isfinite(lo.sum()):  # lo is NaN/inf where a Dekker split overflowed (|q|, |t| > ~1e300)
+        i, j = np.unravel_index(np.argmin(np.isfinite(lo)), lo.shape)
+        raise DomainError(f"cycle product q*t overflows at index {n[i]:g}, t = {ts[0, j]:g}")
+    hi -= np.rint(hi)
+    hi += lo  # (hi - k) + lo in place: the (N, T) temporaries set the peak memory
+    phase = (2j * math.pi) * hi
+    return np.exp(phase, out=phase)
+
+
+def _overlap_series(w, n, t_grid, s: Spectrum1D | None = None) -> TimeSeries:
+    """sum_n w_n e^{+i E_n t / hbar}, one phase block of times at a time
+    (`n` and `s` as in _phase_block)."""
+    t = np.asarray(t_grid, dtype=float)
+    vals = np.empty(len(t), dtype=complex)
+    for start in range(0, len(t), _CHUNK):
+        vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], n, s)
+    return TimeSeries(t, vals)
 
 
 def autocorrelation(c: CoefficientSet, s: Spectrum1D, t_grid) -> TimeSeries:
@@ -267,12 +283,7 @@ def autocorrelation(c: CoefficientSet, s: Spectrum1D, t_grid) -> TimeSeries:
     n = c.indices
     if np.any(n < s.ground_index):
         raise DomainError("coefficient indices fall outside the spectrum range")
-    t = np.asarray(t_grid, dtype=float)
-    w = c.weights()
-    vals = np.empty(len(t), dtype=complex)
-    for start in range(0, len(t), _CHUNK):
-        vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], n, s)
-    return TimeSeries(t, vals)
+    return _overlap_series(c.weights(), n, t_grid, s)
 
 
 def anticorrelation_infinite_well(c: CoefficientSet, s: Spectrum1D, t_grid) -> TimeSeries:
@@ -281,12 +292,7 @@ def anticorrelation_infinite_well(c: CoefficientSet, s: Spectrum1D, t_grid) -> T
     n = c.indices
     if np.any(n < 1):
         raise DomainError("box coefficients are indexed from 1")
-    t = np.asarray(t_grid, dtype=float)
-    w = np.where(n % 2 == 1, 1.0, -1.0) * c.weights()  # (-1)^(n+1)
-    vals = np.empty(len(t), dtype=complex)
-    for start in range(0, len(t), _CHUNK):
-        vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], n, s)
-    return TimeSeries(t, vals)
+    return _overlap_series(np.where(n % 2 == 1, 1.0, -1.0) * c.weights(), n, t_grid, s)  # (-1)^(n+1)
 
 
 def incoherent_plateau(c) -> float:

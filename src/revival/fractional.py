@@ -11,7 +11,7 @@ import numpy as np
 
 from .dynamics import TimeSeries
 from .errors import DomainError
-from .serialize import format_float
+from .serialize import write_csv
 
 
 @dataclass(frozen=True)
@@ -38,13 +38,9 @@ class GaussSumTable:
         return out
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("r,re,im,abs2\n")
-            for r, val in enumerate(self.b):
-                fh.write(
-                    f"{r},{format_float(val.real)},{format_float(val.imag)},"
-                    f"{format_float(abs(val) ** 2)}\n"
-                )
+        # abs2 in numpy-scalar arithmetic, one value at a time: np.abs(b) ** 2 rounds differently
+        write_csv(path, "r,re,im,abs2\n", "%d,%.17g,%.17g,%.17g\n",
+                  (range(len(self.b)), self.b.real, self.b.imag, [abs(v) ** 2 for v in self.b]))
 
 
 def _period(p: int, q: int) -> int:

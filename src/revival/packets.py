@@ -13,7 +13,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ContainmentError, DomainError, RangeError, TruncationError
-from .serialize import format_float
+from .serialize import write_csv
 from .spectra import DEFAULT_UNITS, UnitSystem
 
 RELATIVE_FLOOR = 1e-9     # coefficients below this fraction of the peak are dropped
@@ -69,10 +69,8 @@ class CoefficientSet:
         return np.abs(self.coefficients) ** 2
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("index1,index2,re,im\n")
-            for n, a in zip(self.indices, self.coefficients):
-                fh.write(f"{n},,{format_float(a.real)},{format_float(a.imag)}\n")
+        a = self.coefficients
+        write_csv(path, "index1,index2,re,im\n", "%s,,%.17g,%.17g\n", (self.indices, a.real, a.imag))
 
 
 @dataclass(frozen=True)
@@ -92,14 +90,13 @@ class CoefficientSet2D:
         return np.abs(self.coefficients) ** 2
 
     def to_csv(self, path) -> None:
-        has_sym = any(len(lab) > 2 for lab in self.labels)
-        with open(path, "w", newline="") as fh:
-            fh.write("index1,index2,re,im,symmetry\n" if has_sym else "index1,index2,re,im\n")
-            for lab, a in zip(self.labels, self.coefficients):
-                row = f"{lab[0]},{lab[1]},{format_float(a.real)},{format_float(a.imag)}"
-                if has_sym:
-                    row += f",{lab[2] if len(lab) > 2 else ''}"
-                fh.write(row + "\n")
+        a = self.coefficients
+        columns = [[lab[0] for lab in self.labels], [lab[1] for lab in self.labels], a.real, a.imag]
+        if any(len(lab) > 2 for lab in self.labels):
+            columns.append([lab[2] if len(lab) > 2 else "" for lab in self.labels])
+            write_csv(path, "index1,index2,re,im,symmetry\n", "%s,%s,%.17g,%.17g,%s\n", columns)
+        else:
+            write_csv(path, "index1,index2,re,im\n", "%s,%s,%.17g,%.17g\n", columns)
 
 
 def _trim(index_lo: int, values: np.ndarray, rel_floor: float) -> tuple[int, np.ndarray]:

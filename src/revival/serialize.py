@@ -3,7 +3,11 @@ modules: CSV at 17 significant digits and 16-bit binary PGM rasters."""
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
+
+BLOCK_ROWS = 4096  # CSV rows per formatted block; bounds the text held in memory
 
 
 def format_float(x: float) -> str:
@@ -11,42 +15,51 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_timeseries_csv(path, times, values) -> None:
-    """Columns t,re,im,abs2."""
-    values = np.asarray(values)
+def write_csv(path, header: str, row_format: str, columns) -> None:
+    """`header`, then `row_format % row` for each row of `columns`: arrays,
+    lists, or functions of a row slice that derive that block's values
+    (the first array or list sets the row count). Each block of
+    BLOCK_ROWS rows is formatted by one `%` and written in one call;
+    `%.17g` writes what format_float does."""
+    rows = next(len(col) for col in columns if not callable(col))
     with open(path, "w", newline="") as fh:
-        fh.write("t,re,im,abs2\n")
-        for t, v in zip(times, values):
-            v = complex(v)
-            fh.write(
-                f"{format_float(t)},{format_float(v.real)},{format_float(v.imag)},"
-                f"{format_float(abs(v) ** 2)}\n"
-            )
+        fh.write(header)
+        for lo in range(0, rows, BLOCK_ROWS):
+            part = slice(lo, min(lo + BLOCK_ROWS, rows))
+            block = [col(part) if callable(col) else col[part] for col in columns]
+            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
+            fh.write((row_format * (part.stop - lo)) % tuple(chain.from_iterable(zip(*block))))
+
+
+def write_timeseries_csv(path, times, values) -> None:
+    """Columns t,re,im,abs2; abs2 is Python's abs(complex) ** 2."""
+    v = np.asarray(values, dtype=complex)
+    write_csv(path, "t,re,im,abs2\n", "%.17g,%.17g,%.17g,%.17g\n",
+              (times, v.real, v.imag, lambda part: [abs(z) ** 2 for z in v[part].tolist()]))
 
 
 def write_grid_csv(path, axis1, axis2, values) -> None:
-    """Columns <axis1>,<axis2>,value with axis1 as the outer loop."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"{axis1.name},{axis2.name},value\n")
-        a1 = axis1.points()
-        a2 = axis2.points()
-        for i, x in enumerate(a1):
-            for j, y in enumerate(a2):
-                fh.write(f"{format_float(x)},{format_float(y)},{format_float(values[i, j].real)}\n")
+    """Columns <axis1>,<axis2>,value with axis1 as the outer loop; each
+    axis point is formatted once and looked up per block of cells."""
+    a1 = np.array([format_float(x) for x in axis1.points()], dtype=object)
+    a2 = np.array([format_float(y) for y in axis2.points()], dtype=object)
+    write_csv(path, f"{axis1.name},{axis2.name},value\n", "%s,%s,%.17g\n",
+              (lambda part: a1[np.arange(part.start, part.stop) // len(a2)],
+               lambda part: a2[np.arange(part.start, part.stop) % len(a2)], np.real(values).ravel()))
 
 
 def write_pgm(path, values) -> None:
     """16-bit big-endian binary PGM; the per-image maximum maps to 65535
-    and is recorded in a comment line. Negative samples clip to black."""
+    and is recorded in a comment line. Negative samples clip to black.
+    Rows are scaled and written about 64k pixels at a time."""
     arr = np.asarray(values, dtype=float)
     vmax = float(arr.max())
     scale = 65535.0 / vmax if vmax > 0 else 0.0
-    scaled = arr * scale  # one float temporary, rounded and clipped in place
-    np.rint(scaled, out=scaled)
-    pixels = np.clip(scaled, 0, 65535, out=scaled).astype(">u2")
     height, width = arr.shape
+    step = max(1, 65536 // width)
     with open(path, "wb") as fh:
-        fh.write(b"P5\n")
-        fh.write(f"# max={format_float(vmax)}\n".encode())
-        fh.write(f"{width} {height}\n65535\n".encode())
-        fh.write(pixels.tobytes())
+        fh.write(f"P5\n# max={format_float(vmax)}\n{width} {height}\n65535\n".encode())
+        for lo in range(0, height, step):
+            scaled = arr[lo : lo + step] * scale  # one float temporary per block, rounded and clipped in place
+            np.rint(scaled, out=scaled)
+            fh.write(np.clip(scaled, 0, 65535, out=scaled).astype(">u2").tobytes())

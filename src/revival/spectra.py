@@ -199,7 +199,11 @@ def eval_energy(s: Spectrum1D, n) -> float | np.ndarray:
     narr = np.asarray(n, dtype=float)
     if np.any(narr < s.ground_index - 1e-12):
         raise DomainError(f"index below ground index {s.ground_index} for {s.model}")
-    e = s._derivs(np.atleast_1d(narr))[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        e = s._derivs(np.atleast_1d(narr))[0]
+    bad = np.atleast_1d(narr)[~np.isfinite(e)]
+    if bad.size:
+        raise DomainError(f"{s.model} energy is not finite at index {bad[0]:g}")
     return float(e[0]) if narr.ndim == 0 else e
 
 

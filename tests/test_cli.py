@@ -408,3 +408,54 @@ def test_billiard2d_contract_holds_for_any_values(geometry, m_cap, nr_cap, size,
         code = main(argv + ["--out", out])
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+class TestSchemaBounds:
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [(["jc", "--nbar", "5", "--coupling", "1"], "steps", "-4"),
+         (["jc", "--nbar", "5", "--coupling", "1"], "steps", "0"),
+         (["jc", "--nbar", "5", "--coupling", "1"], "tau_max", "0"),
+         (["jc", "--nbar", "5", "--coupling", "1"], "tau_max", "-2"),
+         (["spectrum", "--model", "well", "--n0", "10"], "L", "-1"),
+         (["spectrum", "--model", "well", "--n0", "10"], "L", "0"),
+         (["spectrum", "--model", "harmonic", "--n0", "10"], "omega", "0"),
+         (["spectrum", "--model", "harmonic", "--n0", "10"], "omega", "-1"),
+         (["autocorr", "--model", "harmonic", "--n0", "10", "--dn", "2", "--tmax", "1",
+           "--steps", "10"], "omega", "-1"),
+         (["spectrum", "--model", "bouncer_airy", "--n0", "10"], "F", "-1"),
+         (["autocorr", "--model", "bouncer_wkb", "--n0", "10", "--dn", "2", "--tmax", "1",
+           "--steps", "10"], "F", "0"),
+         (["carpet"], "n0", "-5"),
+         (["carpet"], "n0", "0"),
+         (["spectrum", "--model", "caseA", "--n0", "10"], "n_max", "-3"),
+         (["spectrum", "--model", "caseA", "--n0", "10"], "n_min", "-1")],
+    )
+    def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
+        assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["autocorr", "--model", "rotor", "--inertia", "1e-306", "--n0", "10", "--dn", "2",
+       "--tmax", "1", "--steps", "4"], "overflows"),
+     (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1e301",
+       "--steps", "4"], "overflows"),
+     (["spectrum", "--model", "rotor", "--inertia", "1e-306", "--n0", "10"], "not finite")],
+    ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor"],
+)
+def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
+    # run as a process to see the real stderr: one error line, no warnings,
+    # and no artifact written
+    src = os.path.dirname(os.path.dirname(revival.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("numeric error:") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert not any(out.iterdir())
