@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import specfun
-from .dynamics import _CHUNK, TimeSeries, _phase_block
+from .dynamics import TimeSeries, _phase_sum
 from .errors import DomainError, OrbitUnsupportedError, RootError
 from .packets import CoefficientSet2D, triangle_state_labels
 from .serialize import write_csv
@@ -543,8 +543,4 @@ def autocorrelation_2d(c: CoefficientSet2D, s: Spectrum2D, t_grid) -> TimeSeries
     # pair, the square's swapped labels) share one phase row
     omegas, row = np.unique(np.asarray(s.energy(q1, q2)) / s.units.hbar, return_inverse=True)
     w = np.bincount(row, weights=c.weights(), minlength=len(omegas))
-    t = np.asarray(t_grid, dtype=float)
-    vals = np.empty(len(t), dtype=complex)
-    for start in range(0, len(t), _CHUNK):
-        vals[start : start + _CHUNK] = w @ _phase_block(t[start : start + _CHUNK], omegas)
-    return TimeSeries(t, vals)
+    return TimeSeries(t_grid, _phase_sum(w, omegas, t_grid))

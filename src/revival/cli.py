@@ -70,13 +70,16 @@ def _int_key(raw: str, key: str) -> int:
         raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from None
 
 
-def _bounded(parse, lo: float, strict: bool = False):
-    """parse, then require value > lo (strict) or value >= lo."""
+def _bounded(parse, lo: float, strict: bool = False, below: float | None = None):
+    """parse, then require value > lo (strict) or value >= lo, and
+    value < below when `below` is given."""
 
     def check(raw: str, key: str):
         val = parse(raw, key)
         if val < lo or (strict and val == lo):
             raise ConfigError(f"key {key!r}: must be {'>' if strict else '>='} {lo:g}, got {raw!r}")
+        if below is not None and val >= below:
+            raise ConfigError(f"key {key!r}: must be < {below:g}, got {raw!r}")
         return val
 
     return check
@@ -125,23 +128,23 @@ _SCHEMAS: dict[str, dict] = {
     "autocorr": {
         **_MODEL_KEYS,
         "n0": (_float_key, _REQUIRED),
-        "dn": (_float_key, _REQUIRED),
-        "cutoff": (_float_key, 1e-8),
+        "dn": (_POSITIVE, _REQUIRED),
+        "cutoff": (_bounded(_float_key, 0.0, strict=True, below=1.0), 1e-8),
         "tmax": (_POSITIVE, _REQUIRED),
         "steps": (_bounded(_int_key, 1), _REQUIRED),
         "anti": (_int_key, 0),
     },
     "fractional": {
-        "p": (_int_key, _REQUIRED),
-        "q": (_int_key, _REQUIRED),
+        "p": (_bounded(_int_key, 1), _REQUIRED),
+        "q": (_bounded(_int_key, 1), _REQUIRED),
     },
     "carpet": {
-        "L": (_float_key, 1.0),
+        "L": (_POSITIVE, 1.0),
         "n0": (_POSITIVE, 400.0),
         "x0": (_float_key, 0.5),
-        "dx0": (_float_key, 0.05),
-        "x_count": (_int_key, 256),
-        "t_count": (_int_key, 256),
+        "dx0": (_POSITIVE, 0.05),
+        "x_count": (_bounded(_int_key, 64), 256),
+        "t_count": (_bounded(_int_key, 64), 256),
         "t_hi": (_float_key, 0.0),  # 0 -> half the revival time
         "n_max": (_int_key, 0),     # 0 -> auto
     },
@@ -179,8 +182,8 @@ _SCHEMAS: dict[str, dict] = {
         "steps": (_bounded(_int_key, 1), _REQUIRED),
     },
     "jc": {
-        "nbar": (_float_key, _REQUIRED),
-        "coupling": (_float_key, _REQUIRED),
+        "nbar": (_bounded(_float_key, 0.0), _REQUIRED),
+        "coupling": (_POSITIVE, _REQUIRED),
         "detuning": (_float_key, 0.0),
         "tau_max": (_POSITIVE, 30.0),
         "steps": (_bounded(_int_key, 1), 6000),
@@ -191,7 +194,7 @@ _SCHEMAS: dict[str, dict] = {
         "u0": (_nonzero, _REQUIRED),
         "t_over_trev": (_float_key, 0.5),
         "half_span": (_float_key, 0.0),  # 0 -> |alpha| + 3
-        "grid_count": (_int_key, 201),
+        "grid_count": (_bounded(_int_key, 2), 201),
         "n_cap": (_int_key, 0),          # 0 -> auto
     },
 }

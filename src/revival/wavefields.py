@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .dynamics import _CHUNK, _phase_block
+from .dynamics import _phase_block, _phase_chunks
 from .errors import DomainError, TruncationError
 from .packets import CoefficientSet, _airy_levels, bouncer_norm
 from .serialize import write_grid_csv, write_pgm
@@ -223,12 +223,10 @@ def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
     mats = np.stack([basis.x_matrix(n), basis.x2_matrix(n), basis.p_matrix(n), basis.p2_matrix(n)])
     t_grid = np.asarray(t_grid, dtype=float)
     moments = np.empty((4, len(t_grid)))
-    for start in range(0, len(t_grid), _CHUNK):
-        block = _phase_block(t_grid[start : start + _CHUNK], n, basis.spectrum)
-        a = c.coefficients[:, None] * np.conj(block)  # evolved coefficients, (N, T)
-        # conj(a) . M . a for the four matrices at every time of the block
-        quad = np.einsum("nt,knm,mt->kt", np.conj(a), mats, a, optimize=True)
-        moments[:, start : start + _CHUNK] = quad.real
+    for cols in _phase_chunks(len(t_grid), len(n)):
+        a = c.coefficients[:, None] * np.conj(_phase_block(t_grid[cols], n, basis.spectrum))  # (N, T)
+        # conj(a) . M . a per matrix and time; einsum without `optimize` sums in order, no BLAS
+        moments[:, cols] = [np.einsum("nt,nt->t", np.conj(a), np.einsum("nm,mt->nt", m, a)).real for m in mats]
     mean_x, x2, mean_p, p2 = moments
     sd_x = np.sqrt(np.maximum(x2 - mean_x**2, 0.0))
     sd_p = np.sqrt(np.maximum(p2 - mean_p**2, 0.0))
@@ -419,13 +417,13 @@ def _carpet_parts(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
     e_plus = np.exp(1j * (math.pi * np.outer(n, x) / L))  # (N, X)
     cls = np.empty((len(x), len(ts)))
     qc = np.empty((len(x), len(ts)))
-    for start in range(0, len(ts), _CHUNK):
-        block = _phase_block(ts[start : start + _CHUNK], n, basis.spectrum)
+    for chunk in _phase_chunks(len(ts), len(n), align=_CARPET_TIMES):  # same sub-blocks at any size
+        block = _phase_block(ts[chunk], n, basis.spectrum)
         for sub in range(0, block.shape[1], _CARPET_TIMES):
             a_t = (c.coefficients[:, None] * np.conj(block[:, sub : sub + _CARPET_TIMES])).T
             w_plus = a_t @ e_plus
             w_minus = np.conj(np.conj(a_t) @ e_plus)
-            cols = slice(start + sub, start + sub + len(a_t))
+            cols = slice(chunk.start + sub, chunk.start + sub + len(a_t))
             cls[:, cols] = ((np.abs(w_plus) ** 2 + np.abs(w_minus) ** 2) / (2.0 * L)).T
             qc[:, cols] = (-np.real(w_plus * np.conj(w_minus)) / L).T
     return cls, qc

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from revival.billiards import (
     square_spectrum,
     triangle_fold_spectrum,
 )
-from revival import billiards, specfun
+from revival import billiards, dynamics, specfun
 from revival.errors import DomainError, OrbitUnsupportedError, RootError
 from revival.packets import (
     CoefficientSet2D,
@@ -519,13 +520,9 @@ class TestMergedAutocorrelation:
 
     @staticmethod
     def _per_label(c, s, t):
-        from revival.dynamics import _CHUNK, _phase_block
-
+        # one phase row per label, unmerged, through the same kernel
         omegas = np.array([s.energy(lab[0], lab[1]) for lab in c.labels]) / s.units.hbar
-        w = c.weights()
-        return np.concatenate(
-            [w @ _phase_block(t[i : i + _CHUNK], omegas) for i in range(0, len(t), _CHUNK)]
-        )
+        return dynamics._phase_sum(c.weights(), omegas, t)
 
     def _check(self, c, s, distinct_below):
         got = autocorrelation_2d(c, s, self.T).values
@@ -538,20 +535,33 @@ class TestMergedAutocorrelation:
         c = circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2), 1.0, 16, 30)
         self._check(c, circular_spectrum(1.0, 16, 30), 0.6)
 
+    def test_circle_peak_memory_is_bounded(self):
+        # 437 phase rows x 4001 times: a whole-grid block and its float
+        # temporaries would take ~70 MB; element-bounded chunks stay small
+        c = circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2), 1.0, 16, 30)
+        s = circular_spectrum(1.0, 16, 30)
+        tracemalloc.start()
+        try:
+            autocorrelation_2d(c, s, self.T)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
     def test_one_phase_row_per_distinct_energy(self, monkeypatch):
         rows = []
-        real = billiards._phase_block
+        real = dynamics._phase_block
 
         def recording(ts, omegas, *rest):
             rows.append(len(omegas))
             return real(ts, omegas, *rest)
 
-        monkeypatch.setattr(billiards, "_phase_block", recording)
+        monkeypatch.setattr(dynamics, "_phase_block", recording)
         c = _square_set(1.0, 16)
         s = square_spectrum(1.0, n_cap=16)
         autocorrelation_2d(c, s, self.T)
         distinct = len({s.energy(lab[0], lab[1]) for lab in c.labels})
-        assert rows == [distinct] * len(rows) and distinct < len(c.labels)
+        assert rows and rows == [distinct] * len(rows) and distinct < len(c.labels)
 
     def test_triangle(self):
         c = triangle_coefficients(0.0, 0.55, 20.0, 10.0, 0.05 * math.sqrt(2), 1.0, 16)

@@ -141,6 +141,28 @@ class TestRun:
             outs.append([(tmp_path / sub / name).read_bytes() for name in names])
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1600",
+           "--steps", "2000"], "autocorr.csv"),
+         (["billiard2d", "--geometry", "circle", "--x0", "0.3", "--p0y", "20", "--m_cap", "4",
+           "--nr_cap", "6", "--tmax", "1", "--steps", "200"], "autocorr2d.csv")],
+        ids=["autocorr_caseA", "billiard2d_circle"],
+    )
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, argv, name):
+        # OpenBLAS fixes its thread count at import, so each count runs in
+        # its own process; never more than 2 threads
+        src = os.path.dirname(os.path.dirname(revival.__file__))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            out = tmp_path / threads
+            proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(out)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outs.append((out / name).read_bytes())
+        assert outs[0] == outs[1]
+
     def test_bec_grid(self, tmp_path):
         sc = build_scenario(
             "bec",
@@ -429,7 +451,21 @@ class TestSchemaBounds:
          (["carpet"], "n0", "-5"),
          (["carpet"], "n0", "0"),
          (["spectrum", "--model", "caseA", "--n0", "10"], "n_max", "-3"),
-         (["spectrum", "--model", "caseA", "--n0", "10"], "n_min", "-1")],
+         (["spectrum", "--model", "caseA", "--n0", "10"], "n_min", "-1"),
+         (["jc", "--nbar", "5"], "coupling", "0"),
+         (["jc", "--coupling", "1"], "nbar", "-1"),
+         (["fractional", "--p", "1"], "q", "0"),
+         (["fractional", "--q", "3"], "p", "0"),
+         (["bec", "--alpha_re", "4", "--u0", "1"], "grid_count", "1"),
+         (["autocorr", "--model", "caseA", "--n0", "400", "--tmax", "1", "--steps", "10"], "dn", "0"),
+         (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1",
+           "--steps", "10"], "cutoff", "2"),
+         (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1",
+           "--steps", "10"], "cutoff", "0"),
+         (["carpet"], "L", "0"),
+         (["carpet"], "dx0", "0"),
+         (["carpet"], "x_count", "10"),
+         (["carpet"], "t_count", "63")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2

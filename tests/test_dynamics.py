@@ -484,3 +484,69 @@ class TestReducedPhase:
             want = [float((Fraction(h) + Fraction(l)) % dynamics._FRACTION_TWO_PI)
                     for h, l in zip(hi, lo)]
             assert np.array_equal(dynamics._reduce_exact(hi, lo), want)
+
+
+class TestPhaseChunks:
+    """Every phase sum and evolution gives the same bits whatever the
+    element budget of a phase block: one time per chunk, ragged chunks,
+    or the whole grid in one block."""
+
+    BUDGETS = (1, 12345)
+
+    @staticmethod
+    def _under(monkeypatch, budget, compute):
+        monkeypatch.setattr(dynamics, "_PHASE_ELEMENTS", budget)
+        return compute()
+
+    def _check(self, monkeypatch, compute):
+        whole = self._under(monkeypatch, 1 << 62, compute)
+        for budget in self.BUDGETS:
+            got = self._under(monkeypatch, budget, compute)
+            assert all(np.array_equal(g, w) for g, w in zip(got, whole)), budget
+
+    def test_chunks_cover_the_grid(self):
+        for times, rows, align in ((1, 5, 1), (1000, 7, 1), (1000, 1 << 20, 1), (1000, 300, 32)):
+            chunks = list(dynamics._phase_chunks(times, rows, align))
+            assert np.array_equal(np.concatenate([np.arange(times)[c] for c in chunks]),
+                                  np.arange(times))
+            assert all((c.stop - c.start) % align == 0 for c in chunks)
+            assert all((c.stop - c.start) * rows <= max(dynamics._PHASE_ELEMENTS, rows * align)
+                       for c in chunks)
+
+    def test_autocorrelation_polynomial_path(self, monkeypatch):
+        grid = np.linspace(0.0, 1600.0, 1001)
+        self._check(monkeypatch, lambda: [autocorrelation(MODEL_SET, CASE_A, grid).values])
+
+    def test_autocorrelation_exact_reduction_path(self, monkeypatch):
+        # |omega t| up to ~1e9: most products take _reduce_exact
+        s = Spectrum1D.bouncer_airy()
+        c = gaussian_model_coefficients(20, 2, 1e-8, 1)
+        grid = np.linspace(0.0, 1e8, 501)
+        self._check(monkeypatch, lambda: [autocorrelation(c, s, grid).values])
+
+    def test_autocorrelation_2d(self, monkeypatch):
+        from revival.billiards import autocorrelation_2d, circular_spectrum
+        from revival.packets import circular_coefficients
+
+        c = circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2), 1.0, 4, 6)
+        s = circular_spectrum(1.0, 4, 6)
+        grid = np.linspace(0.0, 1.0, 401)
+        self._check(monkeypatch, lambda: [autocorrelation_2d(c, s, grid).values])
+
+    def test_observables(self, monkeypatch):
+        from revival.wavefields import InfiniteWellBasis, observables
+
+        c = infinite_well_coefficients(WELL_PACKET, 1.0, 460)
+        grid = np.linspace(0.0, 0.01, 301)
+
+        def compute():
+            obs = observables(c, InfiniteWellBasis(1.0), grid)
+            return [obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p]
+
+        self._check(monkeypatch, compute)
+
+    def test_carpet(self, monkeypatch):
+        from revival.wavefields import carpet
+
+        c = infinite_well_coefficients(WELL_PACKET, 1.0, 460)
+        self._check(monkeypatch, lambda: [g.values for g in carpet(c, 1.0, 64, 200, 0.01)])
