@@ -92,21 +92,22 @@ def jc_gaussian_envelope(p: JCParams, t) -> np.ndarray:
 # Coherent matter-field revivals
 # ----------------------------------------------------------------------
 
+def _bec_log_coefficients(cs: CoherentState, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log|c_n(t)|, c_n(t)/|c_n(t)|) for n = 0..n_cap. The phase is reduced
+    with the evenness of n(n-1) so that whole revival periods cancel
+    exactly in floating point."""
+    n = np.arange(cs.n_cap + 1)
+    k = (n * (n - 1)).astype(float)  # always even
+    phase_cycles = np.mod(k * np.mod(t / cs.t_revival, 1.0), 2.0)
+    phase = np.exp(1j * n * np.angle(cs.alpha)) * np.exp(-1j * math.pi * phase_cycles)
+    return 0.5 * cs.log_poisson(), phase
+
+
 def bec_state_coefficients(cs: CoherentState, t: float) -> np.ndarray:
     """Number-ladder coefficients of the evolving coherent state,
-    c_n(t) = e^{-|a|^2/2} a^n / sqrt(n!) * e^{-i phi n(n-1)/2}.
-
-    The phase is reduced with the evenness of n(n-1) so that whole
-    revival periods cancel exactly in floating point.
-    """
-    n = np.arange(cs.n_cap + 1)
-    amp = np.exp(0.5 * cs.log_poisson()).astype(complex)
-    if cs.alpha != 0:
-        amp = amp * np.exp(1j * n * np.angle(cs.alpha))
-    cycles = t / cs.t_revival
-    k = (n * (n - 1)).astype(float)  # always even
-    phase_cycles = np.mod(k * np.mod(cycles, 1.0), 2.0)
-    return amp * np.exp(-1j * math.pi * phase_cycles)
+    c_n(t) = e^{-|a|^2/2} a^n / sqrt(n!) * e^{-i phi n(n-1)/2}."""
+    log_amp, phase = _bec_log_coefficients(cs, t)
+    return np.exp(log_amp) * phase
 
 
 def bec_field(cs: CoherentState, t: float) -> complex:
@@ -116,39 +117,57 @@ def bec_field(cs: CoherentState, t: float) -> complex:
     return cs.alpha * np.exp(-a2 * ((1.0 - math.cos(theta)) + 1j * math.sin(theta)))
 
 
+def _bec_overlap(cs: CoherentState, t: float, beta: np.ndarray) -> np.ndarray:
+    """P(beta; t) = e^{-|beta|^2} |sum_n c_n (beta*)^n / sqrt(n!)|^2 at every
+    point of the array beta, by one Horner recurrence over the whole array.
+
+    The recurrence runs in w = beta*/R, R = max(1, |alpha|), on the
+    coefficients c_n R^n / sqrt(n!), formed in log space under a common
+    shift so that none underflows. Every `every` steps, each point whose
+    |acc| has passed 2^64 is divided by a power of two (exactly) and the
+    exponent is carried as its log-scale; |acc| grows by at most a
+    factor 2 + |w| per step, so no point passes 2^500 in between, and
+    large |alpha| neither overflows nor underflows. The result is
+    exp(2 log-scale - |beta|^2 + log|acc|^2), 0 where acc is 0.
+    """
+    log_amp, phase = _bec_log_coefficients(cs, t)
+    n = np.arange(cs.n_cap + 1, dtype=float)
+    radius = max(1.0, abs(cs.alpha))
+    log_d = log_amp + n * math.log(radius) - 0.5 * log_factorial(n)
+    shift = float(np.max(log_d))
+    d = np.exp(log_d - shift) * phase  # |d| <= 1
+    w = np.conj(beta) / radius
+    every = max(1, int(436.0 / math.log2(2.0 + float(np.max(np.abs(w))))))
+    acc = np.full(w.shape, d[-1])
+    scale = 1.0  # 2^-exponent; an array once some point has been rescaled
+    exponent = np.zeros(w.shape)
+    for k in range(cs.n_cap - 1, -1, -1):
+        acc *= w
+        acc += d[k] * scale
+        if k % every == 0:
+            e = np.frexp(np.abs(acc))[1]
+            e = np.where(e > 64, e, 0)
+            if e.any():
+                factor = np.ldexp(1.0, -e)
+                acc *= factor
+                scale = scale * factor
+                exponent += e
+    log_scale = shift + exponent * math.log(2.0)
+    with np.errstate(divide="ignore"):
+        log_acc2 = np.log(acc.real**2 + acc.imag**2)
+    return np.exp(2.0 * log_scale - (beta.real**2 + beta.imag**2) + log_acc2)
+
+
 def bec_overlap_grid(cs: CoherentState, t: float, re_axis: AxisSpec, im_axis: AxisSpec) -> FieldGrid:
     """P(beta; t) = |<beta | state(t)>|^2 on a rectangular grid of the
     coherent-plane coordinate beta."""
-    coeffs = bec_state_coefficients(cs, t)
-    n = np.arange(cs.n_cap + 1, dtype=float)
-    lgam = log_factorial(n)
-    re = re_axis.points()
-    im = im_axis.points()
-    values = np.empty((len(re), len(im)))
-    for i, x in enumerate(re):
-        beta = x + 1j * im
-        b = np.abs(beta)
-        safe = np.where(b > 0, b, 1.0)
-        amp = np.exp(-0.5 * (b * b)[:, None] + np.outer(np.log(safe), n) - 0.5 * lgam[None, :])
-        if np.any(b == 0):
-            amp[b == 0] = np.where(n == 0, 1.0, 0.0)[None, :]
-        phases = np.exp(-1j * np.outer(np.angle(beta), n))
-        values[i] = np.abs((amp * phases) @ coeffs) ** 2
-    return FieldGrid(re_axis, im_axis, values)
+    beta = re_axis.points()[:, None] + 1j * im_axis.points()[None, :]
+    return FieldGrid(re_axis, im_axis, _bec_overlap(cs, t, beta))
 
 
 def bec_overlap_point(cs: CoherentState, beta: complex, t: float) -> float:
     """P(beta; t) at a single point."""
-    coeffs = bec_state_coefficients(cs, t)
-    n = np.arange(cs.n_cap + 1, dtype=float)
-    b = abs(beta)
-    if b == 0:
-        amp = np.zeros(cs.n_cap + 1)
-        amp[0] = 1.0
-    else:
-        amp = np.exp(-0.5 * b * b + n * math.log(b) - 0.5 * log_factorial(n))
-    bra = amp * np.exp(-1j * n * np.angle(beta) if b > 0 else np.zeros(cs.n_cap + 1))
-    return float(np.abs(np.sum(bra * coeffs)) ** 2)
+    return float(_bec_overlap(cs, t, np.array([complex(beta)]))[0])
 
 
 def bec_overlap_peaks(
@@ -181,7 +200,7 @@ def bec_overlap_peaks(
             offsets = np.linspace(-h, h, 21)
             for x in offsets:
                 row = best_c.real + x + 1j * (best_c.imag + offsets)
-                vals = [bec_overlap_point(cs, b, t) for b in row]
+                vals = _bec_overlap(cs, t, row)
                 k = int(np.argmax(vals))
                 if vals[k] > best_v:
                     best_v = vals[k]

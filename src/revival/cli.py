@@ -127,7 +127,7 @@ _SCHEMAS: dict[str, dict] = {
     },
     "autocorr": {
         **_MODEL_KEYS,
-        "n0": (_float_key, _REQUIRED),
+        "n0": (_POSITIVE, _REQUIRED),
         "dn": (_POSITIVE, _REQUIRED),
         "cutoff": (_bounded(_float_key, 0.0, strict=True, below=1.0), 1e-8),
         "tmax": (_POSITIVE, _REQUIRED),
@@ -145,8 +145,8 @@ _SCHEMAS: dict[str, dict] = {
         "dx0": (_POSITIVE, 0.05),
         "x_count": (_bounded(_int_key, 64), 256),
         "t_count": (_bounded(_int_key, 64), 256),
-        "t_hi": (_float_key, 0.0),  # 0 -> half the revival time
-        "n_max": (_int_key, 0),     # 0 -> auto
+        "t_hi": (_bounded(_float_key, 0.0), 0.0),  # 0 -> half the revival time
+        "n_max": (_bounded(_int_key, 0), 0),       # 0 -> auto
     },
     "wigner": {
         "L": (_POSITIVE, 1.0),
@@ -193,9 +193,9 @@ _SCHEMAS: dict[str, dict] = {
         "alpha_im": (_float_key, 0.0),
         "u0": (_nonzero, _REQUIRED),
         "t_over_trev": (_float_key, 0.5),
-        "half_span": (_float_key, 0.0),  # 0 -> |alpha| + 3
+        "half_span": (_bounded(_float_key, 0.0), 0.0),  # 0 -> |alpha| + 3
         "grid_count": (_bounded(_int_key, 2), 201),
-        "n_cap": (_int_key, 0),          # 0 -> auto
+        "n_cap": (_bounded(_int_key, 0), 0),            # 0 -> auto
     },
 }
 

@@ -288,7 +288,10 @@ WIGNER_MAX_BYTES = 1 << 30
 def _wigner_work_bytes(x_count: int, p_count: int, mode_count: int) -> int:
     """Upper estimate of wigner_infinite_well's working arrays: eight
     complex x-by-p planes, eight complex x-by-shift tables and three
-    complex shift-by-p tables."""
+    complex shift-by-p tables, with shifts counted before merging. The
+    kernel holds less: the merged D_j table with its cosines, sines and
+    four stacked float planes, three float shift-by-p tables, and the
+    four float x-by-p contraction outputs with their complex sum."""
     shifts = 4 * (2 * mode_count - 1)
     return 16 * (8 * x_count * p_count + 8 * x_count * shifts + 3 * shifts * p_count)
 
@@ -319,9 +322,13 @@ def wigner_infinite_well(
     mode axis per piece gives, at each x, the coefficient D_j(x) of
     S(b + j pi). Writing sin((b + j pi) xt/L) = sin B cos(j phi) +
     cos B sin(j phi), with B = b xt/L and phi = pi xt/L, turns the sum
-    over j into two matrix products against K[j, p] = 1/(b_p + j pi), so
-    N modes on an X-by-P grid cost O(N X P), not O(N^2 X P). Cells with
-    |b_p + j pi| < 1e-3, where the split cancels, take the direct sinc.
+    over j into one contraction of the real and imaginary planes of
+    D_j cos(j phi) and D_j sin(j phi) against K[j, p] = 1/(b_p + j pi),
+    so N modes on an X-by-P grid cost O(N X P), not O(N^2 X P). Pieces
+    with equal shifts share one column, and the contraction runs in
+    einsum's fixed order without BLAS, so the result does not depend on
+    the BLAS thread count. Cells with |b_p + j pi| < 1e-3, where the split
+    cancels, take the direct sinc on the merged columns.
     """
     x = np.asarray(x_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
@@ -341,25 +348,30 @@ def wigner_infinite_well(
     v_plus, v_minus = a_t * e, a_t * np.conj(e)
     sums = 2 * int(n[0]) + np.arange(2 * len(n) - 1)  # m + n
     diffs = np.arange(2 * len(n) - 1) - (len(n) - 1)  # m - n
-    shift = np.concatenate([sums, -sums, diffs, -diffs]).astype(float)
-    rows = np.concatenate(
-        [
-            _index_convolution(u_plus, v_minus),
-            _index_convolution(u_minus, v_plus),
-            -_index_convolution(u_plus, v_plus[:, ::-1]),
-            -_index_convolution(u_minus, v_minus[:, ::-1]),
-        ],
-        axis=1,
-    )  # D_j(x), (X, J)
+    # pieces that share a shift value (diffs and -diffs always do) add into one column
+    shift, where = np.unique(np.concatenate([sums, -sums, diffs, -diffs]), return_inverse=True)
+    cols = np.split(where, 4)
+    rows = np.zeros((len(x), len(shift)), dtype=complex)  # D_j(x)
+    rows[:, cols[0]] += _index_convolution(u_plus, v_minus)
+    rows[:, cols[1]] += _index_convolution(u_minus, v_plus)
+    rows[:, cols[2]] -= _index_convolution(u_plus, v_plus[:, ::-1])
+    rows[:, cols[3]] -= _index_convolution(u_minus, v_minus[:, ::-1])
+    shift = shift.astype(float)
     xt = np.minimum(x, L - x)  # mirrored coordinate
     base = 2.0 * p * L / units.hbar
     d = base[None, :] + shift[:, None] * math.pi  # (J, P)
     near = np.abs(d) < 1e-3
     kern = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
     jphi = np.outer(xt / L, shift) * math.pi
+    cos_j, sin_j = np.cos(jphi), np.sin(jphi)
+    planes = np.concatenate([rows.real * cos_j, rows.imag * cos_j, rows.real * sin_j, rows.imag * sin_j])
+    # einsum without `optimize` sums over j in a fixed order and calls no BLAS
+    c_re, c_im, s_re, s_im = np.einsum("xj,jp->xp", planes, kern).reshape(4, len(x), len(p))
     b_arg = np.outer(xt / L, base)  # B
-    total = np.sin(b_arg) * ((rows * np.cos(jphi)) @ kern)
-    total += np.cos(b_arg) * ((rows * np.sin(jphi)) @ kern)
+    sin_b, cos_b = np.sin(b_arg), np.cos(b_arg)
+    total = np.empty((len(x), len(p)), dtype=complex)
+    total.real = sin_b * c_re + cos_b * s_re
+    total.imag = sin_b * c_im + cos_b * s_im
     for k in np.flatnonzero(near.any(axis=0)):
         js = np.flatnonzero(near[:, k])
         dk = d[js, k]

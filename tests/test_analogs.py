@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +20,7 @@ from revival.analogs import (
     jc_inversion,
     jc_revival_time,
 )
+from revival.cli import main
 from revival.errors import DomainError
 from revival.wavefields import AxisSpec
 
@@ -163,6 +165,63 @@ class TestOverlapStructure:
         assert grid.values.shape == (41, 41)
         i = np.unravel_index(np.argmax(grid.values), grid.values.shape)
         assert ax.points()[i[0]] == pytest.approx(3.0, abs=0.25)
+
+
+def overlap_oracle(cs, t, beta, dps=40):
+    """e^{-|a|^2 - |b|^2} |sum_n (a b*)^n / n! e^{-i pi k_n}|^2 in mpmath, with
+    the kernel's reduced phase cycles k_n (exact in binary)."""
+    with mpmath.workdps(dps):
+        n = np.arange(cs.n_cap + 1)
+        cycles = np.mod((n * (n - 1)).astype(float) * np.mod(t / cs.t_revival, 1.0), 2.0)
+        a = mpmath.mpc(cs.alpha.real, cs.alpha.imag)
+        b = mpmath.mpc(beta.real, -beta.imag)
+        term, total = mpmath.mpc(1), mpmath.mpc(0)
+        for k in range(cs.n_cap + 1):
+            total += term * mpmath.expjpi(-mpmath.mpf(cycles[k]))
+            term *= a * b / (k + 1)
+        return float(mpmath.exp(-abs(a) ** 2 - abs(b) ** 2) * abs(total) ** 2)
+
+
+class TestOverlapOracle:
+    # The result is exp of a sum of terms as large as |beta|^2, whose
+    # rounding sets the error: ~20 at |alpha| = 4, ~900 at |alpha| = 30,
+    # where it moves a 0.457 peak by ~2e-13. There the coefficients
+    # c_n R^n / sqrt(n!) reach e^445, so a plain Horner sum overflows; at
+    # |alpha| = 40 they would pass the double range without the shift
+    @pytest.mark.parametrize(
+        "alpha, frac, tol",
+        [(4.0, 0.5, 3e-15), (4.0, 1.0 / 3.0, 3e-15), (2.0 * np.exp(0.7j), 0.25, 3e-15),
+         (30.0, 0.5, 5e-13), (40.0, 0.0, 1e-12)],
+        ids=["alpha4_half", "alpha4_third", "complex_alpha", "alpha30_half", "alpha40_start"],
+    )
+    def test_grid_matches_mpmath_and_point(self, alpha, frac, tol):
+        a = abs(alpha)
+        cs = CoherentState(alpha=alpha, u0_over_hbar=1.0, n_cap=int(a * a + 10 * a) + 20)
+        t = frac * cs.t_revival
+        axis = AxisSpec("re", -a - 3.0, a + 3.0, 21)
+        pts = axis.points()
+        assert pts[10] == 0.0
+        grid = bec_overlap_grid(cs, t, axis, AxisSpec("im", -a - 3.0, a + 3.0, 21)).values
+        assert np.all(np.isfinite(grid))
+        peak = np.unravel_index(np.argmax(grid), grid.shape)
+        rng = np.random.default_rng(7)
+        cells = [(10, 10), peak] + [tuple(rng.integers(0, 21, 2)) for _ in range(6)]
+        for i, j in cells:
+            beta = complex(pts[i], pts[j])
+            assert grid[i, j] == pytest.approx(overlap_oracle(cs, t, beta), abs=tol)
+            assert grid[i, j] == pytest.approx(bec_overlap_point(cs, beta, t), abs=tol)
+        assert grid[10, 10] == pytest.approx(math.exp(-a * a), rel=1e-13)
+        assert grid.max() > 0.1
+
+    def test_cli_large_alpha_is_finite(self, tmp_path):
+        assert main(["bec", "--alpha_re", "30", "--u0", "1", "--grid_count", "21",
+                     "--out", str(tmp_path)]) == 0
+        rows = np.loadtxt(tmp_path / "bec.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(rows)) and len(rows) == 21 * 21
+        cs = CoherentState(alpha=30.0, u0_over_hbar=1.0, n_cap=1220)
+        for r in rows[np.argsort(-rows[:, 2])[:3]]:
+            beta = complex(r[0], r[1])
+            assert r[2] == pytest.approx(overlap_oracle(cs, 0.5 * cs.t_revival, beta), abs=5e-13)
 
 
 class TestCatFidelity:

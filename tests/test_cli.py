@@ -146,8 +146,10 @@ class TestRun:
         [(["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1600",
            "--steps", "2000"], "autocorr.csv"),
          (["billiard2d", "--geometry", "circle", "--x0", "0.3", "--p0y", "20", "--m_cap", "4",
-           "--nr_cap", "6", "--tmax", "1", "--steps", "200"], "autocorr2d.csv")],
-        ids=["autocorr_caseA", "billiard2d_circle"],
+           "--nr_cap", "6", "--tmax", "1", "--steps", "200"], "autocorr2d.csv"),
+         (["wigner", "--x_count", "64", "--p_count", "64"], "wigner.csv"),
+         (["bec", "--alpha_re", "4", "--u0", "1", "--grid_count", "31"], "bec.csv")],
+        ids=["autocorr_caseA", "billiard2d_circle", "wigner", "bec"],
     )
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, argv, name):
         # OpenBLAS fixes its thread count at import, so each count runs in
@@ -465,7 +467,14 @@ class TestSchemaBounds:
          (["carpet"], "L", "0"),
          (["carpet"], "dx0", "0"),
          (["carpet"], "x_count", "10"),
-         (["carpet"], "t_count", "63")],
+         (["carpet"], "t_count", "63"),
+         # 0 means auto for these four; a negative value is a mistake
+         (["bec", "--alpha_re", "4", "--u0", "1"], "n_cap", "-3"),
+         (["bec", "--alpha_re", "4", "--u0", "1"], "half_span", "-1"),
+         (["carpet"], "n_max", "-4"),
+         (["carpet"], "t_hi", "-1"),
+         (["autocorr", "--model", "caseA", "--dn", "6", "--tmax", "1", "--steps", "10"], "n0", "0"),
+         (["autocorr", "--model", "caseA", "--dn", "6", "--tmax", "1", "--steps", "10"], "n0", "-5")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2

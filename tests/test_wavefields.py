@@ -1,6 +1,7 @@
 """Position-space synthesis, observables, phase-space grids, rasters."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from revival.packets import (
     PacketParams1D,
     _simpson_weights,
     bouncer_coefficients,
+    delta_n_estimate,
     infinite_well_coefficients,
 )
 from revival.spectra import Spectrum1D, eval_energy, time_scales
@@ -277,6 +279,21 @@ class TestWignerFastPath:
         x = np.linspace(0.01, 0.99, 2760)
         with pytest.raises(TruncationError, match="GiB"):
             wigner_infinite_well(c, L, x, np.linspace(-50.0, 50.0, 2760), 0.0)
+
+    def test_default_grid_peak_within_estimate(self):
+        # the CLI default: n0 40 packet, 256 x 256 grid
+        pk = PacketParams1D(x0=0.5, p0=40 * math.pi, width_b=0.05 * math.sqrt(2.0))
+        c = infinite_well_coefficients(pk, L, int(40 + 12 * delta_n_estimate(pk, L)) + 8)
+        span = default_momentum_span(pk.p0, pk.dp0)
+        x = np.linspace(L / 257, L * (1 - 1 / 257), 256)
+        pg = np.linspace(-span, span, 256)
+        tracemalloc.start()
+        try:
+            wigner_infinite_well(c, L, x, pg, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < _wigner_work_bytes(256, 256, len(c.indices))
 
 
 class TestCarpet:
