@@ -193,7 +193,8 @@ _SCHEMAS: dict[str, dict] = {
         "alpha_im": (_float_key, 0.0),
         "u0": (_nonzero, _REQUIRED),
         "t_over_trev": (_float_key, 0.5),
-        "half_span": (_bounded(_float_key, 0.0), 0.0),  # 0 -> |alpha| + 3
+        # 0 -> |alpha| + 3; the upper bound keeps |beta|^2 (inf past 1e154) finite
+        "half_span": (_bounded(_float_key, 0.0, below=1e100), 0.0),
         "grid_count": (_bounded(_int_key, 2), 201),
         "n_cap": (_bounded(_int_key, 0), 0),            # 0 -> auto
     },
@@ -288,16 +289,19 @@ def run(scenario: Scenario) -> list[str]:
     if scenario.command == "spectrum":
         s = _SPECTRA[p["model"]](p)
         ns = np.arange(max(p["n_min"], int(s.ground_index)), p["n_max"] + 1)
-        energies = spectra.eval_energy(s, ns.astype(float))  # raises before the file opens
+        # both raise before the file opens
+        energies = spectra.eval_energy(s, ns.astype(float))
+        extras = _time_scale_extras(s, p["n0"])
         path = out("spectrum.csv")
         write_csv(path, "n,energy\n", "%d,%.17g\n", (ns, energies))
         written.append(path)
-        written.append(_write_sidecar(scenario, _time_scale_extras(s, p["n0"])))
+        written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "autocorr":
         s = _SPECTRA[p["model"]](p)
         index_min = int(s.ground_index)
         c = packets.gaussian_model_coefficients(p["n0"], p["dn"], p["cutoff"], index_min)
+        extras = _time_scale_extras(s, p["n0"])
         grid = np.linspace(0.0, p["tmax"], p["steps"] + 1)
         if p["anti"]:
             series = dynamics.anticorrelation_infinite_well(c, s, grid)
@@ -306,7 +310,7 @@ def run(scenario: Scenario) -> list[str]:
         path = out("autocorr.csv")
         series.to_csv(path)
         written.append(path)
-        written.append(_write_sidecar(scenario, _time_scale_extras(s, p["n0"])))
+        written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "fractional":
         table = fractional.gauss_coefficients(p["p"], p["q"])
@@ -356,6 +360,7 @@ def run(scenario: Scenario) -> list[str]:
         pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
         n_max = int(p["n0"] + 12 * packets.delta_n_estimate(pk, L)) + 8
         c = packets.infinite_well_coefficients(pk, L, n_max)
+        extras = _time_scale_extras(spectra.Spectrum1D.infinite_well(L), p["n0"])
         basis = wavefields.InfiniteWellBasis(L)
         grid = np.linspace(0.0, p["tmax"], p["steps"] + 1)
         obs = wavefields.observables(c, basis, grid)
@@ -363,8 +368,7 @@ def run(scenario: Scenario) -> list[str]:
         write_csv(path, "t,mean_x,sd_x,mean_p,sd_p\n", ",".join(["%.17g"] * 5) + "\n",
                   (obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p))
         written.append(path)
-        s = spectra.Spectrum1D.infinite_well(L)
-        written.append(_write_sidecar(scenario, _time_scale_extras(s, p["n0"])))
+        written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "billiard2d":
         written.extend(_run_billiard(scenario, out))

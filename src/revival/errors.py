@@ -17,10 +17,6 @@ class RootError(RevivalError):
     """A root could not be located or refined to tolerance."""
 
 
-class QuadratureError(RevivalError):
-    """Adaptive integration failed to converge at the depth cap."""
-
-
 class ContainmentError(RevivalError):
     """Wave packet is too close to a hard wall for the closed forms."""
 

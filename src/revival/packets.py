@@ -1,7 +1,9 @@
 """Expansion-coefficient builders for localized Gaussian packets: the
-model Gaussian ladder, the closed-form box coefficients, overlap
-integrals for the bouncer, and 2D overlaps for the triangular and
-circular billiards."""
+model Gaussian ladder and closed-form projections onto the box, the
+bouncer, and the square, triangular and circular billiards. No builder
+uses quadrature: each overlap is a Gaussian integral over the whole line
+or plane, and the containment check keeps the packet's tail beyond the
+walls small."""
 
 from __future__ import annotations
 
@@ -233,27 +235,32 @@ def bouncer_coefficients(
     F: float = 1.0,
     units: UnitSystem = DEFAULT_UNITS,
     n_max: int = 120,
-    p0: float = 0.0,
 ) -> CoefficientSet:
-    """Overlap coefficients of a Gaussian packet released at height z0
-    against the linear-potential-plus-wall eigenstates N_n Ai(z/rho - y_n),
-    by Simpson quadrature over z0 +- 9 position spreads, one level at a
-    time; no identity gives this projection in closed form."""
-    dx0 = width_b / math.sqrt(2.0)
-    _check_contained((z0,), dx0)
+    """Overlap coefficients of a Gaussian packet at rest at height z0
+    against the linear-potential-plus-wall eigenstates N_n Ai(z/rho - y_n).
+
+    The Airy heat-kernel identity (Vallee & Soares, Airy Functions and
+    Applications to Physics, 2004)
+        (4 pi tau)^(-1/2) int Ai(x) e^{-(x - a)^2 / 4 tau} dx = e^{tau a + 2 tau^3/3} Ai(a + tau^2)
+    gives the projection in closed form: with tau = b^2 / (2 rho^2) and
+    a = z0/rho - y_n,
+        a_n = N_n (b sqrt(pi))^(-1/2) rho sqrt(4 pi tau) e^{tau a + 2 tau^3/3} Ai(a + tau^2),
+    and rho sqrt(4 pi tau) = b sqrt(2 pi). The integral runs over the
+    whole line, so the Gaussian's tail below the floor counts too, as in
+    the box builder; the containment check keeps it small. Where
+    a + tau^2 > 0 the exponent is summed against the scaled Ai, so e^{tau a}
+    cannot overflow: the summed exponent is never positive."""
+    _check_contained((z0,), width_b / math.sqrt(2.0))
     rho = (units.hbar**2 / (2.0 * units.mass * F)) ** (1.0 / 3.0)
-    z = np.linspace(max(0.0, z0 - 9.0 * dx0), z0 + 9.0 * dx0, 8193)
-    w = _simpson_weights(z)
-    psi = (
-        (width_b * math.sqrt(math.pi)) ** -0.5
-        * np.exp(-((z - z0) ** 2) / (2 * width_b**2))
-        * np.exp(1j * p0 * (z - z0) / units.hbar)
-    )
+    tau = width_b**2 / (2.0 * rho**2)
     levels = np.arange(n_max + 1)
-    y, norms = _airy_levels(levels), bouncer_norm(levels, rho)
-    vals = np.array([np.sum(w * (norms[n] * specfun.airy_ai(z / rho - y[n])) * psi) for n in levels])
-    lo, a = _trim(0, vals, RELATIVE_FLOOR)
-    return _finish_1d(lo, a, 1e-4)
+    a = z0 / rho - _airy_levels(levels)
+    x = a + tau**2
+    exponent = tau * a + 2.0 * tau**3 / 3.0 - (2.0 / 3.0) * np.maximum(x, 0.0) ** 1.5
+    pref = (width_b * math.sqrt(math.pi)) ** -0.5 * width_b * math.sqrt(2.0 * math.pi)
+    vals = pref * bouncer_norm(levels, rho) * np.exp(exponent) * specfun.airy_ai_scaled(x)
+    lo, vals = _trim(0, vals, RELATIVE_FLOOR)
+    return _finish_1d(lo, vals, 1e-4)
 
 
 def _airy_levels(n) -> np.ndarray:
@@ -272,35 +279,16 @@ def bouncer_norm(n, rho: float):
     return 1.0 / (math.sqrt(rho) * np.abs(specfun.airy_ai_prime(-y)))
 
 
-def _simpson_weights(x: np.ndarray) -> np.ndarray:
-    # Composite Simpson weights for an odd-length uniform grid.
-    if len(x) % 2 == 0:
-        raise DomainError("Simpson grid needs an odd number of nodes")
-    h = x[1] - x[0]
-    w = np.ones_like(x)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
-
-
 # ----------------------------------------------------------------------
 # Equilateral triangle billiard overlaps (closed-form Gaussian integrals)
 # ----------------------------------------------------------------------
 
-def _gauss_cos_integral(C, x0, p0_over_hbar, b):
-    """integral e^{i p0 (x-x0)/hbar} e^{-(x-x0)^2/2b^2} cos(C x) dx."""
-    C = np.asarray(C, dtype=float)
-    g_plus = np.exp(-(b**2) * (p0_over_hbar + C) ** 2 / 2.0)
-    g_minus = np.exp(-(b**2) * (p0_over_hbar - C) ** 2 / 2.0)
-    return b * math.sqrt(2 * math.pi) / 2.0 * (np.exp(1j * C * x0) * g_plus + np.exp(-1j * C * x0) * g_minus)
-
-
-def _gauss_sin_integral(C, x0, p0_over_hbar, b):
-    """integral e^{i p0 (x-x0)/hbar} e^{-(x-x0)^2/2b^2} sin(C x) dx."""
-    C = np.asarray(C, dtype=float)
-    g_plus = np.exp(-(b**2) * (p0_over_hbar + C) ** 2 / 2.0)
-    g_minus = np.exp(-(b**2) * (p0_over_hbar - C) ** 2 / 2.0)
-    return b * math.sqrt(2 * math.pi) / 2j * (np.exp(1j * C * x0) * g_plus - np.exp(-1j * C * x0) * g_minus)
+def gaussian_transform(q, x0: float, k: float, b: float):
+    """G(q; x0, k, b) = e^{i q x0} e^{-b^2 (k + q)^2 / 2}: the integral over
+    the line of e^{i q x} e^{i k (x - x0)} e^{-(x - x0)^2 / 2b^2}, divided
+    by b sqrt(2 pi). The 1D factor of every 2D Gaussian-packet overlap."""
+    q = np.asarray(q, dtype=float)
+    return np.exp(1j * q * x0) * np.exp(-(b**2) * (k + q) ** 2 / 2.0)
 
 
 def triangle_state_labels(basis_cap: int) -> list[tuple[int, int, str]]:
@@ -378,9 +366,11 @@ def triangle_coefficients(
 
     labels = triangle_state_labels(basis_cap)
     vals = np.empty(len(labels), dtype=complex)
-    ix_sin = lambda C: _gauss_sin_integral(C, x0, kx, b)
-    ix_cos = lambda C: _gauss_cos_integral(C, x0, kx, b)
-    iy_sin = lambda C: _gauss_sin_integral(C, y0, ky, b)
+    # the packet's 1D factors integrated against cos(C x), sin(C x), sin(C y)
+    line = b * math.sqrt(2 * math.pi)
+    ix_cos = lambda C: line / 2.0 * (gaussian_transform(C, x0, kx, b) + gaussian_transform(-C, x0, kx, b))
+    ix_sin = lambda C: line / 2j * (gaussian_transform(C, x0, kx, b) - gaussian_transform(-C, x0, kx, b))
+    iy_sin = lambda C: line / 2j * (gaussian_transform(C, y0, ky, b) - gaussian_transform(-C, y0, ky, b))
     for i, (m, n, sym) in enumerate(labels):
         if sym == "-":
             val = (
@@ -404,18 +394,38 @@ def triangle_coefficients(
 
 
 # ----------------------------------------------------------------------
-# Circular billiard overlaps (tensor Gauss-Legendre quadrature)
+# Circular billiard overlaps (Jacobi-Anger rings of plane waves)
 # ----------------------------------------------------------------------
 
-_RADIAL_POINTS = 128
-_ANGULAR_POINTS = 256
+_ALIAS_EXPONENT = 40.0  # aliased ring terms below e^-40 (4e-18) of the transform's scale
+_ALIAS_ETA = np.geomspace(1e-3, 10.0, 200)  # contour shifts tried by the bound
 
 
-def circular_mode_norm(m: int, n_r: int, R: float) -> float:
-    """Radial normalization N with integral_0^R [N J_|m|(k r)]^2 r dr = 1."""
-    z = specfun.bessel_zero(abs(m), n_r).value
-    jn1 = specfun.bessel_j(abs(m) + 1, z)
-    return math.sqrt(2.0) / (R * abs(jn1))
+def _disk_modes(m_cap: int, nr_cap: int, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zeros z_{m,n} and radial norms N_mn = sqrt(2) / (R |J_{m+1}(z_{m,n})|)
+    (so that int_0^R [N J_m(z r/R)]^2 r dr = 1) for m <= m_cap, n <= nr_cap,
+    as (m_cap + 1, nr_cap + 1) tables."""
+    orders = np.arange(m_cap + 1)
+    zs = specfun.bessel_zeros_batch(orders, nr_cap + 1)
+    j_next = specfun._bessel_batch(np.repeat(orders + 1, nr_cap + 1), zs.ravel()).reshape(zs.shape)
+    return zs, math.sqrt(2.0) / (R * np.abs(j_next))
+
+
+def _ring_size(m_cap: int, k: np.ndarray, r0: float, b: float, p: float) -> int:
+    """FFT size M for the ring transforms of one order, from the order's
+    wavenumbers k and the packet's r0, b and |p0|/hbar.
+
+    On the ring |q| = k the transform is 2 sqrt(pi) b e^{-b^2 (p^2 + k^2)/2}
+    exp(b^2 k p.e(phi) - i k r0.e(phi)). Shifting the Fourier integral to
+    Im phi = +-eta bounds its n-th coefficient by 2 sqrt(pi) b e^{h - |n| eta},
+    h = -b^2 (p - k)^2 / 2 + b^2 k p (cosh eta - 1) + k r0 sinh eta,
+    and an M-point FFT aliases orders |n| >= M - m_cap onto the kept ones.
+    M is the smallest power of two that puts them below e^-40 for every k."""
+    k = np.asarray(k, dtype=float)[:, None]
+    h = -(b**2) * (p - k) ** 2 / 2.0 + b**2 * k * p * (np.cosh(_ALIAS_ETA) - 1.0) + k * r0 * np.sinh(_ALIAS_ETA)
+    n = np.max(np.min((h + _ALIAS_EXPONENT) / _ALIAS_ETA, axis=1))
+    need = m_cap + max(math.ceil(n), m_cap + 1)
+    return 1 << (need - 1).bit_length()
 
 
 def circular_coefficients(
@@ -430,45 +440,41 @@ def circular_coefficients(
     units: UnitSystem = DEFAULT_UNITS,
 ) -> CoefficientSet2D:
     """Overlap of a 2D Gaussian packet with the circular-billiard modes
-    J_|m|(k r) e^{i m theta}/sqrt(2 pi), by radial Gauss-Legendre x
-    angular trapezoid quadrature."""
+    N_mk J_|m|(k r) e^{i m theta}/sqrt(2 pi), k = z_{|m|,n}/R, labels (m, n)
+    m-major.
+
+    Jacobi-Anger makes each mode a ring of plane waves:
+    J_m(k r) e^{-i m theta} = i^m (1/2 pi) int dphi e^{-i m phi} e^{-i q.r},
+    q = k (cos phi, sin phi). So a_mk = N_mk/sqrt(2 pi) s_m i^m c_m(k), with
+    s_m = (-1)^m for m < 0 (J_{-m} = (-1)^m J_m) and c_m(k) the m-th Fourier
+    coefficient of the packet's transform on the ring |q| = k,
+    psi^(q) = 2 sqrt(pi) b G(-q_x; x0, p0x/hbar, b) G(-q_y; y0, p0y/hbar, b).
+    An M-point FFT per order gives c_m exactly up to aliasing, which
+    `_ring_size` bounds. The transform runs over the plane, not the disk;
+    the containment check keeps the difference small."""
     dx0 = width_b / math.sqrt(2.0)
     r0 = math.hypot(x0, y0)
     _check_contained((R - r0,), dx0)
     b = width_b
+    kx, ky = p0x / units.hbar, p0y / units.hbar
 
-    nodes, wts = np.polynomial.legendre.leggauss(_RADIAL_POINTS)
-    r = 0.5 * R * (nodes + 1.0)
-    wr = 0.5 * R * wts
-    theta = 2.0 * math.pi * np.arange(_ANGULAR_POINTS) / _ANGULAR_POINTS
-    wt = 2.0 * math.pi / _ANGULAR_POINTS
+    zs, norms = _disk_modes(m_cap, nr_cap, R)
+    n_k = nr_cap + 1
 
-    x = r[:, None] * np.cos(theta)[None, :]
-    y = r[:, None] * np.sin(theta)[None, :]
-    psi = (
-        (1.0 / (b * math.sqrt(math.pi)))
-        * np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * b**2))
-        * np.exp(1j * (p0x * (x - x0) + p0y * (y - y0)) / units.hbar)
-    )
+    # a = N/sqrt(2 pi) * 2 sqrt(pi) b * i^|m| c_m: s_m i^m = i^|m| for both signs
+    vals = np.empty((2 * m_cap + 1, n_k), dtype=complex)
+    for m in range(m_cap + 1):
+        k = zs[m] / R
+        size = _ring_size(m_cap, k, r0, b, math.hypot(kx, ky))
+        phi = 2.0 * math.pi * np.arange(size) / size
+        ring = gaussian_transform(-np.outer(k, np.cos(phi)), x0, kx, b)
+        ring *= gaussian_transform(-np.outer(k, np.sin(phi)), y0, ky, b)
+        c = np.fft.fft(ring, axis=1)[:, [m, -m]] / size
+        scale = math.sqrt(2.0) * b * norms[m] * (1, 1j, -1, -1j)[m % 4]
+        vals[m_cap + m] = scale * c[:, 0]
+        vals[m_cap - m] = scale * c[:, 1]
 
-    ms = np.arange(-m_cap, m_cap + 1)
-    # angular transform: F[m, r_i] = sum_j w_t e^{-i m theta_j} psi(r_i, theta_j)
-    phases = np.exp(-1j * np.outer(ms, theta)) * wt
-    fm = phases @ psi.T  # (n_m, n_r)
-
-    # one radial table per |m|, shared by +-m: J_|m|(z_k r / R) for every
-    # order in one kernel call, and one more for the norms J_{|m|+1}(z_k)
-    orders = np.arange(m_cap + 1)
-    n_k, n_r = nr_cap + 1, len(r)
-    zs = specfun.bessel_zeros_batch(orders, n_k)  # (n_order, n_k)
-    args = zs[:, :, None] * r / R
-    radial = specfun._bessel_batch(np.repeat(orders, n_k * n_r), args.ravel())
-    radial = radial.reshape(m_cap + 1, n_k, n_r)
-    j_next = specfun._bessel_batch(np.repeat(orders + 1, n_k), zs.ravel()).reshape(zs.shape)
-    norms = math.sqrt(2.0) / (R * np.abs(j_next))
-
-    vals = np.concatenate([norms[abs(m)] * (radial[abs(m)] @ (wr * r * fm[i])) / math.sqrt(2.0 * math.pi)
-                           for i, m in enumerate(ms)])
+    vals = vals.ravel()
     keep = np.abs(vals) >= RELATIVE_FLOOR * np.max(np.abs(vals))
-    labels = itertools.compress(itertools.product(ms.tolist(), range(n_k)), keep)
+    labels = itertools.compress(itertools.product(range(-m_cap, m_cap + 1), range(n_k)), keep)
     return _finish_2d(labels, vals[keep], 1e-3, "caps")

@@ -1,5 +1,5 @@
 """Self-contained special functions: Bessel J (and internal Y), Airy Ai,
-their zeros, and adaptive quadrature.
+and their zeros.
 
 Everything here is built from series, asymptotic expansions, recurrences,
 and an ODE Taylor march; no external special-function library is used.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError, RangeError, RootError
+from .errors import RangeError, RootError
 
 ORDER_MAX = 60
 ARG_MAX = 2000.0
@@ -591,7 +591,8 @@ def _airy_neg_asym(y, derivative=False):
     return (1.0 / (np.sqrt(np.pi) * y ** 0.25)) * (np.sin(ang) * s - np.cos(ang) * c)
 
 
-def _airy_pos_asym(x, derivative=False):
+def _airy_pos_asym(x, derivative=False, scaled=False):
+    # scaled: drop the factor e^{-zeta}, which underflows for x > ~105
     zeta = (2.0 / 3.0) * x ** 1.5
     total = np.zeros_like(x)
     u = np.ones_like(x)
@@ -601,9 +602,10 @@ def _airy_pos_asym(x, derivative=False):
             term = term * (-(6 * k + 1) / (6 * k - 1) if k > 0 else 1.0)
         total += term if k % 2 == 0 else -term
         u = u * (6 * k + 5) * (6 * k + 1) / (72.0 * (k + 1))
+    lead = 1.0 if scaled else np.exp(-zeta)
     if derivative:
-        return -(x ** 0.25) * np.exp(-zeta) / (2.0 * np.sqrt(np.pi)) * total
-    return np.exp(-zeta) / (2.0 * np.sqrt(np.pi) * x ** 0.25) * total
+        return -(x ** 0.25) * lead / (2.0 * np.sqrt(np.pi)) * total
+    return lead / (2.0 * np.sqrt(np.pi) * x ** 0.25) * total
 
 
 def _airy_eval(x, derivative=False):
@@ -628,6 +630,20 @@ def airy_ai(x) -> float | np.ndarray:
     xarr = np.asarray(x, dtype=float)
     scalar = xarr.ndim == 0
     out = _airy_eval(np.atleast_1d(xarr).astype(float))
+    return float(out[0]) if scalar else out
+
+
+def airy_ai_scaled(x) -> float | np.ndarray:
+    """Ai(x) e^{(2/3) x^{3/2}} for real x > 0 and Ai(x) for x <= 0: finite
+    and O(x^{-1/4}) where Ai itself underflows."""
+    xarr = np.asarray(x, dtype=float)
+    scalar = xarr.ndim == 0
+    xarr = np.atleast_1d(xarr)
+    out = np.empty_like(xarr)
+    big = xarr >= _POS_SPLIT
+    out[big] = _airy_pos_asym(xarr[big], scaled=True)
+    small = xarr[~big]
+    out[~big] = _airy_eval(small) * np.exp((2.0 / 3.0) * np.maximum(small, 0.0) ** 1.5)
     return float(out[0]) if scalar else out
 
 
@@ -687,39 +703,3 @@ def airy_zero(n: int) -> RootResult:
     if n < 0 or n > AIRY_ZERO_MAX:
         raise RangeError(f"Airy zero index {n} outside validated range (<= {AIRY_ZERO_MAX})")
     return _airy_zero_table(n + 1)[n]
-
-
-# ----------------------------------------------------------------------
-# Quadrature
-# ----------------------------------------------------------------------
-
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, fa, b, fb, whole, m, fm, tol, depth):
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(f"integration did not converge on [{a}, {b}]")
-    half = 0.5 * tol
-    return (
-        _adaptive(f, a, fa, m, fm, left, lm, flm, half, depth - 1)
-        + _adaptive(f, m, fm, b, fb, right, rm, frm, half, depth - 1)
-    )
-
-
-def integrate(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Adaptive Simpson integral of f on [a, b] to absolute accuracy tol."""
-    if not a < b:
-        raise RangeError(f"integration requires a < b, got [{a}, {b}]")
-    fa, fb = f(a), f(b)
-    if not (math.isfinite(fa) and math.isfinite(fb)):
-        raise RangeError("integrand must be finite at the endpoints")
-    m, fm, whole = _simpson(f, a, fa, b, fb)
-    return _adaptive(f, a, fa, b, fb, whole, m, fm, tol, depth=50)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,25 @@ class TestMain:
         assert code == 3
         assert "numeric error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["observables", "--n0", "0", "--tmax", "1", "--steps", "10"],
+         ["spectrum", "--model", "well", "--n0", "0"],
+         ["autocorr", "--model", "well", "--n0", "0.5", "--dn", "0.2", "--tmax", "1", "--steps", "10"]],
+        ids=["observables", "spectrum", "autocorr"],
+    )
+    def test_sidecar_error_exits_before_any_file(self, tmp_path, capsys, argv):
+        # no time scales below the box's ground index: exit 3, nothing written
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "below ground index" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_half_span_just_below_its_bound_runs_silently(self, tmp_path):
+        argv = ["bec", "--alpha_re", "4", "--u0", "1", "--grid_count", "5", "--half_span", "9.9e99"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+
     def test_out_required(self, capsys):
         assert main(["fractional", "--p", "1", "--q", "3"]) == 2
 
@@ -292,6 +312,16 @@ class TestBilliardContract:
         argv = ["billiard2d", "--geometry", "square", "--size", "1e160"] + self.TIME
         assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "validated range" in capsys.readouterr().err
+
+    def test_high_momentum_circle_keeps_a0_at_most_one(self, tmp_path):
+        # a 128 x 256 disk quadrature wrote A(0) = 1.9997 here: it cannot
+        # resolve J_m(k r) at k ~ 300
+        argv = ["billiard2d", "--geometry", "circle", "--x0", "0.5", "--p0x", "300", "--m_cap", "59",
+                "--nr_cap", "200", "--tmax", "0.001", "--steps", "2"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        t, re, im, abs2 = np.loadtxt(tmp_path / "autocorr2d.csv", delimiter=",", skiprows=1)[0]
+        assert t == 0.0 and im == 0.0
+        assert 0.999 < re <= 1.0 and abs2 <= 1.0
 
     def test_annulus_default_caps_run(self, tmp_path):
         argv = ["billiard2d", "--geometry", "annulus"] + self.TIME
@@ -474,7 +504,9 @@ class TestSchemaBounds:
          (["carpet"], "n_max", "-4"),
          (["carpet"], "t_hi", "-1"),
          (["autocorr", "--model", "caseA", "--dn", "6", "--tmax", "1", "--steps", "10"], "n0", "0"),
-         (["autocorr", "--model", "caseA", "--dn", "6", "--tmax", "1", "--steps", "10"], "n0", "-5")],
+         (["autocorr", "--model", "caseA", "--dn", "6", "--tmax", "1", "--steps", "10"], "n0", "-5"),
+         # |beta|^2 overflows past ~1e154
+         (["bec", "--alpha_re", "4", "--u0", "1"], "half_span", "1e200")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2

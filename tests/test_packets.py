@@ -8,15 +8,13 @@ import operator
 import numpy as np
 import pytest
 
-from revival import specfun
+from revival import packets, specfun
 from revival.errors import ContainmentError, DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
-    _simpson_weights,
     bouncer_coefficients,
     bouncer_norm,
     circular_coefficients,
-    circular_mode_norm,
     delta_n_estimate,
     gaussian_model_coefficients,
     infinite_well_coefficients,
@@ -29,6 +27,38 @@ from revival.spectra import DEFAULT_UNITS as UNITS, Spectrum1D, eval_energy
 
 L = 1.0
 WELL_PACKET = PacketParams1D(x0=0.5, p0=400 * math.pi, width_b=0.05 * math.sqrt(2.0))
+
+
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on an odd-length uniform grid."""
+    assert len(x) % 2 == 1
+    w = np.ones_like(x)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (x[1] - x[0]) / 3.0
+
+
+def _mp_bouncer_overlap(n: int, z0: float, b: float) -> float:
+    """a_n as a 30-digit mpmath quadrature of N_n Ai(z - y_n) psi(z) over the
+    whole line (rho = 1 in the default units), zeros and norms from mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        y = -mpmath.airyaizero(n + 1)
+        norm = 1 / abs(mpmath.airyai(-y, derivative=1))
+        f = lambda z: mpmath.airyai(z - y) * mpmath.exp(-((z - z0) ** 2) / (2 * b * b))
+        pts = sorted({z0 - 10 * b, float(y) - 10, float(y), float(y) + 10, z0, z0 + 10 * b})
+        return float(norm * mpmath.quad(f, pts) / mpmath.sqrt(b * mpmath.sqrt(mpmath.pi)))
+
+
+def _floor_simpson_bouncer(z0: float, b: float, n_max: int) -> np.ndarray:
+    """The former builder: Simpson's rule on 8193 points over
+    [max(0, z0 - 9 dx0), z0 + 9 dx0], cut at the floor."""
+    dx0 = b / math.sqrt(2.0)
+    z = np.linspace(max(0.0, z0 - 9.0 * dx0), z0 + 9.0 * dx0, 8193)
+    psi = (b * math.sqrt(math.pi)) ** -0.5 * np.exp(-((z - z0) ** 2) / (2 * b * b))
+    n = np.arange(n_max + 1)
+    y, norms = specfun.airy_zeros(n_max + 1), bouncer_norm(n, 1.0)
+    return np.array([np.sum(_simpson_weights(z) * norms[k] * specfun.airy_ai(z - y[k]) * psi) for k in n])
 
 
 class TestGaussianModel:
@@ -171,6 +201,48 @@ class TestBouncer:
         n0 = 2.0 / (3 * math.pi) * 25.0**1.5 - 0.75
         assert abs(n_peak - n0) < 1.5
 
+    @pytest.mark.parametrize("n", [10, 30, 50])
+    def test_closed_form_against_mpmath(self, n):
+        c = bouncer_coefficients(z0=25.0, width_b=math.sqrt(2.0))
+        got = c.coefficients[n - c.index_lo]
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(_mp_bouncer_overlap(n, 25.0, math.sqrt(2.0)), rel=1e-13)
+
+    def test_wide_packet_takes_the_log_space_path(self):
+        # tau = b^2 / 2 = 30: at n = 0, tau a = 1130 and e^{tau a} overflows,
+        # yet the coefficient is 3e-6 and retained
+        z0, b = 40.0, math.sqrt(60.0)
+        c = bouncer_coefficients(z0=z0, width_b=b, n_max=200)
+        assert c.index_lo == 0 and c.norm_deficit < 1e-9 and not c.warnings
+        assert 30.0 * (z0 - specfun.airy_zero(0).value) > math.log(np.finfo(float).max)
+        for n in (0, 40):
+            want = _mp_bouncer_overlap(n, z0, b)
+            assert c.coefficients[n].real == pytest.approx(want, rel=1e-11), n
+
+    def test_max_error_against_former_simpson_below_the_window_error(self):
+        # the former builder's largest error at z0 = 20 is its +-9-spread window
+        c = bouncer_coefficients(z0=20.0, width_b=math.sqrt(2.0), n_max=60)
+        old = _floor_simpson_bouncer(20.0, math.sqrt(2.0), 60)[c.indices]
+        assert np.max(np.abs(c.coefficients.real - old)) < 2e-10
+
+    @pytest.mark.parametrize("spreads, want", [(3, 1.17e-2), (9, 1.23e-10)])
+    def test_containment_edge_against_floor_cut(self, spreads, want):
+        # the closed form counts the Gaussian's tail below the floor, the
+        # former Simpson builder cut it off: their difference is pinned
+        b = math.sqrt(2.0)  # dx0 = 1
+        c = bouncer_coefficients(z0=float(spreads), width_b=b, n_max=60)
+        old = _floor_simpson_bouncer(float(spreads), b, 60)[c.indices]
+        assert np.max(np.abs(c.coefficients.real - old)) == pytest.approx(want, rel=0.05)
+
+    def test_deficit_warning_fires_at_the_edge(self):
+        edge = bouncer_coefficients(z0=3.0, width_b=math.sqrt(2.0), n_max=60)
+        assert edge.norm_deficit > 1e-4 and "n_max may be too small" in edge.warnings[0]
+        assert not bouncer_coefficients(z0=9.0, width_b=math.sqrt(2.0), n_max=60).warnings
+
+    def test_containment(self):
+        with pytest.raises(ContainmentError):
+            bouncer_coefficients(z0=2.0, width_b=math.sqrt(2.0))
+
 
 class TestTriangle:
     B = math.sqrt(2.0) * L / 20.0
@@ -247,8 +319,36 @@ class TestTriangle:
             triangle_coefficients(0.0, 0.02, 0.0, 0.0, self.B, L, 12)
 
 
+def _disk_overlaps(x0, y0, p0x, p0y, b, R, m_cap, nr_cap, n_r=128, n_t=256):
+    """Brute-force reference: the packet projected onto every circle mode
+    over the disk only, by radial Gauss-Legendre x angular FFT quadrature,
+    with scipy's Bessel functions and zeros. Returns {(m, n): a_mn}."""
+    import scipy.special as sp
+
+    nodes, wts = np.polynomial.legendre.leggauss(n_r)
+    r, wr = 0.5 * R * (nodes + 1.0), 0.5 * R * wts
+    theta = 2.0 * math.pi * np.arange(n_t) / n_t
+    x, y = r[:, None] * np.cos(theta), r[:, None] * np.sin(theta)
+    psi = np.exp(-((x - x0) ** 2 + (y - y0) ** 2) / (2 * b * b) + 1j * (p0x * (x - x0) + p0y * (y - y0)))
+    angular = np.fft.fft(psi / (b * math.sqrt(math.pi)), axis=1) * (2.0 * math.pi / n_t)
+    out = {}
+    for m in range(-m_cap, m_cap + 1):
+        for n, z in enumerate(sp.jn_zeros(abs(m), nr_cap + 1)):
+            norm = math.sqrt(2.0) / (R * abs(sp.jv(abs(m) + 1, z)))
+            radial = wr * r * sp.jv(abs(m), z * r / R)
+            out[(m, n)] = norm / math.sqrt(2.0 * math.pi) * np.sum(radial * angular[:, m % n_t])
+    return out
+
+
+def _retained_gap(c, ref) -> float:
+    """Largest |a - reference| over the labels the builder retained."""
+    return max(abs(a - ref[lab]) for lab, a in zip(c.labels, c.coefficients))
+
+
 class TestCircular:
     B = 1.0 / (10.0 * math.sqrt(2.0))
+    BENCH = (0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2.0), 1.0, 16, 30)
+    HIGH_MOMENTUM = (0.5, 0.0, 300.0, 0.0, 0.05 * math.sqrt(2.0), 1.0, 59, 200)
 
     def test_central_packet_pure_m0(self):
         c = circular_coefficients(0.0, 0.0, 0.0, 0.0, self.B, 1.0, 6, 25)
@@ -261,22 +361,23 @@ class TestCircular:
         import scipy.special as sp
 
         R = 1.0
+        zs, norms = packets._disk_modes(11, 7, R)
         for m, k in [(0, 0), (0, 7), (3, 2), (11, 5)]:
             z = sp.jn_zeros(m, k + 1)[k]
-            norm = circular_mode_norm(m, k, R)
-            val = si.quad(lambda r: (norm * sp.jv(m, z * r / R)) ** 2 * r, 0, R, limit=200)[0]
+            assert zs[m, k] == pytest.approx(z, rel=1e-12)
+            val = si.quad(lambda r: (norms[m, k] * sp.jv(m, z * r / R)) ** 2 * r, 0, R, limit=200)[0]
             assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_vectorised_norms_match_scalar_norm(self):
-        # the builder's norms: one J_{|m|+1} call over the order's zeros
-        from revival import specfun
-
+        # the builder's norm table against one scalar J_{|m|+1} call per mode
         for R in (1.0, 2.5):
+            _, norms = packets._disk_modes(16, 30, R)
             for m in range(17):
-                zs = specfun.bessel_zeros(m, 31)
-                vec = math.sqrt(2.0) / (R * np.abs(specfun.bessel_j(m + 1, zs)))
-                scalar = np.array([circular_mode_norm(m, k, R) for k in range(31)])
-                assert np.all(np.abs(vec - scalar) <= 4 * np.spacing(scalar))
+                scalar = np.array([
+                    math.sqrt(2.0) / (R * abs(specfun.bessel_j(m + 1, specfun.bessel_zero(m, k).value)))
+                    for k in range(31)
+                ])
+                assert np.all(np.abs(norms[m] - scalar) <= 4 * np.spacing(scalar))
 
     def test_full_caps_norm(self):
         c = circular_coefficients(0.0, 0.0, 0.0, 0.0, self.B, 1.0, 40, 60)
@@ -286,6 +387,60 @@ class TestCircular:
         # packet fully inside -> captured probability is 1 up to tails
         c = circular_coefficients(0.25, 0.0, 0.0, 0.0, self.B, 1.0, 16, 30)
         assert abs(sum(c.weights()) - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("packet", [BENCH, (0.1, -0.2, 15.0, -20.0, 0.05 * math.sqrt(2.0), 1.0, 12, 20)],
+                             ids=["bench", "oblique"])
+    def test_matches_brute_force_disk_overlaps(self, packet):
+        c = circular_coefficients(*packet)
+        ref = _disk_overlaps(*packet)
+        assert _retained_gap(c, ref) < 1e-12
+        # what the builder dropped is below its relative floor there too
+        floor = packets.RELATIVE_FLOOR * np.max(np.abs(c.coefficients))
+        kept = set(c.labels)
+        assert max([abs(a) for lab, a in ref.items() if lab not in kept] + [0.0]) < 1.01 * floor
+
+    @pytest.mark.parametrize("spreads, want", [(3, 1.38e-3), (9, 9.5e-12)])
+    def test_containment_edge_against_disk(self, spreads, want):
+        # the closed form integrates over the plane, the reference over the
+        # disk: their gap at 3 and 9 spreads of wall clearance, pinned
+        b = 0.05 * math.sqrt(2.0)  # dx0 = 0.05
+        packet = (1.0 - spreads * 0.05, 0.0, 0.0, 0.0, b, 1.0, 16, 30)
+        gap = _retained_gap(circular_coefficients(*packet), _disk_overlaps(*packet))
+        assert gap == pytest.approx(want, rel=0.1)
+
+    def test_deficit_warning_fires_at_the_edge(self):
+        b = 0.05 * math.sqrt(2.0)
+        edge = circular_coefficients(0.85, 0.0, 0.0, 0.0, b, 1.0, 30, 45)
+        assert edge.norm_deficit > 1e-3 and "caps may be too small" in edge.warnings[0]
+        assert not circular_coefficients(0.55, 0.0, 0.0, 0.0, b, 1.0, 30, 45).warnings
+
+    @pytest.mark.parametrize("packet", [BENCH, HIGH_MOMENTUM], ids=["bench", "high_momentum"])
+    def test_ring_size_resolves_the_ring(self, packet, monkeypatch):
+        # the former 128 x 256 quadrature gave sum |a|^2 = 1.9997 at high momentum
+        c = circular_coefficients(*packet)
+        assert np.sum(c.weights()) <= 1.0 and c.norm_deficit >= 0.0
+        ring_size = packets._ring_size
+        monkeypatch.setattr(packets, "_ring_size", lambda *args: 2 * ring_size(*args))
+        doubled = circular_coefficients(*packet)
+        assert doubled.labels == c.labels
+        peak = np.max(np.abs(c.coefficients))
+        assert np.max(np.abs(doubled.coefficients - c.coefficients)) <= 1e-14 * peak
+
+    @pytest.mark.parametrize("packet, bound_mb", [(BENCH, 4.0), (HIGH_MOMENTUM, 32.0)],
+                             ids=["bench", "high_momentum"])
+    def test_working_memory(self, packet, bound_mb):
+        # one (n_k, M) ring per order; the former quadrature peaked at 8.5 MB
+        # (bench) and 172 MB (caps 59/200). Zero tables are warmed first.
+        import tracemalloc
+
+        circular_coefficients(*packet)
+        tracemalloc.start()
+        try:
+            circular_coefficients(*packet)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 2**20
 
     def test_containment(self):
         with pytest.raises(ContainmentError):

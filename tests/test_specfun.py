@@ -7,7 +7,7 @@ import pytest
 import scipy.special as sp
 
 from revival import specfun
-from revival.errors import QuadratureError, RangeError, RootError
+from revival.errors import RangeError, RootError
 
 
 class TestBesselJ:
@@ -372,6 +372,25 @@ class TestAiry:
         away = np.abs(ref) > 1e-2
         assert np.max(np.abs(ours - ref)[away] / np.abs(ref)[away]) < 1e-9
 
+    def test_scaled_against_scipy(self):
+        # Ai(x) e^{(2/3) x^{3/2}} is scipy's airye for x > 0; the relative
+        # error is Ai's own (3.6e-8 at worst, Maclaurin cancellation on [3, 5.7])
+        x = np.linspace(0.0, 1e3, 20001)
+        ref = sp.airye(x)[0]
+        assert np.max(np.abs(specfun.airy_ai_scaled(x) / ref - 1.0)) < 5e-8
+        far = np.geomspace(12.0, 1e5, 400)  # Ai itself underflows past x ~ 105
+        assert np.max(np.abs(specfun.airy_ai_scaled(far) / sp.airye(far)[0] - 1.0)) < 1e-14
+        # past scipy's range: the leading asymptotic term, off by 5/(72 zeta)
+        lead = 1.0 / (2.0 * math.sqrt(math.pi) * 1e8**0.25)
+        assert specfun.airy_ai_scaled(1e8) == pytest.approx(lead, rel=1e-12)
+        assert specfun.airy_ai(1e8) == 0.0
+
+    def test_scaled_is_ai_on_the_negative_axis(self):
+        x = np.linspace(-170.0, 0.0, 3001)
+        assert np.array_equal(specfun.airy_ai_scaled(x), specfun.airy_ai(x))
+        assert isinstance(specfun.airy_ai_scaled(-2.0), float)
+        assert specfun.airy_ai_scaled(-2.0) == specfun.airy_ai(-2.0)
+
     def test_zero_seed(self):
         assert specfun.airy_zero_seed(0) == pytest.approx((9 * math.pi / 8) ** (2 / 3), abs=1e-12)
         assert specfun.airy_zero_seed(0) == pytest.approx(2.3203, abs=1e-4)
@@ -435,39 +454,6 @@ class TestAiry:
         ns = [0, 3, 5, 6, 7, 8, 20, 59]
         want = np.array([float(-mpmath.airyaizero(n + 1)) for n in ns])
         assert np.max(np.abs(specfun.airy_zeros(60)[ns] - want)) < 2e-14
-
-
-class TestIntegrate:
-    def test_constant(self):
-        assert specfun.integrate(lambda x: 1.0, 0.0, 1.0, 1e-10) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sine_squared(self):
-        f = lambda x: math.sin(math.pi * x) ** 2
-        assert specfun.integrate(f, 0.0, 1.0, 1e-10) == pytest.approx(0.5, abs=1e-10)
-
-    def test_narrow_gaussian(self):
-        mu, sig = 0.5, 0.05
-        f = lambda x: math.exp(-0.5 * ((x - mu) / sig) ** 2) / (sig * math.sqrt(2 * math.pi))
-        exact = 0.5 * (math.erf((1 - mu) / (sig * math.sqrt(2))) - math.erf(-mu / (sig * math.sqrt(2))))
-        assert specfun.integrate(f, 0.0, 1.0, 1e-10) == pytest.approx(exact, abs=1e-8)
-        assert exact == pytest.approx(1.0, abs=1e-8)
-
-    def test_oscillatory_against_scipy(self):
-        import scipy.integrate as si
-
-        f = lambda x: math.cos(40.0 * x) * math.exp(-x)
-        ref = si.quad(f, 0.0, 3.0, epsabs=1e-13)[0]
-        assert specfun.integrate(f, 0.0, 3.0, 1e-11) == pytest.approx(ref, abs=1e-10)
-
-    def test_bad_interval(self):
-        with pytest.raises(RangeError):
-            specfun.integrate(lambda x: x, 1.0, 0.0, 1e-8)
-
-    def test_depth_cap(self):
-        # Step discontinuity cannot reach 1e-15 -> must raise, not loop.
-        f = lambda x: 0.0 if x < 0.5 else 1.0
-        with pytest.raises(QuadratureError):
-            specfun.integrate(f, 0.0, 1.0, 1e-15)
 
 
 class TestRootResult:

@@ -11,7 +11,6 @@ from revival.dynamics import _phase_block
 from revival.errors import DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
-    _simpson_weights,
     bouncer_coefficients,
     delta_n_estimate,
     infinite_well_coefficients,
@@ -348,6 +347,15 @@ class TestCarpet:
         assert np.max(np.abs(cls.values - want_c)) <= 1e-13 * scale
         assert np.max(np.abs(qc.values - want_q)) <= 1e-13 * scale
         assert np.max(np.abs(tot.values - (want_c + want_q))) <= 1e-13 * scale
+
+
+def _simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Composite Simpson weights on an odd-length uniform grid."""
+    assert len(x) % 2 == 1
+    w = np.ones_like(x)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (x[1] - x[0]) / 3.0
 
 
 def _bouncer_quadrature(basis, n):
