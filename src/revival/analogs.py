@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TimeSeries
+from .dynamics import TimeSeries, _phase_sum
 from .errors import DomainError, TruncationError
 from .packets import log_factorial, log_poisson
 from .wavefields import AxisSpec, FieldGrid
@@ -52,18 +52,28 @@ class CoherentState:
 
 def jc_inversion(p: JCParams, t_grid) -> TimeSeries:
     """Excited-state population P_e(t) = 1/2 + (1/2) sum_n w_n cos(2 sqrt(n)
-    coupling t) for a Poisson photon distribution (resonant case)."""
+    coupling t) for a Poisson photon distribution (resonant case), summed
+    by dynamics._phase_sum over the levels within 12 sqrt(nbar) of nbar."""
     if p.detuning != 0.0:
         raise DomainError("inversion series implemented for zero detuning only")
     t = np.asarray(t_grid, dtype=float)
     if not np.all(np.isfinite(t)):
         raise DomainError("time grid must be finite")
-    n_cap = int(math.ceil(p.nbar + 12.0 * math.sqrt(max(p.nbar, 1.0))))
-    w = np.exp(log_poisson(p.nbar, n_cap))
-    if 1.0 - w.sum() > 1e-12:
-        raise TruncationError("Poisson tail above 1e-12 at the truncation cap")
-    freqs = 2.0 * np.sqrt(np.arange(n_cap + 1, dtype=float)) * p.coupling
-    pe = 0.5 + 0.5 * (np.cos(np.outer(t, freqs)) @ w)
+    half_width = 12.0 * math.sqrt(max(p.nbar, 1.0))
+    n_lo = max(0, math.floor(p.nbar - half_width))
+    # at least 16 levels: near nbar = 1 the 12-unit window leaves a 4e-12 tail
+    n_hi = max(math.ceil(p.nbar + half_width), 16)
+    w = np.exp(log_poisson(p.nbar, n_hi, n_lo))
+    # each tail beyond the window is below its edge weight times a geometric
+    # series: the ratio of neighbours falls from nbar/(n_hi + 1) upward and
+    # from n_lo/nbar downward
+    tail = w[-1] * p.nbar / (n_hi + 1 - p.nbar)
+    if n_lo > 0:
+        tail += w[0] * n_lo / (p.nbar - n_lo)
+    if tail > 1e-12:
+        raise TruncationError(f"Poisson tail {tail:.2g} beyond the level window exceeds 1e-12")
+    freqs = 2.0 * np.sqrt(np.arange(n_lo, n_hi + 1, dtype=float)) * p.coupling
+    pe = 0.5 + 0.5 * _phase_sum(w, freqs, t).real
     return TimeSeries(t, pe.astype(complex))
 
 

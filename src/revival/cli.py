@@ -182,7 +182,9 @@ _SCHEMAS: dict[str, dict] = {
         "steps": (_bounded(_int_key, 1), _REQUIRED),
     },
     "jc": {
-        "nbar": (_bounded(_float_key, 0.0), _REQUIRED),
+        # the level window grows as 24 sqrt(nbar): the default 6000 steps take
+        # ~28 s at nbar 1e7 and ~100 s just below the bound (2-core x86-64)
+        "nbar": (_bounded(_float_key, 0.0, below=1e8), _REQUIRED),
         "coupling": (_POSITIVE, _REQUIRED),
         "detuning": (_float_key, 0.0),
         "tau_max": (_POSITIVE, 30.0),
@@ -330,10 +332,12 @@ def run(scenario: Scenario) -> list[str]:
         s = spectra.Spectrum1D.infinite_well(L)
         t_rev = spectra.time_scales(s, max(p["n0"], 2.0)).t_revival
         t_hi = p["t_hi"] if p["t_hi"] > 0 else t_rev / 2.0
-        total, classical, quantum = wavefields.carpet(c, L, p["x_count"], p["t_count"], t_hi)
-        for name, grid in (("total", total), ("classical", classical), ("quantum", quantum)):
+        classical, quantum = wavefields.carpet(c, L, p["x_count"], p["t_count"], t_hi)
+        # the total raster is classical + quantum, summed block by block as it is written
+        for name, (grid, *more) in (("total", (classical, quantum)), ("classical", (classical,)),
+                                    ("quantum", (quantum,))):
             path = out(f"carpet_{name}.pgm")
-            grid.to_pgm(path)
+            grid.to_pgm(path, *more)
             written.append(path)
         written.append(_write_sidecar(scenario, {"t_hi": t_hi, "t_revival": t_rev}))
 

@@ -20,8 +20,9 @@ from .spectra import DEFAULT_UNITS, UnitSystem
 
 RELATIVE_FLOOR = 1e-9     # coefficients below this fraction of the peak are dropped
 CONTAINMENT_SIGMAS = 3.0  # required wall clearance in units of the position spread
-BOX_MAX_BYTES = 1 << 30   # cap on the box builder's working arrays
+BOX_MAX_BYTES = 1 << 30   # cap on the box and model-ladder builders' working arrays
 _BOX_BYTES_PER_INDEX = 96  # its measured tracemalloc peak is 80 B per index
+_MODEL_BYTES_PER_INDEX = 64  # the model ladder's measured peak is 48 B per index
 
 
 @dataclass(frozen=True)
@@ -136,8 +137,17 @@ def gaussian_model_coefficients(
     if n0 <= 0 or delta_n <= 0 or not (0 < cutoff < 1):
         raise DomainError("require n0 > 0, delta_n > 0, 0 < cutoff < 1")
     half_width = 2.0 * delta_n * math.sqrt(max(-math.log(cutoff), 1.0))
+    if not n0 + half_width < 2.0**53:  # also catches an infinite window edge
+        raise DomainError(
+            f"level window reaches n = {n0 + half_width:.3g}; indices from 2^53 on are not exact"
+        )
     lo = max(index_min, int(math.floor(n0 - half_width)))
     hi = int(math.ceil(n0 + half_width))
+    if (hi - lo + 1) * _MODEL_BYTES_PER_INDEX > BOX_MAX_BYTES:
+        raise DomainError(
+            f"level window of {hi - lo + 1:.3g} levels needs about "
+            f"{(hi - lo + 1) * _MODEL_BYTES_PER_INDEX / 2**30:.3g} GiB (cap {BOX_MAX_BYTES / 2**30:.0f} GiB)"
+        )
     n = np.arange(lo, hi + 1, dtype=float)
     amp = (delta_n * math.sqrt(2.0 * math.pi)) ** -0.5
     a = amp * np.exp(-((n - n0) ** 2) / (4.0 * delta_n**2))
@@ -162,12 +172,12 @@ def log_factorial(n: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(x + 1.0) for x in n])
 
 
-def log_poisson(nbar: float, n_cap: int) -> np.ndarray:
-    """log of the Poisson weights e^-nbar nbar^n / n! for n = 0..n_cap
+def log_poisson(nbar: float, n_cap: int, n_lo: int = 0) -> np.ndarray:
+    """log of the Poisson weights e^-nbar nbar^n / n! for n = n_lo..n_cap
     (-inf above n = 0 when nbar = 0)."""
+    n = np.arange(n_lo, n_cap + 1, dtype=float)
     if nbar == 0:
-        return np.where(np.arange(n_cap + 1) == 0, 0.0, -np.inf)
-    n = np.arange(n_cap + 1, dtype=float)
+        return np.where(n == 0, 0.0, -np.inf)
     return -nbar + n * math.log(nbar) - log_factorial(n)
 
 

@@ -48,18 +48,29 @@ def write_grid_csv(path, axis1, axis2, values) -> None:
                lambda part: a2[np.arange(part.start, part.stop) % len(a2)], np.real(values).ravel()))
 
 
-def write_pgm(path, values) -> None:
-    """16-bit big-endian binary PGM; the per-image maximum maps to 65535
-    and is recorded in a comment line. Negative samples clip to black.
-    Rows are scaled and written about 64k pixels at a time."""
-    arr = np.asarray(values, dtype=float)
-    vmax = float(arr.max())
-    scale = 65535.0 / vmax if vmax > 0 else 0.0
-    height, width = arr.shape
+def write_pgm(path, *parts) -> None:
+    """16-bit big-endian binary PGM of the elementwise sum of `parts` (equal
+    shapes); the per-image maximum maps to 65535 and is recorded in a
+    comment line. Negative samples clip to black. The sum is formed about
+    64k pixels at a time, once for the maximum and once to scale and
+    write, so no image-sized sum is held."""
+    arrs = [np.asarray(part, dtype=float) for part in parts]
+    height, width = arrs[0].shape
     step = max(1, 65536 // width)
+    rows = [slice(lo, lo + step) for lo in range(0, height, step)]
+
+    def block(part):
+        # the sum of the parts' rows; a single part's rows are a view, not a copy
+        total = arrs[0][part]
+        for arr in arrs[1:]:
+            total = total + arr[part]
+        return total
+
+    vmax = float(np.max([block(part).max() for part in rows]))
+    scale = 65535.0 / vmax if vmax > 0 else 0.0
     with open(path, "wb") as fh:
         fh.write(f"P5\n# max={format_float(vmax)}\n{width} {height}\n65535\n".encode())
-        for lo in range(0, height, step):
-            scaled = arr[lo : lo + step] * scale  # one float temporary per block, rounded and clipped in place
+        for part in rows:
+            scaled = block(part) * scale  # block-sized temporaries only, rounded and clipped in place
             np.rint(scaled, out=scaled)
             fh.write(np.clip(scaled, 0, 65535, out=scaled).astype(">u2").tobytes())

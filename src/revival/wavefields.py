@@ -52,9 +52,11 @@ class FieldGrid:
     def to_csv(self, path) -> None:
         write_grid_csv(path, self.axis1, self.axis2, self.values)
 
-    def to_pgm(self, path) -> None:
-        # rows scan axis2 (e.g. time), columns axis1
-        write_pgm(path, np.real(self.values).T)
+    def to_pgm(self, path, *more: FieldGrid) -> None:
+        """The raster of this grid, or of its sum with the `more` grids on the
+        same axes, formed block by block; rows scan axis2 (e.g. time),
+        columns axis1."""
+        write_pgm(path, *(np.real(g.values).T for g in (self, *more)))
 
 
 @dataclass(frozen=True)
@@ -421,9 +423,9 @@ _CARPET_TIMES = 32  # times per (T, N) @ (N, X) product in carpet
 def _carpet_parts(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
     """The (X, T) classical and quantum rasters of `carpet`. Each sub-block
     of _CARPET_TIMES times takes one (T, N) @ (N, X) product per wave
-    direction; a @ conj(e_plus) is formed as conj(conj(a) @ e_plus), which
-    needs no (N, X) conjugate copy. The working arrays are freed on return,
-    before the caller allocates the total raster."""
+    direction; w_minus = a @ conj(e_plus) is used only through
+    conj(w_minus) = conj(a) @ e_plus, which needs no (N, X) conjugate copy
+    and has the same modulus. The working arrays are freed on return."""
     L = basis.L
     n = _basis_indices(c, basis).astype(float)
     e_plus = np.exp(1j * (math.pi * np.outer(n, x) / L))  # (N, X)
@@ -434,10 +436,10 @@ def _carpet_parts(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
         for sub in range(0, block.shape[1], _CARPET_TIMES):
             a_t = (c.coefficients[:, None] * np.conj(block[:, sub : sub + _CARPET_TIMES])).T
             w_plus = a_t @ e_plus
-            w_minus = np.conj(np.conj(a_t) @ e_plus)
+            w_minus_conj = np.conj(a_t) @ e_plus
             cols = slice(chunk.start + sub, chunk.start + sub + len(a_t))
-            cls[:, cols] = ((np.abs(w_plus) ** 2 + np.abs(w_minus) ** 2) / (2.0 * L)).T
-            qc[:, cols] = (-np.real(w_plus * np.conj(w_minus)) / L).T
+            cls[:, cols] = ((np.abs(w_plus) ** 2 + np.abs(w_minus_conj) ** 2) / (2.0 * L)).T
+            qc[:, cols] = (-np.real(w_plus * w_minus_conj) / L).T
     return cls, qc
 
 
@@ -448,13 +450,15 @@ def carpet(
     t_count: int,
     t_hi: float,
     units: UnitSystem = DEFAULT_UNITS,
-) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
-    """(total, traveling/classical, interference/quantum) probability
-    rasters on (0, L) x (0, t_hi).
+) -> tuple[FieldGrid, FieldGrid]:
+    """(traveling/classical, interference/quantum) probability rasters on
+    (0, L) x (0, t_hi).
 
     The split groups the double sum into co-moving terms (frequencies
     n - m) and counter-moving terms (frequencies n + m); the two parts
-    recombine to |psi|^2 identically.
+    recombine to |psi|^2 identically, so the total raster is their
+    elementwise sum (`classical.to_pgm(path, quantum)` writes it without
+    holding it).
     """
     if x_count < 64 or t_count < 64:
         raise DomainError("raster needs at least 64 x 64 samples")
@@ -462,8 +466,4 @@ def carpet(
     cls, qc = _carpet_parts(c, basis, np.linspace(0.0, L, x_count), np.linspace(0.0, t_hi, t_count))
     ax1 = AxisSpec("x", 0.0, L, x_count)
     ax2 = AxisSpec("t", 0.0, t_hi, t_count)
-    return (
-        FieldGrid(ax1, ax2, cls + qc),
-        FieldGrid(ax1, ax2, cls),
-        FieldGrid(ax1, ax2, qc),
-    )
+    return FieldGrid(ax1, ax2, cls), FieldGrid(ax1, ax2, qc)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -104,6 +105,20 @@ class TestRun:
         blob = (tmp_path / "carpet_total.pgm").read_bytes()
         assert blob.startswith(b"P5\n# max=")
 
+    def test_carpet_holds_two_rasters(self, tmp_path):
+        # the bench carpet: 1024 x 1024 float rasters of 8 MiB each. Measured
+        # peaks (CPython 3.11, numpy 2.4): 20.5 MB with the total summed as it
+        # is written, 26.3 MB with a total raster held beside its two parts
+        sc = build_scenario("carpet", {"n0": "400", "x_count": "1024", "t_count": "1024"}, str(tmp_path))
+        run(sc)  # the first run fills import-time caches outside the trace
+        tracemalloc.start()
+        try:
+            run(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 1024 * 1024 * 8
+
     def test_autocorr_csv(self, tmp_path):
         sc = build_scenario(
             "autocorr",
@@ -149,8 +164,9 @@ class TestRun:
          (["billiard2d", "--geometry", "circle", "--x0", "0.3", "--p0y", "20", "--m_cap", "4",
            "--nr_cap", "6", "--tmax", "1", "--steps", "200"], "autocorr2d.csv"),
          (["wigner", "--x_count", "64", "--p_count", "64"], "wigner.csv"),
-         (["bec", "--alpha_re", "4", "--u0", "1", "--grid_count", "31"], "bec.csv")],
-        ids=["autocorr_caseA", "billiard2d_circle", "wigner", "bec"],
+         (["bec", "--alpha_re", "4", "--u0", "1", "--grid_count", "31"], "bec.csv"),
+         (["jc", "--nbar", "50", "--coupling", "1"], "jc.csv")],
+        ids=["autocorr_caseA", "billiard2d_circle", "wigner", "bec", "jc"],
     )
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, argv, name):
         # OpenBLAS fixes its thread count at import, so each count runs in
@@ -506,7 +522,10 @@ class TestSchemaBounds:
          (["autocorr", "--model", "caseA", "--dn", "6", "--tmax", "1", "--steps", "10"], "n0", "0"),
          (["autocorr", "--model", "caseA", "--dn", "6", "--tmax", "1", "--steps", "10"], "n0", "-5"),
          # |beta|^2 overflows past ~1e154
-         (["bec", "--alpha_re", "4", "--u0", "1"], "half_span", "1e200")],
+         (["bec", "--alpha_re", "4", "--u0", "1"], "half_span", "1e200"),
+         # 7.28 TiB of levels before the window; the default steps take ~100 s below the bound
+         (["jc", "--coupling", "1"], "nbar", "1e12"),
+         (["jc", "--coupling", "1"], "nbar", "1e8")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
@@ -521,8 +540,19 @@ class TestSchemaBounds:
        "--tmax", "1", "--steps", "4"], "overflows"),
      (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1e301",
        "--steps", "4"], "overflows"),
-     (["spectrum", "--model", "rotor", "--inertia", "1e-306", "--n0", "10"], "not finite")],
-    ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor"],
+     (["spectrum", "--model", "rotor", "--inertia", "1e-306", "--n0", "10"], "not finite"),
+     # a level window past index 2^53 (a Python int overflowing int64, a size
+     # numpy refuses, indices float64 cannot hold exactly) or past 1 GiB
+     (["autocorr", "--model", "caseA", "--n0", "1e300", "--dn", "2", "--tmax", "1", "--steps", "4"],
+      "not exact"),
+     (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "1e200", "--tmax", "1", "--steps", "4"],
+      "not exact"),
+     (["autocorr", "--model", "caseA", "--n0", "1e17", "--dn", "2", "--tmax", "1", "--steps", "4"],
+      "not exact"),
+     (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "1e12", "--tmax", "1", "--steps", "4"],
+      "GiB")],
+    ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor", "autocorr_huge_n0", "autocorr_huge_dn",
+         "autocorr_inexact_n0", "autocorr_huge_window"],
 )
 def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
     # run as a process to see the real stderr: one error line, no warnings,
