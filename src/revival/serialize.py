@@ -3,6 +3,7 @@ modules: CSV at 17 significant digits and 16-bit binary PGM rasters."""
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from itertools import chain
 
 import numpy as np
@@ -48,29 +49,47 @@ def write_grid_csv(path, axis1, axis2, values) -> None:
                lambda part: a2[np.arange(part.start, part.stop) % len(a2)], np.real(values).ravel()))
 
 
+def write_pgms(paths, blocks) -> None:
+    """16-bit big-endian binary PGMs, one per path, of the images that
+    `blocks()` streams: each call returns a fresh iterable of tuples that
+    hold the next rows of every image, top to bottom. A first pass takes
+    each image's maximum, which maps to 65535 and is recorded in a comment
+    line; a second scales, rounds and writes the rows. Negative samples
+    clip to black. Only one block of rows per image is held at a time."""
+    maxima = [[] for _ in paths]
+    height = 0
+    for rows in blocks():
+        height += len(rows[0])
+        for seen, block in zip(maxima, rows):
+            seen.append(block.max())
+    width = rows[0].shape[1]
+    vmaxes = [float(np.max(seen)) for seen in maxima]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh, vmax in zip(files, vmaxes):
+            fh.write(f"P5\n# max={format_float(vmax)}\n{width} {height}\n65535\n".encode())
+        scales = [65535.0 / vmax if vmax > 0 else 0.0 for vmax in vmaxes]
+        for rows in blocks():
+            for fh, block, scale in zip(files, rows, scales):
+                scaled = block * scale  # block-sized temporaries only, rounded and clipped in place
+                np.rint(scaled, out=scaled)
+                fh.write(np.clip(scaled, 0, 65535, out=scaled).astype(">u2").tobytes())
+
+
 def write_pgm(path, *parts) -> None:
-    """16-bit big-endian binary PGM of the elementwise sum of `parts` (equal
-    shapes); the per-image maximum maps to 65535 and is recorded in a
-    comment line. Negative samples clip to black. The sum is formed about
-    64k pixels at a time, once for the maximum and once to scale and
-    write, so no image-sized sum is held."""
+    """`write_pgms` of one image: the elementwise sum of `parts` (equal
+    shapes), formed about 64k pixels at a time, once for the maximum and
+    once to scale and write, so no image-sized sum is held."""
     arrs = [np.asarray(part, dtype=float) for part in parts]
     height, width = arrs[0].shape
     step = max(1, 65536 // width)
-    rows = [slice(lo, lo + step) for lo in range(0, height, step)]
 
-    def block(part):
-        # the sum of the parts' rows; a single part's rows are a view, not a copy
-        total = arrs[0][part]
-        for arr in arrs[1:]:
-            total = total + arr[part]
-        return total
+    def blocks():
+        for lo in range(0, height, step):
+            # the sum of the parts' rows; a single part's rows are a view, not a copy
+            total = arrs[0][lo : lo + step]
+            for arr in arrs[1:]:
+                total = total + arr[lo : lo + step]
+            yield (total,)
 
-    vmax = float(np.max([block(part).max() for part in rows]))
-    scale = 65535.0 / vmax if vmax > 0 else 0.0
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n# max={format_float(vmax)}\n{width} {height}\n65535\n".encode())
-        for part in rows:
-            scaled = block(part) * scale  # block-sized temporaries only, rounded and clipped in place
-            np.rint(scaled, out=scaled)
-            fh.write(np.clip(scaled, 0, 65535, out=scaled).astype(">u2").tobytes())
+    write_pgms([path], blocks)

@@ -13,7 +13,7 @@ from . import specfun
 from .dynamics import _phase_block, _phase_chunks
 from .errors import DomainError, TruncationError
 from .packets import CoefficientSet, _airy_levels, bouncer_norm
-from .serialize import write_grid_csv, write_pgm
+from .serialize import write_grid_csv, write_pgm, write_pgms
 from .spectra import DEFAULT_UNITS, Spectrum1D, UnitSystem, eval_energy
 
 
@@ -288,12 +288,13 @@ WIGNER_MAX_BYTES = 1 << 30
 
 
 def _wigner_work_bytes(x_count: int, p_count: int, mode_count: int) -> int:
-    """Upper estimate of wigner_infinite_well's working arrays: eight
-    complex x-by-p planes, eight complex x-by-shift tables and three
+    """Loose upper estimate of wigner_infinite_well's working arrays:
+    eight complex x-by-p planes, eight complex x-by-shift tables and three
     complex shift-by-p tables, with shifts counted before merging. The
-    kernel holds less: the merged D_j table with its cosines, sines and
-    four stacked float planes, three float shift-by-p tables, and the
-    four float x-by-p contraction outputs with their complex sum."""
+    kernel holds far less: the (X, N) mode tables and one FFT convolution
+    while D_j is built, then the merged complex D_j table, three float
+    shift-by-p tables, the float x-by-p result, and the planes of one
+    block of x rows, about dynamics._PHASE_ELEMENTS elements each."""
     shifts = 4 * (2 * mode_count - 1)
     return 16 * (8 * x_count * p_count + 8 * x_count * shifts + 3 * shifts * p_count)
 
@@ -304,6 +305,46 @@ def _index_convolution(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     nfft = 1 << (size - 1).bit_length()
     spectrum = np.fft.fft(u, nfft, axis=1) * np.fft.fft(v, nfft, axis=1)
     return np.fft.ifft(spectrum, axis=1)[:, :size]
+
+
+def _shift_rows(a_t: np.ndarray, n: np.ndarray, x: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """(shifts j, D_j(x)) of `wigner_infinite_well`: one convolution along
+    the mode axis per piece; pieces that share a shift value (diffs and
+    -diffs always do) add into one column. The (X, N) mode tables are
+    freed on return."""
+    e = np.exp(1j * math.pi * np.outer(x, n) / L)  # e^{i n theta}, (X, N)
+    u_plus, u_minus = np.conj(a_t) * e, np.conj(a_t) * np.conj(e)
+    v_plus, v_minus = a_t * e, a_t * np.conj(e)
+    sums = 2 * int(n[0]) + np.arange(2 * len(n) - 1)  # m + n
+    diffs = np.arange(2 * len(n) - 1) - (len(n) - 1)  # m - n
+    shift, where = np.unique(np.concatenate([sums, -sums, diffs, -diffs]), return_inverse=True)
+    cols = np.split(where, 4)
+    rows = np.zeros((len(x), len(shift)), dtype=complex)
+    rows[:, cols[0]] += _index_convolution(u_plus, v_minus)
+    rows[:, cols[1]] += _index_convolution(u_minus, v_plus)
+    rows[:, cols[2]] -= _index_convolution(u_plus, v_plus[:, ::-1])
+    rows[:, cols[3]] -= _index_convolution(u_minus, v_minus[:, ::-1])
+    return shift.astype(float), rows
+
+
+def _wigner_block(r, xt, L, shift, base, kern, near_cells) -> np.ndarray:
+    """pi hbar W on the x rows whose D_j(x) are `r` and whose mirrored
+    coordinates are the column `xt`; its temporaries are freed on return."""
+    xl = xt / L
+    jphi = xl * shift * math.pi
+    cos_j, sin_j = np.cos(jphi), np.sin(jphi)
+    planes = np.concatenate([r.real * cos_j, r.imag * cos_j, r.real * sin_j, r.imag * sin_j])
+    # einsum without `optimize` sums over j in a fixed order and calls no BLAS
+    c_re, c_im, s_re, s_im = np.einsum("xj,jp->xp", planes, kern).reshape(4, len(r), len(base))
+    b_arg = xl * base  # B
+    sin_b, cos_b = np.sin(b_arg), np.cos(b_arg)
+    total = np.empty((len(r), len(base)), dtype=complex)
+    total.real = sin_b * c_re + cos_b * s_re
+    total.imag = sin_b * c_im + cos_b * s_im
+    for k, js, dd, small in near_cells:
+        sinc = np.where(small, xl, np.sin(dd * xt / L) / dd)
+        total[:, k] += np.sum(r[:, js] * sinc, axis=1)
+    return total
 
 
 def wigner_infinite_well(
@@ -330,7 +371,10 @@ def wigner_infinite_well(
     with equal shifts share one column, and the contraction runs in
     einsum's fixed order without BLAS, so the result does not depend on
     the BLAS thread count. Cells with |b_p + j pi| < 1e-3, where the split
-    cancels, take the direct sinc on the merged columns.
+    cancels, take the direct sinc on the merged columns. Everything after
+    D_j runs over blocks of x rows whose widest plane holds about
+    dynamics._PHASE_ELEMENTS elements; every value depends only on its
+    own row, so the grid has the same bits at any block size.
     """
     x = np.asarray(x_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
@@ -345,49 +389,31 @@ def wigner_infinite_well(
             f"{need / 2**30:.2f} GiB of working arrays (cap {WIGNER_MAX_BYTES / 2**30:.0f} GiB)"
         )
     a_t = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
-    e = np.exp(1j * math.pi * np.outer(x, n) / L)  # e^{i n theta}, (X, N)
-    u_plus, u_minus = np.conj(a_t) * e, np.conj(a_t) * np.conj(e)
-    v_plus, v_minus = a_t * e, a_t * np.conj(e)
-    sums = 2 * int(n[0]) + np.arange(2 * len(n) - 1)  # m + n
-    diffs = np.arange(2 * len(n) - 1) - (len(n) - 1)  # m - n
-    # pieces that share a shift value (diffs and -diffs always do) add into one column
-    shift, where = np.unique(np.concatenate([sums, -sums, diffs, -diffs]), return_inverse=True)
-    cols = np.split(where, 4)
-    rows = np.zeros((len(x), len(shift)), dtype=complex)  # D_j(x)
-    rows[:, cols[0]] += _index_convolution(u_plus, v_minus)
-    rows[:, cols[1]] += _index_convolution(u_minus, v_plus)
-    rows[:, cols[2]] -= _index_convolution(u_plus, v_plus[:, ::-1])
-    rows[:, cols[3]] -= _index_convolution(u_minus, v_minus[:, ::-1])
-    shift = shift.astype(float)
+    shift, rows = _shift_rows(a_t, n, x, L)
     xt = np.minimum(x, L - x)  # mirrored coordinate
     base = 2.0 * p * L / units.hbar
     d = base[None, :] + shift[:, None] * math.pi  # (J, P)
     near = np.abs(d) < 1e-3
     kern = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
-    jphi = np.outer(xt / L, shift) * math.pi
-    cos_j, sin_j = np.cos(jphi), np.sin(jphi)
-    planes = np.concatenate([rows.real * cos_j, rows.imag * cos_j, rows.real * sin_j, rows.imag * sin_j])
-    # einsum without `optimize` sums over j in a fixed order and calls no BLAS
-    c_re, c_im, s_re, s_im = np.einsum("xj,jp->xp", planes, kern).reshape(4, len(x), len(p))
-    b_arg = np.outer(xt / L, base)  # B
-    sin_b, cos_b = np.sin(b_arg), np.cos(b_arg)
-    total = np.empty((len(x), len(p)), dtype=complex)
-    total.real = sin_b * c_re + cos_b * s_re
-    total.imag = sin_b * c_im + cos_b * s_im
+    # cells where the split cancels: (column, its near shifts, d there, d below 1e-12)
+    near_cells = []
     for k in np.flatnonzero(near.any(axis=0)):
         js = np.flatnonzero(near[:, k])
         dk = d[js, k]
         small = np.abs(dk) < 1e-12
-        dd = np.where(small, 1.0, dk)
-        sinc = np.where(small, xt[:, None] / L, np.sin(dd * xt[:, None] / L) / dd)
-        total[:, k] += np.sum(rows[:, js] * sinc, axis=1)
-    total /= math.pi * units.hbar
-    max_imag = float(np.max(np.abs(total.imag)))
+        near_cells.append((k, js, np.where(small, 1.0, dk), small))
+    values = np.empty((len(x), len(p)))
+    max_imag = 0.0
+    for xs in _phase_chunks(len(x), 4 * max(len(shift), len(p))):
+        total = _wigner_block(rows[xs], xt[xs, None], L, shift, base, kern, near_cells)
+        total /= math.pi * units.hbar
+        max_imag = max(max_imag, float(np.max(np.abs(total.imag))))
+        values[xs] = total.real
     if max_imag > 1e-10:
         raise DomainError(f"assembled distribution has imaginary residue {max_imag:.2e}")
     ax1 = AxisSpec("x", float(x[0]), float(x[-1]), len(x))
     ax2 = AxisSpec("p", float(p[0]), float(p[-1]), len(p))
-    return FieldGrid(ax1, ax2, total.real)
+    return FieldGrid(ax1, ax2, values)
 
 
 def wigner_marginals(grid: FieldGrid, taper_fraction: float = 0.12) -> tuple[np.ndarray, np.ndarray]:
@@ -420,27 +446,32 @@ def wigner_marginals(grid: FieldGrid, taper_fraction: float = 0.12) -> tuple[np.
 _CARPET_TIMES = 32  # times per (T, N) @ (N, X) product in carpet
 
 
-def _carpet_parts(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
-    """The (X, T) classical and quantum rasters of `carpet`. Each sub-block
-    of _CARPET_TIMES times takes one (T, N) @ (N, X) product per wave
+def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
+    """(time slice, classical rows, quantum rows) of `carpet`, in time
+    order; the rows are (T, X), the PGM row order. Each sub-block of
+    _CARPET_TIMES times takes one (T, N) @ (N, X) product per wave
     direction; w_minus = a @ conj(e_plus) is used only through
     conj(w_minus) = conj(a) @ e_plus, which needs no (N, X) conjugate copy
-    and has the same modulus. The working arrays are freed on return."""
+    and has the same modulus."""
     L = basis.L
     n = _basis_indices(c, basis).astype(float)
     e_plus = np.exp(1j * (math.pi * np.outer(n, x) / L))  # (N, X)
-    cls = np.empty((len(x), len(ts)))
-    qc = np.empty((len(x), len(ts)))
     for chunk in _phase_chunks(len(ts), len(n), align=_CARPET_TIMES):  # same sub-blocks at any size
         block = _phase_block(ts[chunk], n, basis.spectrum)
         for sub in range(0, block.shape[1], _CARPET_TIMES):
             a_t = (c.coefficients[:, None] * np.conj(block[:, sub : sub + _CARPET_TIMES])).T
             w_plus = a_t @ e_plus
             w_minus_conj = np.conj(a_t) @ e_plus
-            cols = slice(chunk.start + sub, chunk.start + sub + len(a_t))
-            cls[:, cols] = ((np.abs(w_plus) ** 2 + np.abs(w_minus_conj) ** 2) / (2.0 * L)).T
-            qc[:, cols] = (-np.real(w_plus * w_minus_conj) / L).T
-    return cls, qc
+            start = chunk.start + sub
+            yield (slice(start, start + len(a_t)),
+                   (np.abs(w_plus) ** 2 + np.abs(w_minus_conj) ** 2) / (2.0 * L),
+                   -np.real(w_plus * w_minus_conj) / L)
+
+
+def _carpet_axes(L: float, x_count: int, t_count: int, t_hi: float) -> tuple[AxisSpec, AxisSpec]:
+    if x_count < 64 or t_count < 64:
+        raise DomainError("raster needs at least 64 x 64 samples")
+    return AxisSpec("x", 0.0, L, x_count), AxisSpec("t", 0.0, t_hi, t_count)
 
 
 def carpet(
@@ -457,13 +488,36 @@ def carpet(
     The split groups the double sum into co-moving terms (frequencies
     n - m) and counter-moving terms (frequencies n + m); the two parts
     recombine to |psi|^2 identically, so the total raster is their
-    elementwise sum (`classical.to_pgm(path, quantum)` writes it without
-    holding it).
+    elementwise sum. `write_carpet_pgms` writes the three rasters without
+    holding any of them.
     """
-    if x_count < 64 or t_count < 64:
-        raise DomainError("raster needs at least 64 x 64 samples")
-    basis = InfiniteWellBasis(L, units)
-    cls, qc = _carpet_parts(c, basis, np.linspace(0.0, L, x_count), np.linspace(0.0, t_hi, t_count))
-    ax1 = AxisSpec("x", 0.0, L, x_count)
-    ax2 = AxisSpec("t", 0.0, t_hi, t_count)
+    ax1, ax2 = _carpet_axes(L, x_count, t_count, t_hi)
+    cls = np.empty((x_count, t_count))
+    qc = np.empty((x_count, t_count))
+    for cols, cls_rows, qc_rows in _carpet_blocks(c, InfiniteWellBasis(L, units), ax1.points(), ax2.points()):
+        cls[:, cols] = cls_rows.T
+        qc[:, cols] = qc_rows.T
     return FieldGrid(ax1, ax2, cls), FieldGrid(ax1, ax2, qc)
+
+
+def write_carpet_pgms(
+    c: CoefficientSet,
+    L: float,
+    x_count: int,
+    t_count: int,
+    t_hi: float,
+    paths,
+    units: UnitSystem = DEFAULT_UNITS,
+) -> None:
+    """The (total, classical, quantum) rasters of `carpet` as PGMs at the
+    three `paths`, rows scanning time: two passes over `_carpet_blocks`,
+    one for the maxima and one to write, so no X-by-T raster is held.
+    The bytes are those of `FieldGrid.to_pgm` on the `carpet` grids."""
+    ax1, ax2 = _carpet_axes(L, x_count, t_count, t_hi)
+    basis = InfiniteWellBasis(L, units)
+
+    def blocks():
+        for _, cls_rows, qc_rows in _carpet_blocks(c, basis, ax1.points(), ax2.points()):
+            yield cls_rows + qc_rows, cls_rows, qc_rows
+
+    write_pgms(paths, blocks)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from revival.analogs import (
+    BEC_MAX_LEVELS,
     CoherentState,
     JCParams,
     bec_cat_fidelity,
@@ -16,13 +17,14 @@ from revival.analogs import (
     bec_overlap_peaks,
     bec_overlap_point,
     bec_state_coefficients,
+    default_n_cap,
     jc_bound,
     jc_gaussian_envelope,
     jc_inversion,
     jc_revival_time,
 )
 from revival.cli import main
-from revival.errors import DomainError
+from revival.errors import DomainError, TruncationError
 from revival.wavefields import AxisSpec
 
 JC = JCParams(nbar=36.0, coupling=0.01)
@@ -151,6 +153,18 @@ class TestCoherentState:
     def test_cap_invariant(self):
         with pytest.raises(DomainError):
             CoherentState(alpha=6.0, u0_over_hbar=1.0, n_cap=40)
+
+    def test_ladder_cap(self):
+        assert default_n_cap(4.0) == 76
+        assert default_n_cap(3.0 + 4.0j) == 95
+        # alpha 1e6 asks for 1e12 levels; past ~1e154 |alpha|^2 is not a double
+        for alpha in (1e6, 1e200):
+            with pytest.raises(TruncationError, match="ladder levels"):
+                default_n_cap(alpha)
+        with pytest.raises(TruncationError, match="ladder levels"):
+            CoherentState(alpha=4.0, u0_over_hbar=1.0, n_cap=BEC_MAX_LEVELS + 1)
+        with pytest.raises(DomainError):
+            CoherentState(alpha=1e200, u0_over_hbar=1.0, n_cap=5)
 
     def test_poisson_norm(self):
         for a in (0.0, 1.0, 4.0, 8.0):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revival
-from revival import wavefields
+from revival import serialize, wavefields
 from revival.cli import build_scenario, main, parse_config, run
 from revival.errors import ConfigError
 
@@ -119,6 +120,37 @@ class TestRun:
             tracemalloc.stop()
         assert peak < 2.5 * 1024 * 1024 * 8
 
+    def test_carpet_streams_without_a_raster(self, tmp_path):
+        # the bench carpet again: the three PGMs are written in two passes over
+        # 32-time row blocks. Measured peaks (CPython 3.11, numpy 2.4): 4.9 MiB
+        # streamed, 19.6 MiB with the two 8 MiB rasters held
+        sc = build_scenario("carpet", {"n0": "400", "x_count": "1024", "t_count": "1024"}, str(tmp_path))
+        run(sc)
+        tracemalloc.start()
+        try:
+            run(sc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 1024 * 1024 * 8
+
+    def test_carpet_pgms_are_pgms_of_the_library_grids(self, tmp_path, monkeypatch):
+        seen = []
+        original = wavefields.write_carpet_pgms
+
+        def keep(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(wavefields, "write_carpet_pgms", keep)
+        run(build_scenario("carpet", {"n0": "40", "x_count": "101", "t_count": "1000"}, str(tmp_path)))
+        c, L, x_count, t_count, t_hi, _ = seen[0]
+        cls, qc = wavefields.carpet(c, L, x_count, t_count, t_hi)
+        for name, image in (("total", cls.values.T + qc.values.T), ("classical", cls.values.T),
+                            ("quantum", qc.values.T)):
+            serialize.write_pgm(tmp_path / "want.pgm", image)
+            assert (tmp_path / f"carpet_{name}.pgm").read_bytes() == (tmp_path / "want.pgm").read_bytes()
+
     def test_autocorr_csv(self, tmp_path):
         sc = build_scenario(
             "autocorr",
@@ -165,12 +197,14 @@ class TestRun:
            "--nr_cap", "6", "--tmax", "1", "--steps", "200"], "autocorr2d.csv"),
          (["wigner", "--x_count", "64", "--p_count", "64"], "wigner.csv"),
          (["bec", "--alpha_re", "4", "--u0", "1", "--grid_count", "31"], "bec.csv"),
-         (["jc", "--nbar", "50", "--coupling", "1"], "jc.csv")],
-        ids=["autocorr_caseA", "billiard2d_circle", "wigner", "bec", "jc"],
+         (["jc", "--nbar", "50", "--coupling", "1"], "jc.csv"),
+         (["carpet", "--n0", "400", "--x_count", "1024", "--t_count", "1024"], "carpet_*.pgm")],
+        ids=["autocorr_caseA", "billiard2d_circle", "wigner", "bec", "jc", "carpet"],
     )
     def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, argv, name):
         # OpenBLAS fixes its thread count at import, so each count runs in
-        # its own process; never more than 2 threads
+        # its own process; never more than 2 threads. `name` is a glob: the
+        # carpet compares all three of its PGMs
         src = os.path.dirname(os.path.dirname(revival.__file__))
         outs = []
         for threads in ("1", "2"):
@@ -179,7 +213,9 @@ class TestRun:
             proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(out)],
                                   capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == 0, proc.stderr
-            outs.append((out / name).read_bytes())
+            files = sorted(out.glob(name))
+            assert files, name
+            outs.append([(path.name, path.read_bytes()) for path in files])
         assert outs[0] == outs[1]
 
     def test_bec_grid(self, tmp_path):
@@ -245,16 +281,40 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "argv",
-        [["observables", "--n0", "0", "--tmax", "1", "--steps", "10"],
-         ["spectrum", "--model", "well", "--n0", "0"],
+        [["spectrum", "--model", "well", "--n0", "0"],
          ["autocorr", "--model", "well", "--n0", "0.5", "--dn", "0.2", "--tmax", "1", "--steps", "10"]],
-        ids=["observables", "spectrum", "autocorr"],
+        ids=["spectrum", "autocorr"],
     )
     def test_sidecar_error_exits_before_any_file(self, tmp_path, capsys, argv):
         # no time scales below the box's ground index: exit 3, nothing written
         assert main(argv + ["--out", str(tmp_path)]) == 3
         assert "below ground index" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+    def test_observables_packet_at_rest(self, tmp_path):
+        # n0 = 0 keeps the modes up to 12 dn, and the sidecar's time scales
+        # are those at n = 2, as for the carpet
+        argv = ["observables", "--n0", "0", "--tmax", "0.01", "--steps", "50", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = np.loadtxt(tmp_path / "observables.csv", delimiter=",", skiprows=1)
+        assert rows[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert rows[0, 3] == pytest.approx(0.0, abs=1e-9)
+        assert "t_revival = " in (tmp_path / "observables.meta.txt").read_text()
+
+    def test_observables_box_parity(self, tmp_path):
+        # x -> L - x maps the packet at x0 = L/2 moving right (n0 = 400)
+        # onto the one moving left (n0 = -400)
+        got = {}
+        for n0 in ("400", "-400"):
+            argv = ["observables", "--n0", n0, "--tmax", "0.01", "--steps", "50", "--out", str(tmp_path / n0)]
+            assert main(argv) == 0
+            got[n0] = np.loadtxt(tmp_path / n0 / "observables.csv", delimiter=",", skiprows=1)
+        right, left = got["400"], got["-400"]
+        assert np.max(np.abs(left[:, 1] - (1.0 - right[:, 1]))) < 1e-12
+        assert np.max(np.abs(left[:, 2] - right[:, 2])) < 1e-12
+        p_scale = np.max(np.abs(right[:, 3]))
+        assert np.max(np.abs(left[:, 3] + right[:, 3])) < 1e-12 * p_scale
+        assert np.max(np.abs(left[:, 4] - right[:, 4])) < 1e-12 * p_scale
 
     def test_half_span_just_below_its_bound_runs_silently(self, tmp_path):
         argv = ["bec", "--alpha_re", "4", "--u0", "1", "--grid_count", "5", "--half_span", "9.9e99"]
@@ -525,7 +585,14 @@ class TestSchemaBounds:
          (["bec", "--alpha_re", "4", "--u0", "1"], "half_span", "1e200"),
          # 7.28 TiB of levels before the window; the default steps take ~100 s below the bound
          (["jc", "--coupling", "1"], "nbar", "1e12"),
-         (["jc", "--coupling", "1"], "nbar", "1e8")],
+         (["jc", "--coupling", "1"], "nbar", "1e8"),
+         # the size keys: 8192^2 carpet PGMs take ~7 s, a 1024^2 bec grid ~2 s
+         (["carpet"], "x_count", "100000"),
+         (["carpet"], "t_count", "100000"),
+         (["carpet"], "x_count", "8193"),
+         (["carpet"], "t_count", "8193"),
+         (["bec", "--alpha_re", "4", "--u0", "1"], "grid_count", "100000"),
+         (["bec", "--alpha_re", "4", "--u0", "1"], "grid_count", "1025")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
@@ -550,18 +617,27 @@ class TestSchemaBounds:
      (["autocorr", "--model", "caseA", "--n0", "1e17", "--dn", "2", "--tmax", "1", "--steps", "4"],
       "not exact"),
      (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "1e12", "--tmax", "1", "--steps", "4"],
-      "GiB")],
+      "GiB"),
+     # the automatic bec ladder, |alpha|^2 + 10 |alpha| + 20 levels, past its
+     # 1e5-level cap (1e12 levels, 7.28 TiB, at alpha 1e6), and an explicit one
+     (["bec", "--alpha_re", "1e6", "--u0", "1"], "ladder levels"),
+     (["bec", "--alpha_re", "1e200", "--u0", "1"], "ladder levels"),
+     (["bec", "--alpha_re", "4", "--u0", "1", "--n_cap", "1000000000000"], "ladder levels")],
     ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor", "autocorr_huge_n0", "autocorr_huge_dn",
-         "autocorr_inexact_n0", "autocorr_huge_window"],
+         "autocorr_inexact_n0", "autocorr_huge_window", "bec_huge_alpha", "bec_overflowing_alpha",
+         "bec_huge_n_cap"],
 )
 def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
     # run as a process to see the real stderr: one error line, no warnings,
-    # and no artifact written
+    # and no artifact written. The child's address space is capped at 1 GiB
+    # (about 180 MB is mapped by a normal run), so an attempt at a huge
+    # allocation exits 1, not 3
     src = os.path.dirname(os.path.dirname(revival.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     out = tmp_path / "out"
     proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(out)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
     assert proc.returncode == 3
     assert proc.stderr.startswith("numeric error:") and message in proc.stderr
     assert proc.stderr.count("\n") == 1

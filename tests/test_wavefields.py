@@ -6,8 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from revival import specfun
-from revival.dynamics import _phase_block
+from revival import dynamics, specfun
+from revival.dynamics import _phase_block, _phase_chunks
 from revival.errors import DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
@@ -15,6 +15,7 @@ from revival.packets import (
     delta_n_estimate,
     infinite_well_coefficients,
 )
+from revival.serialize import write_pgm
 from revival.spectra import Spectrum1D, eval_energy, time_scales
 from revival.wavefields import (
     WIGNER_MAX_BYTES,
@@ -30,6 +31,7 @@ from revival.wavefields import (
     wigner_infinite_well,
     wigner_marginals,
     wigner_term,
+    write_carpet_pgms,
     _wigner_work_bytes,
 )
 
@@ -293,6 +295,71 @@ class TestWignerFastPath:
         finally:
             tracemalloc.stop()
         assert peak < _wigner_work_bytes(256, 256, len(c.indices))
+
+
+def _cli_wigner_inputs(x_count: int, p_count: int):
+    """The CLI's default n0 40 packet with its x and p grids."""
+    pk = PacketParams1D(x0=0.5, p0=40 * math.pi, width_b=0.05 * math.sqrt(2.0))
+    c = infinite_well_coefficients(pk, L, int(40 + 12 * delta_n_estimate(pk, L)) + 8)
+    span = default_momentum_span(pk.p0, pk.dp0)
+    x = np.linspace(L / (x_count + 1), L * (1 - 1 / (x_count + 1)), x_count)
+    return c, x, np.linspace(-span, span, p_count)
+
+
+class TestWignerRowBlocks:
+    @pytest.mark.parametrize("x_count, p_count, t", [(100, 257, 0.013), (150, 64, 0.0)])
+    def test_blocks_match_one_block(self, monkeypatch, x_count, p_count, t):
+        # an odd p_count puts p = 0 on the grid, so the shift j = 0 is a near
+        # cell in every row block; 100 and 150 rows make 2 and 3 blocks
+        c, x, pg = _cli_wigner_inputs(x_count, p_count)
+        assert np.count_nonzero(pg == 0.0) == p_count % 2
+        blocked = wigner_infinite_well(c, L, x, pg, t).values
+        monkeypatch.setattr(dynamics, "_PHASE_ELEMENTS", 1 << 62)
+        whole = wigner_infinite_well(c, L, x, pg, t).values
+        monkeypatch.setattr(dynamics, "_PHASE_ELEMENTS", 1)
+        single_rows = wigner_infinite_well(c, L, x, pg, t).values
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(single_rows, whole)
+
+    def test_default_grid_peak_in_row_blocks(self):
+        # the CLI default, 256 x 256 with 57 modes. Measured peaks (CPython
+        # 3.11, numpy 2.4): 5.2 MiB in row blocks, 12.6 MiB with the full
+        # (4X x J) and (4X x P) contraction planes
+        c, x, pg = _cli_wigner_inputs(256, 256)
+        wigner_infinite_well(c, L, x, pg, 0.0)  # FFT plan caches fill outside the trace
+        tracemalloc.start()
+        try:
+            wigner_infinite_well(c, L, x, pg, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+class TestCarpetStream:
+    @pytest.mark.parametrize(
+        "x_count, t_count, dx0",
+        [(64, 64, 0.05), (97, 1000, 0.05), (333, 130, 0.005)],
+        ids=["64x64", "odd_x_1000_times", "two_phase_chunks"],
+    )
+    def test_streamed_pgms_are_pgms_of_the_grids(self, tmp_path, x_count, t_count, dx0):
+        pk = PacketParams1D(x0=0.5, p0=400 * math.pi, width_b=dx0 * math.sqrt(2.0))
+        c = infinite_well_coefficients(pk, L, int(400 + 12 * delta_n_estimate(pk, L)) + 8)
+        if dx0 < 0.05:
+            assert len(list(_phase_chunks(t_count, len(c.indices), align=32))) > 1
+        t_hi = TREV / 7
+        names = ("total", "classical", "quantum")
+        write_carpet_pgms(c, L, x_count, t_count, t_hi, [tmp_path / f"{name}.pgm" for name in names])
+        cls, qc = carpet(c, L, x_count, t_count, t_hi)
+        images = (cls.values.T + qc.values.T, cls.values.T, qc.values.T)
+        for name, image in zip(names, images):
+            write_pgm(tmp_path / f"want_{name}.pgm", image)
+            assert (tmp_path / f"{name}.pgm").read_bytes() == (tmp_path / f"want_{name}.pgm").read_bytes()
+
+    def test_minimum_grid_enforced(self, cset, tmp_path):
+        with pytest.raises(DomainError):
+            write_carpet_pgms(cset, L, 32, 96, 0.1, [tmp_path / f"{k}.pgm" for k in range(3)])
+        assert not any(tmp_path.iterdir())
 
 
 class TestCarpet:
