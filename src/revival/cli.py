@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, analogs, billiards, dynamics, fractional, packets, spectra, wavefields
 from .errors import ConfigError, RevivalError
-from .serialize import format_float, write_csv
+from .serialize import format_float, write_csv, write_series_csv
 
 COMMANDS = (
     "spectrum",
@@ -79,13 +79,20 @@ def _bounded(parse, lo: float, strict: bool = False, below: float | None = None)
         if val < lo or (strict and val == lo):
             raise ConfigError(f"key {key!r}: must be {'>' if strict else '>='} {lo:g}, got {raw!r}")
         if below is not None and val >= below:
-            raise ConfigError(f"key {key!r}: must be < {below:g}, got {raw!r}")
+            limit = below if isinstance(below, int) else f"{below:g}"  # an int bound in full
+            raise ConfigError(f"key {key!r}: must be < {limit}, got {raw!r}")
         return val
 
     return check
 
 
 _POSITIVE = _bounded(_float_key, 0.0, strict=True)
+
+# time-series rows: the CSV streams, so run time and output grow with steps.
+# At 10^6 steps the bench scenarios take 8 s (autocorr caseA, 80 MB of CSV),
+# 21 s (billiard2d circle, 82 MB) and 54 s (observables, 97 MB), at a flat
+# 33-34 MB max-RSS (2-core x86-64)
+_STEPS = _bounded(_int_key, 1, below=1_000_001)
 
 
 def _nonzero(raw: str, key: str) -> float:
@@ -122,7 +129,8 @@ _SCHEMAS: dict[str, dict] = {
     "spectrum": {
         **_MODEL_KEYS,
         "n_min": (_bounded(_int_key, 0), 0),
-        "n_max": (_bounded(_int_key, 0), 50),
+        # the rows stream: 10^6 levels take 1.4 s and write 27 MB (caseA, 2-core x86-64)
+        "n_max": (_bounded(_int_key, 0, below=1_000_001), 50),
         "n0": (_float_key, _REQUIRED),
     },
     "autocorr": {
@@ -131,12 +139,14 @@ _SCHEMAS: dict[str, dict] = {
         "dn": (_POSITIVE, _REQUIRED),
         "cutoff": (_bounded(_float_key, 0.0, strict=True, below=1.0), 1e-8),
         "tmax": (_POSITIVE, _REQUIRED),
-        "steps": (_bounded(_int_key, 1), _REQUIRED),
+        "steps": (_STEPS, _REQUIRED),
         "anti": (_int_key, 0),
     },
     "fractional": {
         "p": (_bounded(_int_key, 1), _REQUIRED),
-        "q": (_bounded(_int_key, 1), _REQUIRED),
+        # one FFT of length q or q/2: a prime q near 10^6 takes 3.3 s at 192 MB
+        # max-RSS and writes 77 MB; 10^7 + 1 took 36 s and 1.6 GB (2-core x86-64)
+        "q": (_bounded(_int_key, 1, below=1_000_001), _REQUIRED),
     },
     "carpet": {
         "L": (_POSITIVE, 1.0),
@@ -157,8 +167,10 @@ _SCHEMAS: dict[str, dict] = {
         "x0": (_float_key, 0.5),
         "dx0": (_POSITIVE, 0.05),
         "t": (_float_key, 0.0),
-        "x_count": (_bounded(_int_key, 2), 256),
-        "p_count": (_bounded(_int_key, 2), 256),
+        # the byte budget bounds the grid; these bounds keep an axis from being
+        # allocated before it: 8192 x 64 takes 1.4 s and 156 MB max-RSS (2-core x86-64)
+        "x_count": (_bounded(_int_key, 2, below=8193), 256),
+        "p_count": (_bounded(_int_key, 2, below=8193), 256),
         "p_span": (_bounded(_float_key, 0.0), 0.0),  # 0 -> default span
         "format": (_str_key(("csv", "pgm")), "csv"),
     },
@@ -168,7 +180,7 @@ _SCHEMAS: dict[str, dict] = {
         "x0": (_float_key, 0.5),
         "dx0": (_POSITIVE, 0.05),
         "tmax": (_float_key, _REQUIRED),
-        "steps": (_bounded(_int_key, 1), _REQUIRED),
+        "steps": (_STEPS, _REQUIRED),
     },
     "billiard2d": {
         "geometry": (_str_key(("square", "equilateral", "circle", "annulus")), _REQUIRED),
@@ -179,10 +191,15 @@ _SCHEMAS: dict[str, dict] = {
         "p0x": (_float_key, 0.0),
         "p0y": (_float_key, 0.0),
         "dx0": (_POSITIVE, 0.05),
-        "m_cap": (_bounded(_int_key, 1), 16),
-        "nr_cap": (_bounded(_int_key, 0), 30),
+        # the polygon label tables grow as m_cap^2: at 1024 the bench packets
+        # take 2.2 s and 177 MB max-RSS (square) and 86 s and 151 MB
+        # (equilateral) (2-core x86-64); circle and annulus stop at order 60
+        "m_cap": (_bounded(_int_key, 1, below=1025), 16),
+        # the circle's Bessel zeros are validated to 201 per order; the annulus
+        # at 200 takes 1.2 s with m_cap 60 (2-core x86-64)
+        "nr_cap": (_bounded(_int_key, 0, below=201), 30),
         "tmax": (_POSITIVE, _REQUIRED),
-        "steps": (_bounded(_int_key, 1), _REQUIRED),
+        "steps": (_STEPS, _REQUIRED),
     },
     "jc": {
         # the level window grows as 24 sqrt(nbar): the default 6000 steps take
@@ -191,7 +208,7 @@ _SCHEMAS: dict[str, dict] = {
         "coupling": (_POSITIVE, _REQUIRED),
         "detuning": (_float_key, 0.0),
         "tau_max": (_POSITIVE, 30.0),
-        "steps": (_bounded(_int_key, 1), 6000),
+        "steps": (_STEPS, 6000),
     },
     "bec": {
         "alpha_re": (_float_key, _REQUIRED),
@@ -286,6 +303,18 @@ def _time_scale_extras(s, n0: float) -> dict:
     }
 
 
+def _write_series(path: str, stop: float, steps: int, series) -> None:
+    """The CSV of `series(times)`, a TimeSeries, on np.linspace(0, stop,
+    steps + 1): evaluated and written one block of rows at a time, so no
+    array as long as the grid is held."""
+
+    def block(part):
+        ts = series(dynamics.linspace_rows(stop, steps + 1, part))
+        return ts.times, ts.values
+
+    write_series_csv(path, steps + 1, block)
+
+
 def run(scenario: Scenario) -> list[str]:
     """Execute a validated scenario; returns the artifact paths written."""
     os.makedirs(scenario.out_dir, exist_ok=True)
@@ -295,12 +324,15 @@ def run(scenario: Scenario) -> list[str]:
 
     if scenario.command == "spectrum":
         s = _SPECTRA[p["model"]](p)
-        ns = np.arange(max(p["n_min"], int(s.ground_index)), p["n_max"] + 1)
-        # both raise before the file opens
-        energies = spectra.eval_energy(s, ns.astype(float))
-        extras = _time_scale_extras(s, p["n0"])
+        n_lo = max(p["n_min"], int(s.ground_index))
+        extras = _time_scale_extras(s, p["n0"])  # raises before the file opens
+
+        def levels(part):
+            ns = np.arange(n_lo + part.start, n_lo + part.stop)
+            return ns, spectra.eval_energy(s, ns)
+
         path = out("spectrum.csv")
-        write_csv(path, "n,energy\n", "%d,%.17g\n", (ns, energies))
+        write_csv(path, "n,energy\n", "%d,%.17g\n", levels, max(p["n_max"] + 1 - n_lo, 0))
         written.append(path)
         written.append(_write_sidecar(scenario, extras))
 
@@ -309,13 +341,9 @@ def run(scenario: Scenario) -> list[str]:
         index_min = int(s.ground_index)
         c = packets.gaussian_model_coefficients(p["n0"], p["dn"], p["cutoff"], index_min)
         extras = _time_scale_extras(s, p["n0"])
-        grid = np.linspace(0.0, p["tmax"], p["steps"] + 1)
-        if p["anti"]:
-            series = dynamics.anticorrelation_infinite_well(c, s, grid)
-        else:
-            series = dynamics.autocorrelation(c, s, grid)
+        overlap = dynamics.anticorrelation_infinite_well if p["anti"] else dynamics.autocorrelation
         path = out("autocorr.csv")
-        series.to_csv(path)
+        _write_series(path, p["tmax"], p["steps"], lambda t: overlap(c, s, t))
         written.append(path)
         written.append(_write_sidecar(scenario, extras))
 
@@ -368,11 +396,14 @@ def run(scenario: Scenario) -> list[str]:
         c = packets.infinite_well_coefficients(pk, L, n_max)
         extras = _time_scale_extras(spectra.Spectrum1D.infinite_well(L), max(abs(p["n0"]), 2.0))
         basis = wavefields.InfiniteWellBasis(L)
-        grid = np.linspace(0.0, p["tmax"], p["steps"] + 1)
-        obs = wavefields.observables(c, basis, grid)
+
+        def moments(part):
+            obs = wavefields.observables(c, basis, dynamics.linspace_rows(p["tmax"], p["steps"] + 1, part))
+            return obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p
+
         path = out("observables.csv")
         write_csv(path, "t,mean_x,sd_x,mean_p,sd_p\n", ",".join(["%.17g"] * 5) + "\n",
-                  (obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p))
+                  moments, p["steps"] + 1)
         written.append(path)
         written.append(_write_sidecar(scenario, extras))
 
@@ -382,10 +413,8 @@ def run(scenario: Scenario) -> list[str]:
     elif scenario.command == "jc":
         params = analogs.JCParams(p["nbar"], p["coupling"], p["detuning"])
         t_max = p["tau_max"] * math.pi / p["coupling"]
-        grid = np.linspace(0.0, t_max, p["steps"] + 1)
-        series = analogs.jc_inversion(params, grid)
         path = out("jc.csv")
-        series.to_csv(path)
+        _write_series(path, t_max, p["steps"], lambda t: analogs.jc_inversion(params, t))
         written.append(path)
         written.append(_write_sidecar(scenario, {"t_revival": analogs.jc_revival_time(params)}))
 
@@ -428,10 +457,8 @@ def _run_billiard(scenario: Scenario, out) -> list[str]:
     s2d.write_levels_csv(levels_path)
     written.append(levels_path)
     if c2d is not None:
-        grid = np.linspace(0.0, p["tmax"], p["steps"] + 1)
-        series = billiards.autocorrelation_2d(c2d, s2d, grid)
         path = out("autocorr2d.csv")
-        series.to_csv(path)
+        _write_series(path, p["tmax"], p["steps"], lambda t: billiards.autocorrelation_2d(c2d, s2d, t))
         written.append(path)
     center = (0.0, max(1.0, p["nr_cap"] / 2)) if geometry in ("circle", "annulus") else (4.0, 4.0)
     extras = {}

@@ -39,8 +39,10 @@ def _two_pi_fraction(bits: int) -> Fraction:
 # k * (error of 2 pi) far below one ulp of the reduced phase
 _FRACTION_TWO_PI = _two_pi_fraction(2200)
 _BIG_PHASE = 1e8
-_PHASE_ELEMENTS = 1 << 16  # rows x times per block: 512 KB float temporaries stay in L2 (2^18: 25 % slower)
-_EXACT_ELEMENTS = 4096  # per _reduce_exact call, which holds ~25 temporaries per element
+# rows x times per block: a block's three or four float planes (1 MB) stay
+# in L2; in-process, 2^14 is 20 % slower on caseA and 2^16 no faster
+_PHASE_ELEMENTS = 1 << 15
+_EXACT_ELEMENTS = 4096  # products per far-phase slice; _reduce_exact holds ~25 temporaries per element
 
 
 def _cody_waite_parts():
@@ -62,20 +64,45 @@ def _cody_waite_parts():
 _P1, _P2, _P3 = _cody_waite_parts()
 
 
-def _two_product(a, b) -> tuple[np.ndarray, np.ndarray]:
-    # Dekker split product: a*b = hi + lo exactly (barring over/underflow).
+class _Buffers:
+    """Named flat arrays reused from one phase block to the next: a request
+    returns a contiguous view of the leading elements of the buffer of that
+    name, which grows only when a larger shape is asked for. A view is
+    overwritten by the next request of its name."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def temps(self, shape) -> tuple[np.ndarray, np.ndarray]:
+        """Two float temporaries of `shape` in the storage of the complex
+        buffer "phase", for values that die before the phases are written."""
+        size = math.prod(shape)
+        flat = self("phase", shape, complex).reshape(-1).view(float)
+        return flat[:size].reshape(shape), flat[size:].reshape(shape)
+
+
+def _two_product(a, b, out=None) -> tuple[np.ndarray, np.ndarray]:
+    # Dekker split product: a*b = hi + lo exactly (barring over/underflow);
+    # `out` may give arrays (hi, lo, temporary) of the broadcast shape
     split = 134217729.0  # 2^27 + 1
-    hi = a * b
     a_h = a * split - (a * split - a)
     a_l = a - a_h
     b_h = b * split - (b * split - b)
     b_l = b - b_h
+    hi_out, lo_out, tmp = (None, None, None) if out is None else out
+    hi = np.multiply(a, b, out=hi_out)
     # ((a_h b_h - hi) + a_h b_l + a_l b_h) + a_l b_l, accumulated in place
-    lo = a_h * b_h
+    lo = np.multiply(a_h, b_h, out=lo_out)
     lo -= hi
-    lo += a_h * b_l
-    lo += a_l * b_h
-    lo += a_l * b_l
+    for x, y in ((a_h, b_l), (a_l, b_h), (a_l, b_l)):
+        lo += np.multiply(x, y, out=tmp)
     return hi, lo
 
 
@@ -171,48 +198,57 @@ def _reduce_exact(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return rounded(m + (r < 0.0) - over)
 
 
-def reduced_phase(omega, t) -> np.ndarray:
+def _reduce_far(omega, t, hi, lo, far) -> None:
+    """Write (hi + lo) mod 2 pi into lo where `far` is set (see
+    reduced_phase), gathering one slice of _EXACT_ELEMENTS products at a
+    time."""
+    flat_hi, flat_lo, flat_far = (a.reshape(-1) for a in (hi, lo, far))
+    for start in range(0, flat_far.size, _EXACT_ELEMENTS):
+        idx = start + np.flatnonzero(flat_far[start : start + _EXACT_ELEMENTS])
+        hi_f, lo_f = flat_hi[idx], flat_lo[idx]
+        exact = (np.abs(hi_f) < _EXACT_CAP) & np.isfinite(lo_f)
+        if exact.any():
+            flat_lo[idx[exact]] = _reduce_exact(hi_f[exact], lo_f[exact])
+        for i in idx[~exact]:  # exact rational reduction for extreme products
+            at = np.unravel_index(i, hi.shape)
+            prod = Fraction(float(np.broadcast_to(omega, hi.shape)[at])) * Fraction(
+                float(np.broadcast_to(t, hi.shape)[at]))
+            flat_lo[i] = float(prod % _FRACTION_TWO_PI)
+
+
+def reduced_phase(omega, t, buf: _Buffers | None = None) -> np.ndarray:
     """omega * t reduced modulo 2*pi with extended-precision arithmetic,
     so that revival-scale phase alignments survive large |omega * t|.
-    Broadcasts over both arguments.
+    Broadcasts over both arguments; the result is the buffer "hi" of
+    `buf` (fresh arrays when None).
 
     |omega t| <= 1e8 takes a three-part Cody-Waite reduction; up to
     _EXACT_CAP the product is reduced exactly (_reduce_exact) and
     rounded once, as Fraction arithmetic would; only products beyond
     that, or whose Dekker split overflows, use Fraction."""
+    buf = _Buffers() if buf is None else buf
     omega = np.asarray(omega, dtype=float)
     tarr = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow goes to the tail
-        hi, lo = _two_product(omega, tarr)
-        idx = np.flatnonzero((np.abs(hi) > _BIG_PHASE) | (np.isfinite(hi) & ~np.isfinite(lo)))
-        hi_f, lo_f = np.ravel(hi)[idx], np.ravel(lo)[idx]
-        # r = ((hi - k P1) - k P2) - k P3 + lo in place; x - y is x + (-y)
-        # bit for bit, and each full-size operand is freed after its last use
-        k = np.rint(hi / TWO_PI)
-        r = k * -_P1
-        r += hi
-        del hi
-        r += k * -_P2
+        shape = np.broadcast_shapes(omega.shape, tarr.shape)
+        k, tmp = buf.temps(shape)
+        hi, lo = _two_product(omega, tarr, (buf("hi", shape), buf("lo", shape), tmp))
+        far = np.greater(np.abs(hi, out=k), _BIG_PHASE, out=buf("far", hi.shape, bool))
+        far |= np.isfinite(hi) & ~np.isfinite(lo)
+        any_far = far.any()
+        if any_far:  # reduced into lo, which the far phases no longer need
+            _reduce_far(omega, tarr, hi, lo, far)
+        # hi = ((hi - k P1) - k P2) - k P3 + lo in place: x - y is x + (-y),
+        # and x + y is y + x, bit for bit
+        np.rint(np.divide(hi, TWO_PI, out=k), out=k)
+        hi += np.multiply(k, -_P1, out=tmp)
+        hi += np.multiply(k, -_P2, out=tmp)
         k *= -_P3
-        r += k
-        r += lo
-        del k, lo
-    if idx.size:
-        rr = np.asarray(r).reshape(-1)  # a view: the far phases are written into r
-        exact = (np.abs(hi_f) < _EXACT_CAP) & np.isfinite(lo_f)
-        idx_e, hi_e, lo_e = idx[exact], hi_f[exact], lo_f[exact]
-        for start in range(0, idx_e.size, _EXACT_ELEMENTS):
-            part = slice(start, start + _EXACT_ELEMENTS)
-            rr[idx_e[part]] = _reduce_exact(hi_e[part], lo_e[part])
-        tail = idx[~exact]
-        if tail.size:  # exact rational reduction for extreme products
-            # ravel once: each ravel of a broadcast view copies the whole operand
-            prod_o, prod_t = (a.ravel() for a in np.broadcast_arrays(omega, tarr))
-            for i in tail:
-                prod = Fraction(float(prod_o[i])) * Fraction(float(prod_t[i]))
-                rr[i] = float(prod % _FRACTION_TWO_PI)
-        r = rr.reshape(np.shape(r))
-    return r
+        hi += k
+        hi += lo
+    if any_far:
+        np.copyto(hi, lo, where=far)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -254,33 +290,53 @@ def _dd_cycles(g: list[float], n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def _phase_block(ts, n, s: Spectrum1D | None = None) -> np.ndarray:
-    """The unit phases e^{+i E_n t / hbar} as an (N, T) block, for a chunk
-    of times from _phase_chunks; the one place that turns energies into phases.
+def _unit_phases(theta: np.ndarray, buf: _Buffers) -> np.ndarray:
+    """e^{i theta} as the buffer "phase": cos and sin are written into its
+    interleaved float view, which gives the bits of np.exp(1j * theta)
+    without forming a complex argument block."""
+    out = buf("phase", theta.shape, complex)
+    parts = out.view(float)
+    np.cos(theta, out=parts[..., 0::2])
+    np.sin(theta, out=parts[..., 1::2])
+    return out
+
+
+def _phase_angles(ts, n, s: Spectrum1D | None, buf: _Buffers) -> np.ndarray:
+    """E_n t / hbar reduced modulo 2 pi as an (N, T) block in `buf`.
 
     `n` holds level indices of `s`, or angular frequencies E/hbar when `s`
     is None. A spectrum with a frequency polynomial keeps q_n = E_n/(2 pi
     hbar) in double-double and reduces q_n t modulo one cycle before the
     final multiply by 2 pi, which keeps quadratic revival phase alignments
-    exact to the last rounding; other levels go through reduced_phase.
-    Evolved coefficients are a_n * conj(block)."""
+    exact to the last rounding; other levels go through reduced_phase."""
     ts = np.asarray(ts, dtype=float)[None, :]
     g = None if s is None else s.frequency_polynomial()
     if g is None:
         omegas = n if s is None else eval_energy(s, n.astype(float)) / s.units.hbar
-        phase = 1j * reduced_phase(omegas[:, None], ts)
-        return np.exp(phase, out=phase)
+        return reduced_phase(omegas[:, None], ts, buf)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         q_hi, q_lo = _dd_cycles(g, n.astype(float))
-        hi, lo = _two_product(q_hi[:, None], ts)
-        lo += q_lo[:, None] * ts
+        shape = (len(n), ts.shape[1])
+        lo, tmp = buf.temps(shape)
+        hi, lo = _two_product(q_hi[:, None], ts, (buf("hi", shape), lo, tmp))
+        lo += np.multiply(q_lo[:, None], ts, out=tmp)
     if not np.isfinite(lo.sum()):  # lo is NaN/inf where a Dekker split overflowed (|q|, |t| > ~1e300)
         i, j = np.unravel_index(np.argmin(np.isfinite(lo)), lo.shape)
         raise DomainError(f"cycle product q*t overflows at index {n[i]:g}, t = {ts[0, j]:g}")
-    hi -= np.rint(hi)
-    hi += lo  # (hi - k) + lo in place: the (N, T) temporaries set the peak memory
-    phase = (2j * math.pi) * hi
-    return np.exp(phase, out=phase)
+    hi -= np.rint(hi, out=tmp)
+    hi += lo  # (hi - k) + lo in place
+    hi *= TWO_PI
+    return hi
+
+
+def _phase_block(ts, n, s: Spectrum1D | None = None, buf: _Buffers | None = None) -> np.ndarray:
+    """The unit phases e^{+i E_n t / hbar} as an (N, T) block, for a chunk
+    of times from _phase_chunks; the one place that turns energies into
+    phases (see _phase_angles for `n` and `s`). Passing one `buf` to every
+    chunk reuses its buffers: the block is valid until the next call.
+    Evolved coefficients are a_n * conj(block)."""
+    buf = _Buffers() if buf is None else buf
+    return _unit_phases(_phase_angles(ts, n, s, buf), buf)
 
 
 def _phase_chunks(times: int, rows: int, align: int = 1):
@@ -292,9 +348,10 @@ def _phase_chunks(times: int, rows: int, align: int = 1):
 def _phase_sum(w, n, t, s: Spectrum1D | None = None) -> np.ndarray:
     """sum_n w_n e^{+i E_n t / hbar} on the grid t for real w, added in row order (einsum, no BLAS)."""
     vals = np.empty(len(t), dtype=complex)
+    buf = _Buffers()
     for cols in _phase_chunks(len(t), len(n)):
         # real and imaginary parts as one float row: 5x faster than a complex einsum
-        vals[cols] = np.einsum("n,nt->t", w, _phase_block(t[cols], n, s).view(float)).view(complex)
+        vals[cols] = np.einsum("n,nt->t", w, _phase_block(t[cols], n, s, buf).view(float)).view(complex)
     return vals
 
 
@@ -460,6 +517,24 @@ def mandelstam_check(
     if np.any(bad):
         return False, float(t[mask][np.argmax(bad)])
     return True, None
+
+
+def linspace_rows(stop: float, num: int, rows: slice) -> np.ndarray:
+    """np.linspace(0.0, stop, num)[rows] for num >= 2, formed from the row
+    indices alone as np.linspace forms the whole grid: index times step,
+    the last point set to `stop`; the bits are those of np.linspace."""
+    div = num - 1
+    t = np.arange(rows.start, rows.stop, dtype=float)
+    step = stop / div
+    if step == 0.0:  # np.linspace's route for a step that underflows
+        t /= div
+        t *= stop
+    else:
+        t *= step
+    t += 0.0  # the start: turns a -0.0 into 0.0, as np.linspace does
+    if rows.stop == num:
+        t[-1] = stop
+    return t
 
 
 def uniform_grid(t_hi: float, t_cl: float, samples_per_period: int = 40, t_lo: float = 0.0) -> np.ndarray:

@@ -3,8 +3,8 @@ modules: CSV at 17 significant digits and 16-bit binary PGM rasters."""
 
 from __future__ import annotations
 
+import os
 from contextlib import ExitStack
-from itertools import chain
 
 import numpy as np
 
@@ -16,27 +16,52 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path, header: str, row_format: str, columns) -> None:
+def write_csv(path, header: str, row_format: str, columns, rows: int | None = None) -> None:
     """`header`, then `row_format % row` for each row of `columns`: arrays,
     lists, or functions of a row slice that derive that block's values
-    (the first array or list sets the row count). Each block of
-    BLOCK_ROWS rows is formatted by one `%` and written in one call;
-    `%.17g` writes what format_float does."""
-    rows = next(len(col) for col in columns if not callable(col))
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for lo in range(0, rows, BLOCK_ROWS):
-            part = slice(lo, min(lo + BLOCK_ROWS, rows))
-            block = [col(part) if callable(col) else col[part] for col in columns]
-            block = [b.tolist() if isinstance(b, np.ndarray) else b for b in block]
-            fh.write((row_format * (part.stop - lo)) % tuple(chain.from_iterable(zip(*block))))
+    (the first array or list sets the row count). `columns` may instead be
+    one function of a row slice that returns all of that block's columns,
+    with `rows` rows in all, so that no column is ever held whole; a block
+    that raises removes the file. Each block of BLOCK_ROWS rows is
+    formatted by one `%` and written in one call; `%.17g` writes what
+    format_float does."""
+    if not callable(columns):
+        fixed = columns
+        rows = next(len(col) for col in fixed if not callable(col))
+        columns = lambda part: [col(part) if callable(col) else col[part] for col in fixed]
+    fh = open(path, "w", newline="")
+    try:
+        with fh:
+            fh.write(header)
+            for lo in range(0, rows, BLOCK_ROWS):
+                part = slice(lo, min(lo + BLOCK_ROWS, rows))
+                block = columns(part)
+                # the values in row order, one column slice at a time: no row tuples
+                values = [None] * (len(block) * (part.stop - lo))
+                for j, col in enumerate(block):
+                    values[j :: len(block)] = col.tolist() if isinstance(col, np.ndarray) else col
+                fh.write((row_format * (part.stop - lo)) % tuple(values))
+    except BaseException:
+        os.remove(path)  # a block that raises leaves no partial file
+        raise
 
 
 def write_timeseries_csv(path, times, values) -> None:
     """Columns t,re,im,abs2; abs2 is Python's abs(complex) ** 2."""
-    v = np.asarray(values, dtype=complex)
-    write_csv(path, "t,re,im,abs2\n", "%.17g,%.17g,%.17g,%.17g\n",
-              (times, v.real, v.imag, lambda part: [abs(z) ** 2 for z in v[part].tolist()]))
+    write_series_csv(path, len(times), lambda part: (times[part], values[part]))
+
+
+def write_series_csv(path, rows: int, block) -> None:
+    """`write_timeseries_csv` of a series of `rows` samples that `block`
+    returns as (times, values) for each row slice, so that the series is
+    computed and written BLOCK_ROWS samples at a time."""
+
+    def columns(part):
+        times, values = block(part)
+        v = np.asarray(values, dtype=complex)
+        return times, v.real, v.imag, [abs(z) ** 2 for z in v.tolist()]
+
+    write_csv(path, "t,re,im,abs2\n", "%.17g,%.17g,%.17g,%.17g\n", columns, rows)
 
 
 def write_grid_csv(path, axis1, axis2, values) -> None:

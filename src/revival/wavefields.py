@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .dynamics import _phase_block, _phase_chunks
+from .dynamics import _Buffers, _phase_block, _phase_chunks
 from .errors import DomainError, TruncationError
 from .packets import CoefficientSet, _airy_levels, bouncer_norm
 from .serialize import write_grid_csv, write_pgm, write_pgms
@@ -225,10 +225,17 @@ def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
     mats = np.stack([basis.x_matrix(n), basis.x2_matrix(n), basis.p_matrix(n), basis.p2_matrix(n)])
     t_grid = np.asarray(t_grid, dtype=float)
     moments = np.empty((4, len(t_grid)))
+    buf = _Buffers()  # every (N, T) block below is a buffer reused from chunk to chunk
     for cols in _phase_chunks(len(t_grid), len(n)):
-        a = c.coefficients[:, None] * np.conj(_phase_block(t_grid[cols], n, basis.spectrum))  # (N, T)
-        # conj(a) . M . a per matrix and time; einsum without `optimize` sums in order, no BLAS
-        moments[:, cols] = [np.einsum("nt,nt->t", np.conj(a), np.einsum("nm,mt->nt", m, a)).real for m in mats]
+        a = _phase_block(t_grid[cols], n, basis.spectrum, buf)
+        np.multiply(c.coefficients[:, None], np.conj(a, out=a), out=a)  # a_n(t) = c_n conj(phase)
+        m_a = buf("m_a", a.shape, complex)
+        # Re conj(a) . M . a per matrix and time, as Re a . conj(M a): the real
+        # parts of the products are the same bits. einsum without `optimize`
+        # sums in order, no BLAS
+        for row, m in zip(moments, mats):
+            np.conj(np.einsum("nm,mt->nt", m, a, out=m_a), out=m_a)
+            row[cols] = np.einsum("nt,nt->t", a, m_a).real
     mean_x, x2, mean_p, p2 = moments
     sd_x = np.sqrt(np.maximum(x2 - mean_x**2, 0.0))
     sd_p = np.sqrt(np.maximum(p2 - mean_p**2, 0.0))
@@ -457,6 +464,7 @@ def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
     n = _basis_indices(c, basis).astype(float)
     e_plus = np.exp(1j * (math.pi * np.outer(n, x) / L))  # (N, X)
     for chunk in _phase_chunks(len(ts), len(n), align=_CARPET_TIMES):  # same sub-blocks at any size
+        # fresh buffers: the angle plane is freed before the products below run
         block = _phase_block(ts[chunk], n, basis.spectrum)
         for sub in range(0, block.shape[1], _CARPET_TIMES):
             a_t = (c.coefficients[:, None] * np.conj(block[:, sub : sub + _CARPET_TIMES])).T

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revival
-from revival import serialize, wavefields
+from revival import cli, serialize, wavefields
 from revival.cli import build_scenario, main, parse_config, run
 from revival.errors import ConfigError
 
@@ -592,7 +592,20 @@ class TestSchemaBounds:
          (["carpet"], "x_count", "8193"),
          (["carpet"], "t_count", "8193"),
          (["bec", "--alpha_re", "4", "--u0", "1"], "grid_count", "100000"),
-         (["bec", "--alpha_re", "4", "--u0", "1"], "grid_count", "1025")],
+         (["bec", "--alpha_re", "4", "--u0", "1"], "grid_count", "1025"),
+         # the streamed series and tables: 10^6 steps take up to ~54 s, a
+         # 10^6-point Gauss-sum table ~3 s, a 1024-label-cap triangle ~86 s
+         (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1"], "steps", "1000001"),
+         (["observables", "--tmax", "1"], "steps", "1000001"),
+         (["jc", "--nbar", "5", "--coupling", "1"], "steps", "1000001"),
+         (["billiard2d", "--geometry", "square", "--tmax", "1"], "steps", "1000001"),
+         (["spectrum", "--model", "caseA", "--n0", "10"], "n_max", "1000001"),
+         (["fractional", "--p", "1"], "q", "1000001"),
+         (["billiard2d", "--geometry", "square", "--tmax", "1", "--steps", "10"], "m_cap", "1025"),
+         (["billiard2d", "--geometry", "equilateral", "--tmax", "1", "--steps", "10"], "m_cap", "1025"),
+         (["billiard2d", "--geometry", "annulus", "--tmax", "1", "--steps", "10"], "nr_cap", "201"),
+         (["wigner"], "x_count", "8193"),
+         (["wigner"], "p_count", "8193")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
@@ -642,3 +655,180 @@ def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
     assert proc.stderr.startswith("numeric error:") and message in proc.stderr
     assert proc.stderr.count("\n") == 1
     assert not any(out.iterdir())
+
+
+# Each run below tried a multi-GiB allocation and exited 1: np.linspace
+# for 10^9 steps or grid points, the spectrum's index array, the (l x l)
+# Gauss-sum phase table, the polygon label tables and the annulus root
+# table. Each child runs under a 1 GiB address-space cap, so such an
+# attempt would exit 1 again.
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1",
+       "--steps", "1000000000"], 2),
+     (["observables", "--tmax", "1", "--steps", "1000000000"], 2),
+     (["jc", "--nbar", "5", "--coupling", "1", "--steps", "1000000000"], 2),
+     (["billiard2d", "--geometry", "square", "--x0", "0.3", "--y0", "0.4", "--tmax", "1",
+       "--steps", "1000000000"], 2),
+     (["spectrum", "--model", "caseA", "--n0", "10", "--n_max", "1000000000"], 2),
+     (["fractional", "--p", "1", "--q", "100000"], 0),
+     (["billiard2d", "--geometry", "square", "--x0", "0.3", "--y0", "0.4", "--m_cap", "100000",
+       "--tmax", "1", "--steps", "10"], 2),
+     (["billiard2d", "--geometry", "equilateral", "--y0", "0.55", "--m_cap", "100000",
+       "--tmax", "1", "--steps", "10"], 2),
+     (["billiard2d", "--geometry", "annulus", "--nr_cap", "1000000000000", "--tmax", "1",
+       "--steps", "10"], 2),
+     (["wigner", "--x_count", "1000000000000"], 2)],
+    ids=["autocorr_steps", "observables_steps", "jc_steps", "billiard2d_steps", "spectrum_n_max",
+         "fractional_q", "square_m_cap", "equilateral_m_cap", "annulus_nr_cap", "wigner_x_count"],
+)
+def test_huge_sizes_exit_without_allocating(tmp_path, argv, code):
+    src = os.path.dirname(os.path.dirname(revival.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+        assert not out.exists() or not any(out.iterdir())
+    else:
+        assert proc.stderr == ""
+
+
+class TestStreamedSeries:
+    """The CLI writes its time series block by block; the bytes are those
+    of the library's whole-grid result on np.linspace."""
+
+    GRIDS = (2, 637, 4096, 4097, 64001)
+    SERIES = {
+        "autocorr_caseA": ["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1600"],
+        # ~95 % of the products take the exact far-phase reduction
+        "autocorr_bouncer": ["autocorr", "--model", "bouncer_airy", "--n0", "20", "--dn", "2",
+                             "--tmax", "1e8"],
+        "autocorr_anti": ["autocorr", "--model", "well", "--n0", "40", "--dn", "3", "--tmax", "3",
+                          "--anti", "1"],
+        "jc": ["jc", "--nbar", "50", "--coupling", "1"],
+        "billiard2d": ["billiard2d", "--geometry", "square", "--x0", "0.3", "--y0", "0.4", "--p0x", "20",
+                       "--p0y", "10", "--m_cap", "8", "--tmax", "10"],
+    }
+
+    @pytest.mark.parametrize("num", GRIDS)
+    @pytest.mark.parametrize("case", list(SERIES))
+    def test_series_equal_library_csv(self, tmp_path, monkeypatch, case, num):
+        seen = []
+        original = cli._write_series
+        monkeypatch.setattr(cli, "_write_series", lambda *args: (seen.append(args), original(*args)))
+        assert main(self.SERIES[case] + ["--steps", str(num - 1), "--out", str(tmp_path)]) == 0
+        path, stop, steps, series = seen[0]
+        series(np.linspace(0.0, stop, steps + 1)).to_csv(tmp_path / "want.csv")
+        assert open(path, "rb").read() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("num", GRIDS)
+    def test_observables_equal_library_csv(self, tmp_path, monkeypatch, num):
+        seen = []
+        original = wavefields.observables
+
+        def keep(c, basis, t):
+            seen.append((c, basis))
+            return original(c, basis, t)
+
+        monkeypatch.setattr(wavefields, "observables", keep)
+        argv = ["observables", "--n0", "40", "--dx0", "0.1", "--tmax", "0.3", "--steps", str(num - 1)]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        c, basis = seen[0]
+        obs = original(c, basis, np.linspace(0.0, 0.3, num))
+        columns = (obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p)
+        serialize.write_csv(tmp_path / "want.csv", "t,mean_x,sd_x,mean_p,sd_p\n", ",".join(["%.17g"] * 5) + "\n",
+                            columns)
+        assert (tmp_path / "observables.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_peak_memory_is_flat_in_steps(self, tmp_path):
+        # the bench's caseA series at its 64,000 steps and at 10^6: only
+        # fixed-size blocks are held, never a grid-length array (a 10^6-row
+        # complex series alone would take 16 MB)
+        peaks = []
+        for steps in ("64000", "1000000"):
+            sc = build_scenario("autocorr", {"model": "caseA", "n0": "400", "dn": "6", "tmax": "1600",
+                                             "steps": steps}, str(tmp_path / steps))
+            tracemalloc.start()
+            try:
+                run(sc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
+    def test_spectrum_rows_stream(self, tmp_path):
+        # 10,000 levels: three blocks of rows
+        argv = ["spectrum", "--model", "caseA", "--n0", "10", "--n_max", "10000"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        s = cli._SPECTRA["caseA"]({})
+        ns = np.arange(int(s.ground_index), 10001)
+        serialize.write_csv(tmp_path / "want.csv", "n,energy\n", "%d,%.17g\n",
+                            (ns, revival.spectra.eval_energy(s, ns)))
+        assert (tmp_path / "spectrum.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_failing_block_leaves_no_file(self, tmp_path, capsys):
+        # rotor energies n^2 / (2 I) overflow from n ~ 4243 on, in the
+        # second block of rows: exit 3 and no partial table
+        argv = ["spectrum", "--model", "rotor", "--inertia", "5e-302", "--n0", "10", "--n_max", "10000"]
+        assert main(argv + ["--out", str(tmp_path)]) == 3
+        assert "not finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+# Each example sets every required key and some optional ones to values
+# from ranges that keep the run small, and at most one key to an edge value
+# that the checks must turn away or handle; the runs share the test
+# process, so no drawn value may ask for a large allocation.
+_FLOAT_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300])
+_INT_EDGES = st.sampled_from([-1, 0, 10**12])
+_MODEL_VALUES = {"model": st.sampled_from(sorted(cli._SPECTRA)), "alpha": st.floats(-0.01, 0.01),
+                 "beta": st.floats(-1e-4, 1e-4), "L": st.floats(0.5, 2.0), "F": st.floats(0.5, 2.0),
+                 "inertia": st.floats(0.5, 2.0), "V0": st.floats(0.0, 50.0), "omega": st.floats(0.5, 2.0)}
+_BOX_VALUES = {"L": st.floats(0.5, 2.0), "n0": st.floats(1.0, 60.0), "x0": st.floats(0.0, 1.0),
+               "dx0": st.floats(0.04, 0.1)}
+_CONTRACT_VALUES = {
+    "spectrum": {**_MODEL_VALUES, "n0": st.floats(0.0, 60.0), "n_min": st.integers(0, 30),
+                 "n_max": st.integers(0, 300)},
+    "autocorr": {**_MODEL_VALUES, "n0": st.floats(1.0, 60.0), "dn": st.floats(0.5, 6.0),
+                 "cutoff": st.floats(1e-12, 0.5), "tmax": st.floats(0.0, 100.0), "steps": st.integers(1, 50),
+                 "anti": st.integers(0, 1)},
+    "fractional": {"p": st.integers(1, 40), "q": st.integers(1, 3000)},
+    "carpet": {**_BOX_VALUES, "x_count": st.integers(64, 96), "t_count": st.integers(64, 96),
+               "t_hi": st.floats(0.0, 0.1), "n_max": st.integers(0, 120)},
+    "wigner": {**_BOX_VALUES, "t": st.floats(0.0, 0.1), "x_count": st.integers(2, 40),
+               "p_count": st.integers(2, 40), "p_span": st.floats(0.0, 500.0),
+               "format": st.sampled_from(["csv", "pgm"])},
+    "observables": {**_BOX_VALUES, "n0": st.floats(-60.0, 60.0), "tmax": st.floats(-0.1, 0.1),
+                    "steps": st.integers(1, 50)},
+    "jc": {"nbar": st.floats(0.0, 200.0), "coupling": st.floats(0.1, 2.0), "detuning": st.floats(0.0, 1.0),
+           "tau_max": st.floats(0.0, 10.0), "steps": st.integers(1, 50)},
+    "bec": {"alpha_re": st.floats(-4.0, 4.0), "alpha_im": st.floats(-4.0, 4.0), "u0": st.floats(-2.0, 2.0),
+            "t_over_trev": st.floats(0.0, 1.0), "half_span": st.floats(0.0, 8.0),
+            "grid_count": st.integers(2, 24), "n_cap": st.integers(0, 300)},
+}
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+@pytest.mark.parametrize("command", sorted(_CONTRACT_VALUES))
+def test_contract_holds_for_any_values(command, data):
+    # billiard2d has its own test above; together they cover all nine commands
+    values = _CONTRACT_VALUES[command]
+    edge = data.draw(st.sampled_from([None, *values]), label="edge key")
+    argv = [command]
+    for key, strategy in values.items():
+        if cli._SCHEMAS[command][key][1] is cli._REQUIRED or key == edge or data.draw(st.booleans()):
+            if key == edge:
+                strategy = st.one_of(_INT_EDGES, _FLOAT_EDGES, st.just("x"))
+            argv += [f"--{key}", str(data.draw(strategy, label=key))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = main(argv + ["--out", out])
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

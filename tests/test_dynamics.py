@@ -29,7 +29,7 @@ from revival.packets import (
     gaussian_model_coefficients,
     infinite_well_coefficients,
 )
-from revival.spectra import Spectrum1D, time_scales
+from revival.spectra import Spectrum1D, eval_energy, time_scales
 
 CASE_A = Spectrum1D.case_a()
 MODEL_SET = gaussian_model_coefficients(400, 6, 1e-8)
@@ -550,3 +550,69 @@ class TestPhaseChunks:
 
         c = infinite_well_coefficients(WELL_PACKET, 1.0, 460)
         self._check(monkeypatch, lambda: [g.values for g in carpet(c, 1.0, 64, 200, 0.01)])
+
+
+def _exp_block(ts, n, s=None):
+    """The complex-exponential kernel that the cos/sin step replaced: the
+    same angles, then np.exp of a complex block."""
+    ts = np.asarray(ts, dtype=float)[None, :]
+    g = None if s is None else s.frequency_polynomial()
+    if g is None:
+        omegas = n if s is None else eval_energy(s, n.astype(float)) / s.units.hbar
+        return np.exp(1j * dynamics.reduced_phase(omegas[:, None], ts))
+    q_hi, q_lo = dynamics._dd_cycles(g, n.astype(float))
+    hi, lo = dynamics._two_product(q_hi[:, None], ts)
+    lo = lo + q_lo[:, None] * ts
+    return np.exp((2j * math.pi) * ((hi - np.rint(hi)) + lo))
+
+
+class TestPhaseKernel:
+    """The angle function and the cos/sin step give the bits of the
+    complex-exponential kernel, and reused buffers carry nothing from one
+    block to the next."""
+
+    BOUNCER = Spectrum1D.bouncer_airy()
+    CASES = {
+        "caseA": (MODEL_SET.indices, CASE_A, np.linspace(0.0, 1600.0, 3001)),
+        "well": (np.arange(1, 120), Spectrum1D.infinite_well(1.0), np.linspace(0.0, 0.3, 2001)),
+        # ~95 % of the products take the exact far-phase reduction
+        "bouncer": (gaussian_model_coefficients(20, 2, 1e-8, 1).indices, BOUNCER, np.linspace(0.0, 1e8, 2001)),
+        # angular frequencies, as jc and the billiards pass them
+        "frequencies": (2.0 * np.sqrt(np.arange(0.0, 136.0)), None, np.linspace(0.0, 30 * math.pi, 2001)),
+    }
+
+    def test_unit_phases_are_the_bits_of_exp(self):
+        rng = np.random.default_rng(5)
+        # no angle is -0.0 (a sum that cancels rounds to +0.0), the one
+        # input where sin keeps a sign that np.exp(1j * theta) drops
+        theta = np.concatenate([rng.uniform(0.0, dynamics.TWO_PI, 20000), rng.uniform(-1e4, 1e4, 20000),
+                                [0.0, 5e-324, math.pi, dynamics.TWO_PI, 1e-300]]).reshape(5, -1)
+        got = dynamics._unit_phases(theta, dynamics._Buffers())
+        assert np.array_equal(got.view(np.int64), np.exp(1j * theta).view(np.int64))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_block_matches_the_exp_kernel(self, case):
+        n, s, ts = self.CASES[case]
+        got = dynamics._phase_block(ts, n, s)
+        assert np.array_equal(got.view(np.int64), _exp_block(ts, n, s).view(np.int64))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_shared_buffers_match_fresh_ones(self, case):
+        # a large block, then smaller ones: each must be wholly rewritten
+        n, s, ts = self.CASES[case]
+        buf = dynamics._Buffers()
+        for cols in (slice(0, 1700), slice(1700, 1900), slice(1900, 1901), slice(1901, 2001)):
+            got = dynamics._phase_block(ts[cols], n, s, buf)
+            assert np.array_equal(got, dynamics._phase_block(ts[cols], n, s)), cols
+
+
+class TestLinspaceRows:
+    @pytest.mark.parametrize("stop, num", [
+        (1600.0, 64001), (1e8, 2001), (1.0, 2), (3.0, 4097), (30 * math.pi, 6001), (0.3, 637),
+        (1e-320, 11), (5e-324, 3), (0.0, 11), (-0.0, 5), (-0.5, 301), (1.7e308, 11), (7.25e-5, 9999)])
+    def test_blocks_are_np_linspace_bit_for_bit(self, stop, num):
+        want = np.linspace(0.0, stop, num).view(np.int64)  # -0.0 and 0.0 differ here
+        for block in (1, 7, 4096, num):
+            got = np.concatenate([dynamics.linspace_rows(stop, num, slice(lo, min(lo + block, num)))
+                                  for lo in range(0, num, block)])
+            assert np.array_equal(got.view(np.int64), want), block

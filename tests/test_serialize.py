@@ -410,3 +410,40 @@ def test_time_series_is_formatted_in_bounded_blocks(tmp_path, monkeypatch):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert blocked < 3_000_000
     assert blocked < at_once / 8
+
+
+def test_block_function_columns_match_fixed_columns(tmp_path):
+    # 9,000 rows: two full blocks and a partial one, derived from the row slice alone
+    rows = 9000
+    t = np.arange(rows) * 0.25
+    fixed, blocked = tmp_path / "fixed.csv", tmp_path / "blocked.csv"
+    write_csv(fixed, "k,t\n", "%d,%.17g\n", (range(rows), t))
+    seen = []
+
+    def columns(part):
+        seen.append(part)
+        return range(part.start, part.stop), np.arange(part.start, part.stop) * 0.25
+
+    write_csv(blocked, "k,t\n", "%d,%.17g\n", columns, rows)
+    assert blocked.read_bytes() == fixed.read_bytes()
+    assert [(p.start, p.stop) for p in seen] == [(0, 4096), (4096, 8192), (8192, 9000)]
+
+
+def test_series_blocks_match_whole_series(tmp_path):
+    rng = np.random.default_rng(3)
+    times = np.linspace(0.0, 2.0, 5000)
+    values = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+    write_timeseries_csv(tmp_path / "whole.csv", times, values)
+    serialize.write_series_csv(tmp_path / "blocks.csv", 5000, lambda part: (times[part], values[part]))
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+
+
+def test_failing_block_removes_the_file(tmp_path):
+    def columns(part):
+        if part.start >= 4096:
+            raise ValueError("second block")
+        return (np.arange(part.start, part.stop),)
+
+    with pytest.raises(ValueError, match="second block"):
+        write_csv(tmp_path / "bad.csv", "k\n", "%d\n", columns, 5000)
+    assert not (tmp_path / "bad.csv").exists()
