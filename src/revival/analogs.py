@@ -246,11 +246,9 @@ def bec_cat_fidelity(cs: CoherentState) -> float:
     ladder truncation."""
     coeffs = bec_state_coefficients(cs, cs.t_revival / 2.0)
     n = np.arange(cs.n_cap + 1)
-    a = abs(cs.alpha)
-    if a == 0:
+    if cs.alpha == 0:
         return float(abs(coeffs[0]) ** 2)
-    log_amp = -0.5 * a * a + n * math.log(a) - 0.5 * log_factorial(n)
-    base = np.exp(log_amp) * np.exp(1j * n * np.angle(cs.alpha))
+    base = np.exp(0.5 * cs.log_poisson()) * np.exp(1j * n * np.angle(cs.alpha))
     plus = base * np.exp(1j * n * math.pi / 2.0)   # |i alpha>
     minus = base * np.exp(-1j * n * math.pi / 2.0)  # |-i alpha>
     cat = (np.exp(-1j * math.pi / 4.0) * plus + np.exp(1j * math.pi / 4.0) * minus) / math.sqrt(2.0)

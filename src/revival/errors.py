@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one byte budget
+of the builders' working arrays."""
+
+WORK_MAX_BYTES = 1 << 30  # cap on the working arrays of one builder or raster
 
 
 class RevivalError(Exception):
@@ -31,3 +34,13 @@ class OrbitUnsupportedError(RevivalError):
 
 class ConfigError(RevivalError):
     """Invalid or incomplete scenario configuration."""
+
+
+def check_work_bytes(nbytes: float, what: str) -> None:
+    """Raise TruncationError when `what` needs more than WORK_MAX_BYTES of
+    working arrays; called before anything of that size is allocated."""
+    if nbytes > WORK_MAX_BYTES:
+        raise TruncationError(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB of working arrays "
+            f"(cap {WORK_MAX_BYTES / 2**30:.0f} GiB)"
+        )

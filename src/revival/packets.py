@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .errors import ContainmentError, DomainError, RangeError, TruncationError
+from .errors import ContainmentError, DomainError, RangeError, check_work_bytes
 from .serialize import write_csv
 from .spectra import DEFAULT_UNITS, UnitSystem
 
 RELATIVE_FLOOR = 1e-9     # coefficients below this fraction of the peak are dropped
 CONTAINMENT_SIGMAS = 3.0  # required wall clearance in units of the position spread
-BOX_MAX_BYTES = 1 << 30   # cap on the box and model-ladder builders' working arrays
-_BOX_BYTES_PER_INDEX = 96  # its measured tracemalloc peak is 80 B per index
-_MODEL_BYTES_PER_INDEX = 64  # the model ladder's measured peak is 48 B per index
 
 
 @dataclass(frozen=True)
@@ -124,9 +121,11 @@ def _finish_1d(index_lo, values, warn_above=math.inf, warning="norm deficit {:.2
 
 
 def _finish_2d(labels, values, warn_above: float, cap: str) -> CoefficientSet2D:
+    keep = np.abs(values) >= RELATIVE_FLOOR * np.max(np.abs(values))
+    values = values[keep]
     deficit = _deficit(values)
     warnings = (f"norm deficit {deficit:.2e}: {cap} may be too small",) if deficit > warn_above else ()
-    return CoefficientSet2D(tuple(labels), values, deficit, warnings)
+    return CoefficientSet2D(tuple(itertools.compress(labels, keep)), values, deficit, warnings)
 
 
 def gaussian_model_coefficients(
@@ -143,11 +142,8 @@ def gaussian_model_coefficients(
         )
     lo = max(index_min, int(math.floor(n0 - half_width)))
     hi = int(math.ceil(n0 + half_width))
-    if (hi - lo + 1) * _MODEL_BYTES_PER_INDEX > BOX_MAX_BYTES:
-        raise DomainError(
-            f"level window of {hi - lo + 1:.3g} levels needs about "
-            f"{(hi - lo + 1) * _MODEL_BYTES_PER_INDEX / 2**30:.3g} GiB (cap {BOX_MAX_BYTES / 2**30:.0f} GiB)"
-        )
+    # 64 B per level: the ladder's measured tracemalloc peak is 48 B per level
+    check_work_bytes((hi - lo + 1) * 64, f"level window of {hi - lo + 1:.3g} levels")
     n = np.arange(lo, hi + 1, dtype=float)
     amp = (delta_n * math.sqrt(2.0 * math.pi)) ** -0.5
     a = amp * np.exp(-((n - n0) ** 2) / (4.0 * delta_n**2))
@@ -205,11 +201,8 @@ def infinite_well_coefficients(p: PacketParams1D, L: float, n_max: int) -> Coeff
     _check_contained((p.x0, L - p.x0), p.dx0)
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
-    if n_max * _BOX_BYTES_PER_INDEX > BOX_MAX_BYTES:
-        raise TruncationError(
-            f"box basis of {n_max:.3g} modes needs about "
-            f"{n_max * _BOX_BYTES_PER_INDEX / 2**30:.3g} GiB (cap {BOX_MAX_BYTES / 2**30:.0f} GiB)"
-        )
+    # 96 B per mode: the builder's measured tracemalloc peak is 80 B per mode
+    check_work_bytes(n_max * 96, f"box basis of {n_max:.3g} modes")
     hbar = p.units.hbar
     b = p.width_b
     n = np.arange(1, n_max + 1, dtype=float)
@@ -484,7 +477,5 @@ def circular_coefficients(
         vals[m_cap + m] = scale * c[:, 0]
         vals[m_cap - m] = scale * c[:, 1]
 
-    vals = vals.ravel()
-    keep = np.abs(vals) >= RELATIVE_FLOOR * np.max(np.abs(vals))
-    labels = itertools.compress(itertools.product(range(-m_cap, m_cap + 1), range(n_k)), keep)
-    return _finish_2d(labels, vals[keep], 1e-3, "caps")
+    labels = itertools.product(range(-m_cap, m_cap + 1), range(n_k))
+    return _finish_2d(labels, vals.ravel(), 1e-3, "caps")

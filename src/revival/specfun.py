@@ -3,8 +3,10 @@ and their zeros.
 
 Everything here is built from series, asymptotic expansions, recurrences,
 and an ODE Taylor march; no external special-function library is used.
-Accuracy targets: |J_m| to <= 1e-10 absolute for z <= 200, m <= 60, and
-root residuals <= 1e-12.
+Accuracy targets: |J_m| to <= 1e-10 absolute for z <= 200, m <= 60; Ai,
+Ai' and the scaled Ai to <= 1e-13 of their local envelope (the modulus
+sqrt(Ai^2 + Bi^2) for x < 0, the function itself above); root residuals
+<= 1e-12.
 """
 
 from __future__ import annotations
@@ -32,6 +34,19 @@ class RootResult:
     iterations: int
 
 
+def _check_order(order) -> None:
+    if order < 0 or order > ORDER_MAX or order != int(order):
+        raise RangeError(f"Bessel order {order} is not an integer in 0 .. {ORDER_MAX}")
+
+
+def _elementwise(fn, x) -> float | np.ndarray:
+    """fn applied to x as one flat float array, returned in x's shape; a
+    float for a scalar x."""
+    xarr = np.asarray(x, dtype=float)
+    out = fn(xarr.ravel()).reshape(xarr.shape)
+    return float(out) if xarr.ndim == 0 else out
+
+
 # ----------------------------------------------------------------------
 # Bessel J and Y: one order-batched kernel
 # ----------------------------------------------------------------------
@@ -47,57 +62,29 @@ def _j01_series(z, m):
     return total
 
 
-def _hankel_terms(zmin: float, m: int) -> int:
-    # Term count of the large-argument expansion: add terms while they
-    # shrink, stop after the first one below 1e-18. |a_j| is largest at
-    # the smallest z (rounding is monotone), so this scalar replay at zmin
-    # is the array-wide rule, and every z in the array gets the same count.
-    mu = 4.0 * m * m
-    a = 1.0
-    zinv = 1.0 / zmin
-    prev = math.inf
-    for j in range(1, 18):
-        a = a * (mu - (2 * j - 1) ** 2) / (8.0 * j) * zinv
-        if abs(a) >= prev:
-            return j - 1
-        prev = abs(a)
-        if prev < 1e-18:
-            return j
-    return 17
+# Terms of the large-argument expansion. At z >= 12 each term up to the
+# 17th is smaller than the one before it (the worst ratio, m = 0 at the
+# 17th, is 1089/1632), and once a term is below 1e-18 the rest no longer
+# move P or Q by a bit.
+_HANKEL_TERMS = 17
 
 
-def _hankel_pq(z, m, terms=None):
-    # P and Q of the large-argument expansion, summed to the smallest term;
-    # `terms` holds per-element term counts (default: the array-wide count).
-    if terms is None:
-        terms = np.full(z.shape, _hankel_terms(float(np.min(z)), m))
+def _hankel_pq(z, m):
+    # P and Q of the large-argument expansion of J_m / Y_m (m = 0, 1)
     mu = 4.0 * m * m
     p = np.ones_like(z)
     q = np.zeros_like(z)
     a = np.ones_like(z)
     zinv = 1.0 / z
-    for j in range(1, int(np.max(terms)) + 1):
+    for j in range(1, _HANKEL_TERMS + 1):
         a = a * (mu - (2 * j - 1) ** 2) / (8.0 * j) * zinv
         # P = a0 - a2 + a4 - ...,  Q = a1 - a3 + a5 - ...
         sgn = 1.0 if (j // 2) % 2 == 0 else -1.0
-        live = terms >= j
         if j % 2 == 1:
-            q = np.where(live, q + sgn * a, q)
+            q += sgn * a
         else:
-            p = np.where(live, p + sgn * a, p)
+            p += sgn * a
     return p, q
-
-
-def _hankel_counts(z, orders, m):
-    # Per-element term counts of the J_m / Y_m expansion (m = 0, 1): the
-    # elements of each order take the count of that order's smallest
-    # argument, as a single-order call on their array would.
-    zmin = np.full(int(np.max(orders)) + 1, np.inf)
-    np.minimum.at(zmin, orders, z)
-    counts = np.zeros(len(zmin), dtype=int)
-    for k in np.flatnonzero(zmin < np.inf):
-        counts[k] = _hankel_terms(float(zmin[k]), m)
-    return counts[orders]
 
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -133,22 +120,21 @@ def _y01_series(z, m):
     )
 
 
-def _j01_asym(z, m, terms):
+def _j01_asym(z, m):
     chi = z - (0.5 * m + 0.25) * np.pi
-    p, q = _hankel_pq(z, m, terms)
+    p, q = _hankel_pq(z, m)
     return np.sqrt(2.0 / (np.pi * z)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
-def _y01_asym(z, m, terms):
+def _y01_asym(z, m):
     chi = z - (0.5 * m + 0.25) * np.pi
-    p, q = _hankel_pq(z, m, terms)
+    p, q = _hankel_pq(z, m)
     return np.sqrt(2.0 / (np.pi * z)) * (p * np.sin(chi) + q * np.cos(chi))
 
 
-def _order01(z, orders, kind):
+def _order01(z, kind):
     """(F_0(z), F_1(z)) for F = J (kind 'j') or Y ('y'): the ascending
-    series below the split, the Hankel expansion above it with the term
-    count of each element's order."""
+    series below the split, the Hankel expansion above it."""
     series, asym = (_j01_series, _j01_asym) if kind == "j" else (_y01_series, _y01_asym)
     f0 = np.empty_like(z)
     f1 = np.empty_like(z)
@@ -158,9 +144,8 @@ def _order01(z, orders, kind):
         f1[small] = series(z[small], 1)
     big = ~small
     if np.any(big):
-        zb, ob = z[big], orders[big]
-        f0[big] = asym(zb, 0, _hankel_counts(zb, ob, 0))
-        f1[big] = asym(zb, 1, _hankel_counts(zb, ob, 1))
+        f0[big] = asym(z[big], 0)
+        f1[big] = asym(z[big], 1)
     return f0, f1
 
 
@@ -227,11 +212,7 @@ def _bessel_batch(orders, z, kind="j"):
     orders m and arguments z, all orders in one pass: J_0/J_1 (Y_0/Y_1)
     once, one forward recurrence that stops each element at its own
     order, and for J at z < m one Miller sweep with per-order starts.
-
-    The elements of one order stand for one single-order call on their
-    array: the Hankel term count is fixed by that order's own smallest
-    argument, so they are bitwise what `bessel_j` / `_bessel_y` return
-    for that array."""
+    Each element's value depends on its own (order, argument) alone."""
     orders = np.asarray(orders, dtype=int)
     z = np.asarray(z, dtype=float)
     if orders.size and (np.min(orders) < 0 or np.max(orders) > ORDER_MAX):
@@ -241,12 +222,12 @@ def _bessel_batch(orders, z, kind="j"):
     if kind == "y":
         if np.any(z <= 0):
             raise RangeError("Y_m requires z > 0")
-        return _upward(orders, z, *_order01(z, orders, "y"))
+        return _upward(orders, z, *_order01(z, "y"))
     out = np.zeros_like(z)
     up = (orders <= 1) | (z >= orders)
     if np.any(up):
         zu, ou = z[up], orders[up]
-        out[up] = _upward(ou, zu, *_order01(zu, ou, "j"))
+        out[up] = _upward(ou, zu, *_order01(zu, "j"))
     down = ~up & (z > 1e-12)
     if np.any(down):
         out[down] = _miller_down(z[down], orders[down])
@@ -265,11 +246,10 @@ def _j_and_prime(orders, z):
     return j_m, np.where((z > 0) | (orders == 0), d, np.where(orders == 1, 0.5, 0.0))
 
 
-def _validate_order(order):
-    if order < 0 or order != int(order):
-        raise RangeError(f"Bessel order must be a nonnegative integer, got {order}")
-    if order > ORDER_MAX:
-        raise RangeError(f"Bessel order {order} outside validated range (<= {ORDER_MAX})")
+def _one_order(kernel, order, z) -> float | np.ndarray:
+    # kernel(orders, z) on flat arrays, for one validated order
+    _check_order(order)
+    return _elementwise(lambda flat: kernel(np.full(flat.shape, int(order)), flat), z)
 
 
 def bessel_j(order: int, z) -> float | np.ndarray:
@@ -277,29 +257,18 @@ def bessel_j(order: int, z) -> float | np.ndarray:
 
     Accepts a scalar or ndarray argument.
     """
-    _validate_order(order)
-    zarr = np.asarray(z, dtype=float)
-    flat = zarr.ravel()
-    out = _bessel_batch(np.full(flat.shape, int(order)), flat).reshape(zarr.shape)
-    return float(out) if zarr.ndim == 0 else out
+    return _one_order(_bessel_batch, order, z)
 
 
 def bessel_j_prime(order: int, z) -> float | np.ndarray:
     """Derivative J'_order(z)."""
-    _validate_order(order)
-    zarr = np.asarray(z, dtype=float)
-    flat = zarr.ravel()
-    out = _j_and_prime(np.full(flat.shape, int(order)), flat)[1].reshape(zarr.shape)
-    return float(out) if zarr.ndim == 0 else out
+    return _one_order(lambda orders, flat: _j_and_prime(orders, flat)[1], order, z)
 
 
 def _bessel_y(order: int, z) -> float | np.ndarray:
     """Bessel function of the second kind (internal; used by the annular
     eigenvalue condition). Upward recurrence is stable for Y."""
-    zarr = np.asarray(z, dtype=float)
-    flat = zarr.ravel()
-    out = _bessel_batch(np.full(flat.shape, int(order)), flat, "y").reshape(zarr.shape)
-    return float(out) if zarr.ndim == 0 else out
+    return _one_order(lambda orders, flat: _bessel_batch(orders, flat, "y"), order, z)
 
 
 # ----------------------------------------------------------------------
@@ -415,11 +384,6 @@ BESSEL_ZERO_MAX = 200
 _bessel_zero_cache: dict[int, list[RootResult]] = {}  # order -> validated zeros 0, 1, ...
 
 
-def _check_order(order: int) -> None:
-    if order < 0 or order > ORDER_MAX:
-        raise RangeError(f"order {order} outside validated range (<= {ORDER_MAX})")
-
-
 def _grown_count(order: int, count: int) -> int:
     # grow geometrically so sequential requests stay linear overall
     return max(count, 2 * len(_bessel_zero_cache.get(order, ())), 16)
@@ -490,12 +454,10 @@ def bessel_zero(order: int, n_r: int) -> RootResult:
 # Airy Ai
 # ----------------------------------------------------------------------
 
-_AI0 = 0.35502805388781723926    # Ai(0) = 3^(-2/3)/Gamma(2/3)
-_AIP0 = -0.25881940379280679841  # Ai'(0) = -3^(-1/3)/Gamma(1/3)
+_AIRY_SPLIT = 12.0               # the x > 0 asymptotic series from here up, the march below
 _MARCH_STEP = 0.25
-_MARCH_NODES = 37                # covers [-9, 0]
+_MARCH_NODES = 85                # covers [-9, 12]
 _TAYLOR_TERMS = 24
-_POS_SPLIT = 5.7
 
 
 def _airy_taylor_coeffs(x0: float, f0: float, fp0: float, nterms: int) -> np.ndarray:
@@ -510,12 +472,15 @@ def _airy_taylor_coeffs(x0: float, f0: float, fp0: float, nterms: int) -> np.nda
 
 
 def _build_airy_march():
-    """Taylor-march Ai and Ai' leftward from 0 to -9; returns per-node
-    Taylor coefficient tables. The negative axis is neutrally stable, so
-    the march does not amplify errors."""
-    nodes = -_MARCH_STEP * np.arange(_MARCH_NODES)
+    """Taylor-march Ai and Ai' leftward from x = 12, seeded by the
+    asymptotic series there, to -9; returns per-node Taylor coefficient
+    tables. Ai is recessive for x > 0, so a leftward march damps the
+    growing solution that rounding mixes in, and the negative axis is
+    neutrally stable: the march does not amplify errors."""
+    nodes = _AIRY_SPLIT - _MARCH_STEP * np.arange(_MARCH_NODES)
     coeffs = np.zeros((_MARCH_NODES, _TAYLOR_TERMS))
-    f, fp = _AI0, _AIP0
+    top = np.array([_AIRY_SPLIT])
+    f, fp = float(_airy_pos_asym(top)[0]), float(_airy_pos_asym(top, derivative=True)[0])
     for i, x0 in enumerate(nodes):
         c = _airy_taylor_coeffs(float(x0), f, fp, _TAYLOR_TERMS)
         coeffs[i] = c
@@ -527,34 +492,8 @@ def _build_airy_march():
     return nodes, coeffs
 
 
-_march_nodes, _march_coeffs = _build_airy_march()
-_march_deriv_coeffs = _march_coeffs[:, 1:] * np.arange(1, _TAYLOR_TERMS)
-
-
-def _airy_maclaurin(x, derivative=False):
-    # Ai = c1*f - c2*g with the standard homogeneous pair f, g.
-    f = np.ones_like(x)
-    fp = np.zeros_like(x)
-    g = x.copy()
-    gp = np.ones_like(x)
-    x3 = x * x * x
-    tf = np.ones_like(x)
-    tg = x.copy()
-    for k in range(0, 30):
-        tfn = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tgn = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        f += tfn
-        g += tgn
-        fp += tfn * (3 * k + 3) / np.where(x != 0, x, 1.0)
-        gp += tgn * (3 * k + 4) / np.where(x != 0, x, 1.0)
-        tf, tg = tfn, tgn
-    if derivative:
-        return _AI0 * fp + _AIP0 * gp
-    return _AI0 * f + _AIP0 * g
-
-
 def _airy_march_eval(x, derivative=False):
-    idx = np.clip(np.rint(-x / _MARCH_STEP).astype(int), 0, _MARCH_NODES - 1)
+    idx = np.clip(np.rint((_AIRY_SPLIT - x) / _MARCH_STEP).astype(int), 0, _MARCH_NODES - 1)
     h = x - _march_nodes[idx]
     table = _march_deriv_coeffs if derivative else _march_coeffs
     rows = table[idx]
@@ -608,51 +547,47 @@ def _airy_pos_asym(x, derivative=False, scaled=False):
     return lead / (2.0 * np.sqrt(np.pi) * x ** 0.25) * total
 
 
+_march_nodes, _march_coeffs = _build_airy_march()
+_march_deriv_coeffs = _march_coeffs[:, 1:] * np.arange(1, _TAYLOR_TERMS)
+
+
 def _airy_eval(x, derivative=False):
     out = np.empty_like(x)
-    pos_big = x >= _POS_SPLIT
-    pos = (x >= 0) & ~pos_big
-    neg_march = (x < 0) & (x >= -9.0)
-    neg_asym = x < -9.0
-    if np.any(pos_big):
-        out[pos_big] = _airy_pos_asym(x[pos_big], derivative)
-    if np.any(pos):
-        out[pos] = _airy_maclaurin(x[pos], derivative)
-    if np.any(neg_march):
-        out[neg_march] = _airy_march_eval(x[neg_march], derivative)
-    if np.any(neg_asym):
-        out[neg_asym] = _airy_neg_asym(-x[neg_asym], derivative)
+    big = x >= _AIRY_SPLIT
+    march = (x < _AIRY_SPLIT) & (x >= -9.0)
+    far = x < -9.0
+    if np.any(big):
+        out[big] = _airy_pos_asym(x[big], derivative)
+    if np.any(march):
+        out[march] = _airy_march_eval(x[march], derivative)
+    if np.any(far):
+        out[far] = _airy_neg_asym(-x[far], derivative)
+    return out
+
+
+def _airy_scaled(x):
+    out = np.empty_like(x)
+    big = x >= _AIRY_SPLIT
+    out[big] = _airy_pos_asym(x[big], scaled=True)
+    small = x[~big]
+    out[~big] = _airy_eval(small) * np.exp((2.0 / 3.0) * np.maximum(small, 0.0) ** 1.5)
     return out
 
 
 def airy_ai(x) -> float | np.ndarray:
     """Airy function Ai(x) for real x (scalar or ndarray)."""
-    xarr = np.asarray(x, dtype=float)
-    scalar = xarr.ndim == 0
-    out = _airy_eval(np.atleast_1d(xarr).astype(float))
-    return float(out[0]) if scalar else out
+    return _elementwise(_airy_eval, x)
 
 
 def airy_ai_scaled(x) -> float | np.ndarray:
     """Ai(x) e^{(2/3) x^{3/2}} for real x > 0 and Ai(x) for x <= 0: finite
     and O(x^{-1/4}) where Ai itself underflows."""
-    xarr = np.asarray(x, dtype=float)
-    scalar = xarr.ndim == 0
-    xarr = np.atleast_1d(xarr)
-    out = np.empty_like(xarr)
-    big = xarr >= _POS_SPLIT
-    out[big] = _airy_pos_asym(xarr[big], scaled=True)
-    small = xarr[~big]
-    out[~big] = _airy_eval(small) * np.exp((2.0 / 3.0) * np.maximum(small, 0.0) ** 1.5)
-    return float(out[0]) if scalar else out
+    return _elementwise(_airy_scaled, x)
 
 
 def airy_ai_prime(x) -> float | np.ndarray:
     """Derivative Ai'(x) for real x."""
-    xarr = np.asarray(x, dtype=float)
-    scalar = xarr.ndim == 0
-    out = _airy_eval(np.atleast_1d(xarr).astype(float), derivative=True)
-    return float(out[0]) if scalar else out
+    return _elementwise(lambda flat: _airy_eval(flat, derivative=True), x)
 
 
 def airy_zero_seed(n: int) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import specfun
 from .dynamics import _Buffers, _phase_block, _phase_chunks
-from .errors import DomainError, TruncationError
+from .errors import DomainError, check_work_bytes
 from .packets import CoefficientSet, _airy_levels, bouncer_norm
 from .serialize import write_grid_csv, write_pgm, write_pgms
 from .spectra import DEFAULT_UNITS, Spectrum1D, UnitSystem, eval_energy
@@ -290,10 +290,6 @@ def default_momentum_span(p0: float, dp0: float) -> float:
     return 3.0 * (abs(p0) + 5.0 * dp0)
 
 
-# working-array budget of wigner_infinite_well
-WIGNER_MAX_BYTES = 1 << 30
-
-
 def _wigner_work_bytes(x_count: int, p_count: int, mode_count: int) -> int:
     """Loose upper estimate of wigner_infinite_well's working arrays:
     eight complex x-by-p planes, eight complex x-by-shift tables and three
@@ -389,12 +385,8 @@ def wigner_infinite_well(
         raise DomainError("x grid must lie strictly inside the box")
     basis = InfiniteWellBasis(L, units)
     n = _basis_indices(c, basis)
-    need = _wigner_work_bytes(len(x), len(p), len(n))
-    if need > WIGNER_MAX_BYTES:
-        raise TruncationError(
-            f"Wigner grid {len(x)}x{len(p)} with {len(n)} modes needs about "
-            f"{need / 2**30:.2f} GiB of working arrays (cap {WIGNER_MAX_BYTES / 2**30:.0f} GiB)"
-        )
+    check_work_bytes(_wigner_work_bytes(len(x), len(p), len(n)),
+                     f"Wigner grid {len(x)}x{len(p)} with {len(n)} modes")
     a_t = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
     shift, rows = _shift_rows(a_t, n, x, L)
     xt = np.minimum(x, L - x)  # mirrored coordinate
@@ -462,6 +454,8 @@ def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
     and has the same modulus."""
     L = basis.L
     n = _basis_indices(c, basis).astype(float)
+    # 48 B per (mode, x) cell: the measured tracemalloc peak is 32 B per cell
+    check_work_bytes(len(n) * len(x) * 48, f"carpet of {len(n)} modes on {len(x)} x samples")
     e_plus = np.exp(1j * (math.pi * np.outer(n, x) / L))  # (N, X)
     for chunk in _phase_chunks(len(ts), len(n), align=_CARPET_TIMES):  # same sub-blocks at any size
         # fresh buffers: the angle plane is freed before the products below run

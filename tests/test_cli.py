@@ -635,10 +635,13 @@ class TestSchemaBounds:
      # 1e5-level cap (1e12 levels, 7.28 TiB, at alpha 1e6), and an explicit one
      (["bec", "--alpha_re", "1e6", "--u0", "1"], "ladder levels"),
      (["bec", "--alpha_re", "1e200", "--u0", "1"], "ladder levels"),
-     (["bec", "--alpha_re", "4", "--u0", "1", "--n_cap", "1000000000000"], "ladder levels")],
+     (["bec", "--alpha_re", "4", "--u0", "1", "--n_cap", "1000000000000"], "ladder levels"),
+     # a narrow packet's (modes x samples) carpet table: 14,683 modes on 8192
+     # x samples, 1.79 GiB of complex entries
+     (["carpet", "--dx0", "0.0001", "--x_count", "8192", "--t_count", "64"], "GiB")],
     ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor", "autocorr_huge_n0", "autocorr_huge_dn",
          "autocorr_inexact_n0", "autocorr_huge_window", "bec_huge_alpha", "bec_overflowing_alpha",
-         "bec_huge_n_cap"],
+         "bec_huge_n_cap", "carpet_narrow_packet"],
 )
 def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
     # run as a process to see the real stderr: one error line, no warnings,

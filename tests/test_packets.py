@@ -90,11 +90,11 @@ class TestGaussianModel:
 
 class TestInfiniteWell:
     def test_basis_size_guard(self):
-        from revival.packets import BOX_MAX_BYTES
+        from revival.errors import WORK_MAX_BYTES
 
         with pytest.raises(DomainError):
             infinite_well_coefficients(WELL_PACKET, L, 0)
-        for n_max in (BOX_MAX_BYTES // 64, 10**300):
+        for n_max in (WORK_MAX_BYTES // 64, 10**300):
             with pytest.raises(TruncationError):
                 infinite_well_coefficients(WELL_PACKET, L, n_max)
 
@@ -201,12 +201,12 @@ class TestBouncer:
         n0 = 2.0 / (3 * math.pi) * 25.0**1.5 - 0.75
         assert abs(n_peak - n0) < 1.5
 
-    @pytest.mark.parametrize("n", [10, 30, 50])
+    @pytest.mark.parametrize("n", [10, 15, 20, 30, 50])
     def test_closed_form_against_mpmath(self, n):
         c = bouncer_coefficients(z0=25.0, width_b=math.sqrt(2.0))
         got = c.coefficients[n - c.index_lo]
         assert got.imag == 0.0
-        assert got.real == pytest.approx(_mp_bouncer_overlap(n, 25.0, math.sqrt(2.0)), rel=1e-13)
+        assert got.real == pytest.approx(_mp_bouncer_overlap(n, 25.0, math.sqrt(2.0)), rel=1e-13, abs=0.0)
 
     def test_wide_packet_takes_the_log_space_path(self):
         # tau = b^2 / 2 = 30: at n = 0, tau a = 1130 and e^{tau a} overflows,
@@ -248,10 +248,34 @@ class TestTriangle:
     B = math.sqrt(2.0) * L / 20.0
     CENTROID = (0.0, L / math.sqrt(3.0))
 
-    def test_odd_states_vanish_for_symmetric_packet(self):
+    def test_odd_states_vanish_for_symmetric_packet(self, monkeypatch):
+        # below the retention floor, every odd state is dropped; with no
+        # floor they are all kept, and each is below 1e-12
+        c = triangle_coefficients(*self.CENTROID, 0.0, 0.0, self.B, L, 26)
+        assert all(lab[2] != "-" for lab in c.labels)
+        monkeypatch.setattr(packets, "RELATIVE_FLOOR", 0.0)
         c = triangle_coefficients(*self.CENTROID, 0.0, 0.0, self.B, L, 26)
         odd = [abs(a) for lab, a in zip(c.labels, c.coefficients) if lab[2] == "-"]
         assert max(odd) <= 1e-12
+
+    def test_trimmed_autocorrelation_within_dropped_weight(self, monkeypatch):
+        # the equilateral packet of the CLI runs: at m_cap 64 the floor keeps
+        # 394 of the 2,016 labels, and A(t) over one revival time moves by no
+        # more than the weight of the labels it drops
+        from revival.billiards import autocorrelation_2d, equilateral_spectrum
+
+        args = (0.0, 0.55, 20.0, 10.0, 0.05 * math.sqrt(2.0), L, 64)
+        kept = triangle_coefficients(*args)
+        monkeypatch.setattr(packets, "RELATIVE_FLOOR", 0.0)
+        full = triangle_coefficients(*args)
+        assert (len(kept.labels), len(full.labels)) == (394, 2016)
+        retained = set(kept.labels)
+        dropped = sum(w for lab, w in zip(full.labels, full.weights()) if lab not in retained)
+        assert 0.0 < dropped < 1e-17
+        s = equilateral_spectrum(L, m_cap=64)
+        t = np.linspace(0.0, 9 * UNITS.mass * L**2 / (4 * UNITS.hbar * math.pi), 2001)
+        gap = autocorrelation_2d(kept, s, t).values - autocorrelation_2d(full, s, t).values
+        assert np.max(np.abs(gap)) <= dropped
 
     def test_norm_captured(self):
         c = triangle_coefficients(*self.CENTROID, 0.0, 0.0, self.B, L, 26)

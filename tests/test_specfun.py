@@ -99,7 +99,7 @@ class TestBesselZeros:
 
 def _hankel_pq_array_rule(z, m):
     # the array-wide stopping rule, evaluated on every term: the reference
-    # for the scalar term count of specfun._hankel_pq
+    # for the fixed term count of specfun._hankel_pq
     mu = 4.0 * m * m
     p = np.ones_like(z)
     q = np.zeros_like(z)
@@ -124,7 +124,7 @@ def _hankel_pq_array_rule(z, m):
 
 class TestHankelTerms:
     @pytest.mark.parametrize("m", [0, 1])
-    def test_scalar_term_count_matches_array_rule_bitwise(self, m):
+    def test_fixed_term_count_matches_array_rule_bitwise(self, m):
         rng = np.random.default_rng(5 + m)
         arrays = [
             np.array([12.0]),
@@ -140,8 +140,7 @@ class TestHankelTerms:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 16, 30, 45, 60])
     def test_mixed_size_arrays_against_scipy(self, order):
-        # one array spans the expansion's whole range, so every z gets the
-        # term count of the smallest one
+        # one array spans the expansion's whole range
         rng = np.random.default_rng(order)
         z = np.concatenate([[12.0, 2000.0], rng.uniform(12.0, 40.0, 60), rng.uniform(40.0, 2000.0, 60)])
         assert np.max(np.abs(specfun.bessel_j(order, z) - sp.jv(order, z))) < 1e-10
@@ -195,8 +194,7 @@ class TestBesselZeroTable:
 def _kernel_arrays(m, rng):
     # one order's arguments: both sides of the 1e-12 floor and of z = m,
     # spreads below 12, and Hankel-range arguments from a per-order floor
-    # (some orders straddle the z = 12 split, others start far above it,
-    # so their term counts differ)
+    # (some orders straddle the z = 12 split, others start far above it)
     low = 12.0 + 7.0 * (m % 9)
     return np.concatenate([
         [0.0, 1e-13, 1e-12, 2e-12],
@@ -372,12 +370,29 @@ class TestAiry:
         away = np.abs(ref) > 1e-2
         assert np.max(np.abs(ours - ref)[away] / np.abs(ref)[away]) < 1e-9
 
+    @pytest.mark.parametrize("lo, hi", [(-9.0, -3.0), (-3.0, 0.0), (0.0, 3.0), (3.0, 5.7), (5.7, 12.0)])
+    def test_march_against_scipy_dense(self, lo, hi):
+        # the Taylor march from x = 12 covers [-9, 12): Ai, Ai' and the scaled
+        # Ai within 1e-13 of their local envelope, which is the modulus
+        # sqrt(Ai^2 + Bi^2) (sqrt(Ai'^2 + Bi'^2)) on the oscillatory side
+        # and the function itself above 0. Most of what remains on [0, 3)
+        # is scipy's own error (1.5e-14 there against mpmath).
+        x = np.linspace(lo, hi, 12001)[:-1]
+        ai, aip, bi, bip = sp.airy(x)
+        neg = x < 0
+        scaled = np.where(neg, ai, sp.airye(np.maximum(x, 0.0))[0])
+        env = np.where(neg, np.hypot(ai, bi), np.abs(ai))
+        env_prime = np.where(neg, np.hypot(aip, bip), np.abs(aip))
+        assert np.max(np.abs(specfun.airy_ai(x) - ai) / env) < 1e-13
+        assert np.max(np.abs(specfun.airy_ai_prime(x) - aip) / env_prime) < 1e-13
+        assert np.max(np.abs(specfun.airy_ai_scaled(x) - scaled) / np.where(neg, env, scaled)) < 1e-13
+
     def test_scaled_against_scipy(self):
         # Ai(x) e^{(2/3) x^{3/2}} is scipy's airye for x > 0; the relative
-        # error is Ai's own (3.6e-8 at worst, Maclaurin cancellation on [3, 5.7])
+        # error is Ai's own
         x = np.linspace(0.0, 1e3, 20001)
         ref = sp.airye(x)[0]
-        assert np.max(np.abs(specfun.airy_ai_scaled(x) / ref - 1.0)) < 5e-8
+        assert np.max(np.abs(specfun.airy_ai_scaled(x) / ref - 1.0)) < 1e-13
         far = np.geomspace(12.0, 1e5, 400)  # Ai itself underflows past x ~ 105
         assert np.max(np.abs(specfun.airy_ai_scaled(far) / sp.airye(far)[0] - 1.0)) < 1e-14
         # past scipy's range: the leading asymptotic term, off by 5/(72 zeta)

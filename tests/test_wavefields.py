@@ -8,7 +8,7 @@ import pytest
 
 from revival import dynamics, specfun
 from revival.dynamics import _phase_block, _phase_chunks
-from revival.errors import DomainError, TruncationError
+from revival.errors import WORK_MAX_BYTES, DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
     bouncer_coefficients,
@@ -18,7 +18,6 @@ from revival.packets import (
 from revival.serialize import write_pgm
 from revival.spectra import Spectrum1D, eval_energy, time_scales
 from revival.wavefields import (
-    WIGNER_MAX_BYTES,
     AxisSpec,
     BouncerBasis,
     FieldGrid,
@@ -275,8 +274,8 @@ class TestWignerFastPath:
     def test_grid_guard_just_above_cap(self):
         c = infinite_well_coefficients(self.PACKET, L, 40)
         count = len(c.indices)
-        assert _wigner_work_bytes(2759, 2759, count) <= WIGNER_MAX_BYTES
-        assert _wigner_work_bytes(2760, 2760, count) > WIGNER_MAX_BYTES
+        assert _wigner_work_bytes(2759, 2759, count) <= WORK_MAX_BYTES
+        assert _wigner_work_bytes(2760, 2760, count) > WORK_MAX_BYTES
         x = np.linspace(0.01, 0.99, 2760)
         with pytest.raises(TruncationError, match="GiB"):
             wigner_infinite_well(c, L, x, np.linspace(-50.0, 50.0, 2760), 0.0)
