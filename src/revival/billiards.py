@@ -14,7 +14,7 @@ import numpy as np
 
 from . import specfun
 from .dynamics import TimeSeries, _phase_sum
-from .errors import DomainError, OrbitUnsupportedError, RootError
+from .errors import DomainError, OrbitUnsupportedError, RootError, check_work_bytes
 from .packets import CoefficientSet2D, triangle_state_labels
 from .serialize import write_csv
 from .spectra import DEFAULT_UNITS, UnitSystem
@@ -142,6 +142,8 @@ def _tabulated(s: Spectrum2D, q1, q2):
 def _grid(s: Spectrum2D):
     # (nx, ny) on the n_cap x n_cap grid, nx-major
     cap = max(s.params.get("n_cap", 12), 0)
+    # 280 B per label: the levels table's tracemalloc peak at n_cap 1024 is 266 B
+    check_work_bytes(cap * cap * 280, f"label table of n_cap {cap}")
     nx, ny = np.divmod(np.arange(cap * cap), cap)
     return nx + 1, ny + 1, np.full(cap * cap, "")
 
@@ -171,7 +173,7 @@ class _Geometry(NamedTuple):
 
 _pairs_ok = lambda q1, q2, sym: (q1 >= 1) & (q2 >= 1)
 _radial_ok = lambda q1, q2, sym: q2 >= 0
-_triangle_labels = lambda s: _label_arrays(triangle_state_labels(s.params.get("m_cap", 12)))
+_triangle_labels = lambda s: triangle_state_labels(s.params.get("m_cap", 12))
 _table_labels = lambda s: _label_arrays(sorted(s.table))
 
 GEOMETRIES = {

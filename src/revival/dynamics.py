@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, TruncationError
 from .packets import CoefficientSet, PacketParams1D
-from .serialize import write_timeseries_csv
+from .serialize import BLOCK_ROWS, write_timeseries_csv
 from .spectra import DEFAULT_UNITS, Spectrum1D, eval_energy
 
 TWO_PI = 2.0 * math.pi
@@ -43,6 +43,15 @@ _BIG_PHASE = 1e8
 # in L2; in-process, 2^14 is 20 % slower on caseA and 2^16 no faster
 _PHASE_ELEMENTS = 1 << 15
 _EXACT_ELEMENTS = 4096  # products per far-phase slice; _reduce_exact holds ~25 temporaries per element
+# the factored phase sum (_phase_sum): offsets per base, sqrt(BLOCK_ROWS);
+# levels x columns per table, which keeps a run's tables below the buffers
+# of one _PHASE_ELEMENTS block; the fewest columns per table worth a
+# factored run; and the bound on max|omega| max|r| that keeps the dropped
+# second-order term below 2^-55
+_OFFSETS = 64
+_FACTOR_ELEMENTS = 1 << 13
+_MIN_COLUMNS = 8
+_LINEAR_GUARD = 2.0**-27
 
 
 def _cody_waite_parts():
@@ -346,13 +355,113 @@ def _phase_chunks(times: int, rows: int, align: int = 1):
 
 
 def _phase_sum(w, n, t, s: Spectrum1D | None = None) -> np.ndarray:
-    """sum_n w_n e^{+i E_n t / hbar} on the grid t for real w, added in row order (einsum, no BLAS)."""
-    vals = np.empty(len(t), dtype=complex)
+    """sum_n w_n e^{+i omega_n t} (omega_n = E_n / hbar) on the grid t for
+    real w, added in level order by einsum contractions (no BLAS).
+
+    The rows of t are cut into runs of BLOCK_ROWS rows counted from the
+    first row. In a run, row k = 64 b + j has the base t_b (the run's row
+    64 b) and the offset tau_j = t_j - t_0 (the run's row j minus its row
+    0); the residual r_k = (t_k - t_b) - tau_j keeps the rounding error of
+    t_k - t_b (a TwoSum), so t_k = t_b + tau_j + r_k up to a rounding or
+    two of r_k. Then, with P_nb = w_n e^{i omega_n t_b} and
+    E_nj = e^{i omega_n tau_j},
+
+        A_k = sum_n P_nb E_nj + i r_k sum_n omega_n P_nb E_nj,
+
+    which drops (omega r)^2 / 2 <= 2^-55 when max|omega_n| max|r_k| <=
+    2^-27 in the run. P and E come from _phase_block (its far-phase
+    reduction is unchanged), so a run costs N (64 + c run / 64) unit
+    phases, with c offset tables of up to _FACTOR_ELEMENTS / N columns
+    (c = 1 up to 128 levels, 4 for 437), where the direct sum costs
+    N run. A run that misses the guard or has fewer than 128 rows, and
+    every run of more than 1024 levels (tables of fewer than _MIN_COLUMNS
+    columns), is summed directly, one phase per (level, time).
+
+    The decomposition of a row depends only on its position in its run
+    and on the run's times, never on N, on how the tables are chunked or
+    on _PHASE_ELEMENTS: a grid streamed in BLOCK_ROWS blocks gets the bits
+    of the whole grid, and adding levels of negligible weight leaves the
+    other levels' terms as they were."""
+    t = np.asarray(t, dtype=float)
+    # padded to whole bases, so a factored run writes whole (base, offset) rows
+    vals = np.empty(-(-len(t) // _OFFSETS) * _OFFSETS, dtype=complex)
     buf = _Buffers()
-    for cols in _phase_chunks(len(t), len(n)):
-        # real and imaginary parts as one float row: 5x faster than a complex einsum
-        vals[cols] = np.einsum("n,nt->t", w, _phase_block(t[cols], n, s, buf).view(float)).view(complex)
-    return vals
+    omegas = _angular_frequencies(n, s) if 0 < len(n) <= _FACTOR_ELEMENTS // _MIN_COLUMNS else None
+    for start in range(0, len(t), BLOCK_ROWS):
+        run = t[start : start + BLOCK_ROWS]
+        if (omegas is not None and len(run) >= 2 * _OFFSETS
+                and _factored_run(w, n, s, omegas, run, buf, vals[start : start + BLOCK_ROWS])):
+            continue
+        out = vals[start : start + len(run)]
+        for cols in _phase_chunks(len(run), len(n)):
+            # real and imaginary parts as one float row: 5x faster than a complex einsum
+            out[cols] = np.einsum("n,nt->t", w, _phase_block(run[cols], n, s, buf).view(float)).view(complex)
+    return vals[: len(t)]
+
+
+def _angular_frequencies(n, s: Spectrum1D | None) -> np.ndarray | None:
+    """E_n / hbar for the levels `n` of _phase_angles; None where an energy
+    is not finite, which the direct sum reports in its own terms."""
+    if s is None:
+        return np.asarray(n, dtype=float)
+    try:
+        return eval_energy(s, np.asarray(n, dtype=float)) / s.units.hbar
+    except DomainError:
+        return None
+
+
+def _factored_run(w, n, s, omegas, t, buf: _Buffers, out) -> bool:
+    """Write the factored sum of one run (see _phase_sum) into `out`, which
+    holds whole bases of 64 rows, and return True; or return False,
+    writing nothing, when the run misses the linear-term guard.
+
+    The offsets go `cols` at a time and the bases `bases` at a time, so no
+    table holds more than 4 _FACTOR_ELEMENTS floats."""
+    levels = len(n)
+    cols = min(_OFFSETS, _FACTOR_ELEMENTS // levels)
+    bases = min(_FACTOR_ELEMENTS // levels, _FACTOR_ELEMENTS // (4 * cols))
+    count = -(-len(t) // _OFFSETS)
+    # the run's times as (base, offset) rows; pad rows repeat the last time
+    grid = buf("grid", (count, _OFFSETS))
+    grid.reshape(-1)[: len(t)] = t
+    grid.reshape(-1)[len(t) :] = t[-1]
+    tau = grid[0] - grid[0, 0]
+    # r = (t_k - t_b) - tau_j: the TwoSum keeps the rounding error e of
+    # t_k - t_b, and subtracting tau_j is exact where t_k - t_b is within a
+    # factor 2 of it (any uniform grid)
+    d, e = _two_sum(grid, -grid[:, :1])
+    r = np.add(d - tau, e, out=buf("residual", grid.shape))
+    r.reshape(-1)[len(t) :] = 0.0
+    del d, e
+    with np.errstate(invalid="ignore", over="ignore"):
+        if not np.max(np.abs(omegas)) * np.max(np.abs(r)) <= _LINEAR_GUARD:
+            return False
+    parts = out[: count * _OFFSETS].view(float).reshape(count, _OFFSETS, 2)
+    for j0 in range(0, _OFFSETS, cols):
+        js = slice(j0, j0 + cols)
+        # E and i E as float rows: [Re E, Im E] and [-Im E, Re E] by offset
+        phases = _phase_block(tau[js], n, s, buf).view(float).reshape(levels, -1, 2)
+        offsets = buf("offsets", (levels, 2) + phases.shape[1:])
+        offsets[:, 0] = phases
+        np.negative(phases[..., 1], out=offsets[:, 1, :, 0])
+        offsets[:, 1, :, 1] = phases[..., 0]
+        for b0 in range(0, count, bases):
+            bs = slice(b0, b0 + bases)
+            t_b = grid[bs, 0]
+            # [Re, Im] of P = w_n e^{i omega_n t_b} by base, then of omega_n P
+            weighted = buf("weighted", (levels, 2, 2, len(t_b)))
+            np.multiply(_phase_block(t_b, n, s, buf).view(float).reshape(levels, -1, 2).transpose(0, 2, 1),
+                        w[:, None, None], out=weighted[:, :, 0])
+            np.multiply(weighted[:, :, 0], omegas[:, None, None], out=weighted[:, :, 1])
+            # x[q, b, j, d] = part d of sum_n Re P E + Im P (i E): S = sum_n P E
+            # (q = 0) and T = sum_n omega P E (q = 1), each part one sum over
+            # 2N terms; A = S + i r T
+            x = np.einsum("nk,nm->km", weighted.reshape(2 * levels, -1), offsets.reshape(2 * levels, -1),
+                          out=buf("sums", (2 * len(t_b), 2 * phases.shape[1])))
+            x = x.reshape(2, len(t_b), -1, 2)
+            np.subtract(x[0, ..., 0], r[bs, js] * x[1, ..., 1], out=parts[bs, js, 0])
+            np.add(x[0, ..., 1], r[bs, js] * x[1, ..., 0], out=parts[bs, js, 1])
+    return True
 
 
 def autocorrelation(c: CoefficientSet, s: Spectrum1D, t_grid) -> TimeSeries:

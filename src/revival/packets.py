@@ -20,6 +20,7 @@ from .spectra import DEFAULT_UNITS, UnitSystem
 
 RELATIVE_FLOOR = 1e-9     # coefficients below this fraction of the peak are dropped
 CONTAINMENT_SIGMAS = 3.0  # required wall clearance in units of the position spread
+_STIRLING_FROM = 20       # log_poisson's first level on the Stirling form
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,24 @@ def log_factorial(n: np.ndarray) -> np.ndarray:
 
 def log_poisson(nbar: float, n_cap: int, n_lo: int = 0) -> np.ndarray:
     """log of the Poisson weights e^-nbar nbar^n / n! for n = n_lo..n_cap
-    (-inf above n = 0 when nbar = 0)."""
+    (-inf above n = 0 when nbar = 0).
+
+    From n = 20 on this is the Stirling form (n - nbar) - n log1p((n -
+    nbar)/nbar) - log(2 pi n)/2 - S(n), S(n) = 1/(12n) - 1/(360n^3) +
+    1/(1260n^5) - 1/(1680n^7) (next term below 2e-15), whose terms stay
+    O((n - nbar)^2 / nbar) where -nbar + n log nbar - log n! cancels from
+    ~n log n; below n = 20 it is the latter, through lgamma."""
     n = np.arange(n_lo, n_cap + 1, dtype=float)
     if nbar == 0:
         return np.where(n == 0, 0.0, -np.inf)
-    return -nbar + n * math.log(nbar) - log_factorial(n)
+    out = np.empty_like(n)
+    small = n < _STIRLING_FROM
+    out[small] = -nbar + n[small] * math.log(nbar) - log_factorial(n[small])
+    big = n[~small]
+    d, z = big - nbar, 1.0 / (big * big)
+    series = (1.0 / 12.0 - z * (1.0 / 360.0 - z * (1.0 / 1260.0 - z / 1680.0))) / big
+    out[~small] = d - big * np.log1p(d / nbar) - 0.5 * np.log(2.0 * math.pi * big) - series
+    return out
 
 
 def delta_n_estimate(p: PacketParams1D, L: float) -> float:
@@ -215,6 +229,17 @@ def infinite_well_coefficients(p: PacketParams1D, L: float, n_max: int) -> Coeff
     return _finish_1d(lo, a, 1e-4)
 
 
+def _scalar_product(a, b) -> np.ndarray:
+    """a * b for complex arrays, each part two rounded products and one
+    rounded sum as in numpy's scalar complex product (the array product may
+    fuse them and round differently)."""
+    a, b = np.broadcast_arrays(a, b)
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 def square_coefficients(
     x0: float, y0: float, p0x: float, p0y: float, width_b: float, L: float, n_max: int,
     units: UnitSystem = DEFAULT_UNITS,
@@ -223,11 +248,7 @@ def square_coefficients(
     of the two closed-form 1D box sets, labels (nx, ny) nx-major."""
     cx, cy = (infinite_well_coefficients(PacketParams1D(x, p, width_b, units), L, n_max)
               for x, p in ((x0, p0x), (y0, p0y)))
-    a, b = cx.coefficients, cy.coefficients
-    # real and imaginary parts apart: the array complex multiply rounds
-    # differently from the scalar product
-    vals = (np.multiply.outer(a.real, b.real) - np.multiply.outer(a.imag, b.imag)).astype(complex)
-    vals.imag = np.multiply.outer(a.real, b.imag) + np.multiply.outer(a.imag, b.real)
+    vals = _scalar_product(cx.coefficients[:, None], cy.coefficients[None, :])
     labels = itertools.product(cx.indices.tolist(), cy.indices.tolist())
     return _finish_2d(labels, vals.ravel(), 1e-4, "n_max")
 
@@ -294,18 +315,23 @@ def gaussian_transform(q, x0: float, k: float, b: float):
     return np.exp(1j * q * x0) * np.exp(-(b**2) * (k + q) ** 2 / 2.0)
 
 
-def triangle_state_labels(basis_cap: int) -> list[tuple[int, int, str]]:
-    """(m, n, symmetry) labels with m >= 2n: two states for m > 2n, a
-    single symmetric one at m = 2n."""
-    labels = []
-    for n in range(1, basis_cap // 2 + 1):
-        for m in range(2 * n, basis_cap + 1):
-            if m == 2 * n:
-                labels.append((m, n, "o"))
-            else:
-                labels.append((m, n, "+"))
-                labels.append((m, n, "-"))
-    return labels
+def triangle_state_labels(basis_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, n, symmetry) label arrays with m >= 2n, n-major then m: two
+    states ('+', '-') for m > 2n, a single symmetric one ('o') at m = 2n.
+    TruncationError when the tables would pass the work budget."""
+    half = max(basis_cap, 0) // 2
+    # 160 B per (m, n) grid point, at least one label each: at basis_cap
+    # 1024 the tracemalloc peak per label is 147 B for triangle_coefficients
+    # and 123 B for the equilateral levels table
+    check_work_bytes(half * (basis_cap + 1) * 160, f"triangle label table of basis_cap {basis_cap}")
+    n, m = (a.ravel() for a in np.meshgrid(np.arange(1, half + 1), np.arange(basis_cap + 1), indexing="ij"))
+    pair = m >= 2 * n
+    n, m = n[pair], m[pair]
+    copies = np.where(m == 2 * n, 1, 2)
+    first = np.cumsum(copies) - copies
+    sym = np.full(copies.sum(), "-")
+    sym[first] = np.where(copies == 1, "o", "+")
+    return np.repeat(m, copies), np.repeat(n, copies), sym
 
 
 def triangle_wavefunction(label, x, y, L):
@@ -367,32 +393,25 @@ def triangle_coefficients(
     norm_o = math.sqrt(8.0 / (L**2 * 3.0 * math.sqrt(3.0)))
     gauss_norm = 1.0 / (b * math.sqrt(math.pi))  # 2D Gaussian prefactor
 
-    labels = triangle_state_labels(basis_cap)
-    vals = np.empty(len(labels), dtype=complex)
+    m, n, sym = triangle_state_labels(basis_cap)
     # the packet's 1D factors integrated against cos(C x), sin(C x), sin(C y)
     line = b * math.sqrt(2 * math.pi)
     ix_cos = lambda C: line / 2.0 * (gaussian_transform(C, x0, kx, b) + gaussian_transform(-C, x0, kx, b))
     ix_sin = lambda C: line / 2j * (gaussian_transform(C, x0, kx, b) - gaussian_transform(-C, x0, kx, b))
     iy_sin = lambda C: line / 2j * (gaussian_transform(C, y0, ky, b) - gaussian_transform(-C, y0, ky, b))
-    for i, (m, n, sym) in enumerate(labels):
-        if sym == "-":
-            val = (
-                ix_sin(cx * (2 * m - n)) * iy_sin(cy * n)
-                - ix_sin(cx * (2 * n - m)) * iy_sin(cy * m)
-                - ix_sin(cx * (m + n)) * iy_sin(cy * (m - n))
-            ) * norm
-        elif sym == "+":
-            val = (
-                ix_cos(cx * (2 * m - n)) * iy_sin(cy * n)
-                - ix_cos(cx * (2 * n - m)) * iy_sin(cy * m)
-                + ix_cos(cx * (m + n)) * iy_sin(cy * (m - n))
-            ) * norm
-        else:
-            val = (
-                2.0 * ix_cos(2 * math.pi * n / L) * iy_sin(cy * n)
-                - ix_cos(0.0) * iy_sin(2 * cy * n)
-            ) * norm_o
-        vals[i] = gauss_norm * val
+    vals = np.empty(len(m), dtype=complex)
+    for branch in ("-", "+"):
+        at = sym == branch
+        mb, nb = m[at], n[at]
+        ix = ix_sin if branch == "-" else ix_cos
+        t1, t2, t3 = (_scalar_product(ix(cx * p), iy_sin(cy * q))
+                      for p, q in ((2 * mb - nb, nb), (2 * nb - mb, mb), (mb + nb, mb - nb)))
+        vals[at] = gauss_norm * (((t1 - t2) - t3 if branch == "-" else (t1 - t2) + t3) * norm)
+    at = sym == "o"
+    no = n[at]
+    vals[at] = gauss_norm * ((_scalar_product(2.0 * ix_cos(2 * math.pi * no / L), iy_sin(cy * no))
+                              - _scalar_product(ix_cos(0.0), iy_sin(2 * cy * no))) * norm_o)
+    labels = zip(m.tolist(), n.tolist(), sym.tolist())
     return _finish_2d(labels, vals, 1e-4, "basis_cap")
 
 

@@ -27,7 +27,7 @@ from revival.billiards import (
     triangle_fold_spectrum,
 )
 from revival import billiards, dynamics, specfun
-from revival.errors import DomainError, OrbitUnsupportedError, RootError
+from revival.errors import DomainError, OrbitUnsupportedError, RootError, TruncationError
 from revival.packets import (
     CoefficientSet2D,
     circular_coefficients,
@@ -673,3 +673,12 @@ class TestLevelCSV:
         lines = path.read_text().splitlines()
         assert lines[0] == "q1,q2,symmetry,energy"
         assert lines[1].split(",")[2] in ("o", "+", "-")
+
+
+@pytest.mark.parametrize("spectrum", [
+    lambda: square_spectrum(1.0, n_cap=3000),       # 9e6 labels, ~2.3 GiB at 280 B each
+    lambda: equilateral_spectrum(1.0, m_cap=10_000),  # ~5e7 labels, ~7.5 GiB at 160 B each
+], ids=["square", "equilateral"])
+def test_polygon_label_tables_are_bounded(spectrum):
+    with pytest.raises(TruncationError, match="label table"):
+        spectrum().levels()

@@ -616,3 +616,155 @@ class TestLinspaceRows:
             got = np.concatenate([dynamics.linspace_rows(stop, num, slice(lo, min(lo + block, num)))
                                   for lo in range(0, num, block)])
             assert np.array_equal(got.view(np.int64), want), block
+
+
+def _direct_phase_sum(w, n, t, s=None):
+    """The phase sum without the base x offset factoring: one phase per
+    (level, time), summed over levels by the same einsum."""
+    vals = np.empty(len(t), dtype=complex)
+    buf = dynamics._Buffers()
+    for cols in dynamics._phase_chunks(len(t), len(n)):
+        vals[cols] = np.einsum("n,nt->t", w, dynamics._phase_block(t[cols], n, s, buf).view(float)).view(complex)
+    return vals
+
+
+def _mp_sum(w, omegas, t, cycles=None):
+    """sum_n w_n e^{i omega_n t} at 40 digits; `cycles` gives the phase as
+    2 pi q_n t with q_n the model's cycle polynomial at n instead."""
+    with mpmath.workdps(40):
+        tt = mpmath.mpf(float(t))
+        if cycles is None:
+            phases = [mpmath.mpf(float(o)) * tt for o in omegas]
+        else:
+            phases = [2 * mpmath.pi * tt * mpmath.fsum(mpmath.mpf(g) * mpmath.mpf(float(k)) ** j
+                                                       for j, g in enumerate(cycles)) for k in omegas]
+        return complex(mpmath.fsum(mpmath.mpf(float(x)) * mpmath.expj(p) for x, p in zip(w, phases)))
+
+
+class TestFactoredPhaseSum:
+    """_phase_sum's base x offset factoring: 40-digit mpmath on the factored
+    path, the bits of the direct sum wherever a run falls back, and a
+    tracemalloc bound."""
+
+    @staticmethod
+    def _runs(monkeypatch):
+        taken = []
+        real = dynamics._factored_run
+
+        def recording(*args):
+            taken.append(real(*args))
+            return taken[-1]
+
+        monkeypatch.setattr(dynamics, "_factored_run", recording)
+        return taken
+
+    @staticmethod
+    def _sampled(count, size):
+        return np.sort(np.random.default_rng(11).choice(size, count, replace=False))
+
+    def test_case_a_matches_mpmath(self, monkeypatch):
+        taken = self._runs(monkeypatch)
+        t = np.linspace(0.0, 1600.0, 64001)
+        got = autocorrelation(MODEL_SET, CASE_A, t).values
+        assert taken == [True] * 16
+        w, g = MODEL_SET.weights(), CASE_A.frequency_polynomial()
+        for k in self._sampled(160, len(t)):
+            assert abs(got[k] - _mp_sum(w, MODEL_SET.indices, t[k], g)) <= 1e-15 * w.sum(), k
+
+    def test_general_path_matches_mpmath(self, monkeypatch):
+        # the jc frequencies 2 sqrt(n) at nbar 50 and its bench grid
+        from revival.packets import log_poisson
+
+        taken = self._runs(monkeypatch)
+        w, omegas = np.exp(log_poisson(50.0, 135)), 2.0 * np.sqrt(np.arange(136.0))
+        t = np.linspace(0.0, 60 * math.pi, 6001)
+        got = dynamics._phase_sum(w, omegas, t)
+        assert taken == [True, True]
+        for k in self._sampled(150, len(t)):
+            assert abs(got[k] - _mp_sum(w, omegas, t[k])) <= 1e-15 * w.sum(), k
+
+    def test_bouncer_exact_step_matches_mpmath(self, monkeypatch):
+        # the step 50,000 is exact, so every residual r is 0; ~95 % of the
+        # base and offset phases take the exact far-phase reduction
+        taken = self._runs(monkeypatch)
+        s, c = Spectrum1D.bouncer_airy(), gaussian_model_coefficients(20, 2, 1e-8, 1)
+        t = np.linspace(0.0, 1e8, 2001)
+        assert np.array_equal(t, 50000.0 * np.arange(2001))
+        got = autocorrelation(c, s, t).values
+        assert taken == [True]
+        w, omegas = c.weights(), eval_energy(s, c.indices.astype(float)) / s.units.hbar
+        for k in self._sampled(150, len(t)):
+            assert abs(got[k] - _mp_sum(w, omegas, t[k])) <= 1e-15 * w.sum(), k
+
+    def _falls_back(self, monkeypatch, w, n, t, s=None, runs=None):
+        taken = self._runs(monkeypatch)
+        got = dynamics._phase_sum(w, n, t, s)
+        assert taken == ([False] * runs if runs else [])
+        assert np.array_equal(got.view(np.int64), _direct_phase_sum(w, n, t, s).view(np.int64))
+
+    def test_nonuniform_grid_falls_back(self, monkeypatch):
+        t = np.sort(np.random.default_rng(2).uniform(0.0, 1600.0, 5000))
+        self._falls_back(monkeypatch, MODEL_SET.weights(), MODEL_SET.indices, t, CASE_A, runs=2)
+
+    def test_large_residual_phase_falls_back(self, monkeypatch):
+        # a uniform grid up to ~1e8 whose step is not exact: r ~ 1e-8 and
+        # omega ~ 10, past the 2^-27 guard
+        s, c = Spectrum1D.bouncer_airy(), gaussian_model_coefficients(20, 2, 1e-8, 1)
+        t = np.linspace(0.0, 1e8 + 0.3, 2001)
+        self._falls_back(monkeypatch, c.weights(), c.indices, t, s, runs=1)
+
+    def test_many_levels_fall_back(self, monkeypatch):
+        # 1100 levels leave fewer than _MIN_COLUMNS columns per table
+        n = np.linspace(1.0, 40.0, 1100)
+        assert dynamics._FACTOR_ELEMENTS // len(n) < dynamics._MIN_COLUMNS
+        w = np.full(len(n), 1.0 / len(n))
+        self._falls_back(monkeypatch, w, n, np.linspace(0.0, 3.0, 1000))
+
+    def test_short_runs_are_direct(self, monkeypatch):
+        # a 4097-row grid: one factored run and a one-row direct run
+        taken = self._runs(monkeypatch)
+        t = np.linspace(0.0, 1600.0, 4097)
+        got = autocorrelation(MODEL_SET, CASE_A, t).values
+        assert taken == [True]
+        assert got[-1] == _direct_phase_sum(MODEL_SET.weights(), MODEL_SET.indices, t[-1:], CASE_A)[0]
+
+    @pytest.mark.parametrize("budget", [1 << 10, 1 << 16])
+    def test_table_budget_leaves_the_bits(self, monkeypatch, budget):
+        # 103 levels: (9 offsets, 9 bases) or (64, 64) per table in place
+        # of (64, 32); every value keeps its bits
+        t = np.linspace(0.0, 1600.0, 5000)
+        want = autocorrelation(MODEL_SET, CASE_A, t).values
+        taken = self._runs(monkeypatch)
+        monkeypatch.setattr(dynamics, "_FACTOR_ELEMENTS", budget)
+        got = autocorrelation(MODEL_SET, CASE_A, t).values
+        assert taken == [True, True]
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_no_levels(self):
+        assert np.array_equal(dynamics._phase_sum(np.zeros(0), np.zeros(0), np.linspace(0.0, 1.0, 300)),
+                              np.zeros(300, dtype=complex))
+
+    @pytest.mark.parametrize("case, bound", [("circle", 1.27e6), ("caseA", 1.95e6)])
+    def test_peak_memory_within_direct_kernel(self, case, bound):
+        # bounds: the direct kernel's tracemalloc peaks (1.274 and 1.952 MB)
+        import tracemalloc
+
+        if case == "circle":  # the billiard2d default: 437 distinct levels x 4001 times
+            from revival.billiards import circular_spectrum
+            from revival.packets import circular_coefficients
+
+            c = circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2), 1.0, 16, 30)
+            s = circular_spectrum(1.0, 16, 30)
+            omegas, row = np.unique([s.energy(*lab[:2]) for lab in c.labels], return_inverse=True)
+            args = (np.bincount(row, weights=c.weights()), omegas, np.linspace(0.0, 10.0, 4001))
+            assert len(omegas) == 437
+        else:
+            args = (MODEL_SET.weights(), MODEL_SET.indices, np.linspace(0.0, 1600.0, 64001), CASE_A)
+        dynamics._phase_sum(*args)
+        tracemalloc.start()
+        try:
+            dynamics._phase_sum(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, peak

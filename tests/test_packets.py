@@ -171,6 +171,32 @@ class TestPoisson:
         assert mean == pytest.approx(12.5, rel=1e-9)
 
 
+class TestLogPoisson:
+    """log_poisson's Stirling form against 40-digit mpmath over the jc level
+    window; the lgamma form lost ~n ulp (4.4e-8 at nbar 1e7)."""
+
+    @pytest.mark.parametrize("nbar, tol", [(0.5, 5e-14), (50.0, 5e-14), (4e5, 5e-12), (1e7, 2e-11), (9.99e7, 6e-11)])
+    def test_matches_mpmath(self, nbar, tol):
+        mpmath = pytest.importorskip("mpmath")
+        half = 12.0 * math.sqrt(max(nbar, 1.0))
+        lo, hi = max(0, math.floor(nbar - half)), max(math.ceil(nbar + half), 40)
+        got = packets.log_poisson(nbar, hi, lo)
+        with mpmath.workdps(40):
+            nb = mpmath.mpf(nbar)
+            for k in np.unique(np.linspace(0, len(got) - 1, 301).astype(int)):
+                n = lo + int(k)
+                want = -nb + n * mpmath.log(nb) - mpmath.loggamma(n + 1)
+                assert abs(got[k] - float(want)) <= tol, n
+        assert abs(1.0 - math.fsum(np.exp(got))) <= 1e-14
+
+    def test_forms_meet_at_twenty(self):
+        # lgamma below n = 20, Stirling from it: both sides within an ulp-scale step
+        got = packets.log_poisson(20.0, 22, 17)
+        want = [-20.0 + n * math.log(20.0) - math.lgamma(n + 1.0) for n in range(17, 23)]
+        assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.array_equal(packets.log_poisson(0.0, 3), [0.0, -np.inf, -np.inf, -np.inf])
+
+
 class TestBouncer:
     def test_norm_and_energy(self):
         c = bouncer_coefficients(z0=25.0, width_b=math.sqrt(2.0))
@@ -244,9 +270,64 @@ class TestBouncer:
             bouncer_coefficients(z0=2.0, width_b=math.sqrt(2.0))
 
 
+def _triangle_loop(x0, y0, p0x, p0y, b, L, basis_cap, units=UNITS):
+    """The former builder: six scalar gaussian_transform calls per label in
+    a Python loop, over labels from nested loops."""
+    labels = []
+    for n in range(1, basis_cap // 2 + 1):
+        for m in range(2 * n, basis_cap + 1):
+            labels.extend([(m, n, "o")] if m == 2 * n else [(m, n, "+"), (m, n, "-")])
+    kx, ky = p0x / units.hbar, p0y / units.hbar
+    cx, cy = 2 * math.pi / (3 * L), 2 * math.pi / (math.sqrt(3.0) * L)
+    norm = math.sqrt(16.0 / (L**2 * 3.0 * math.sqrt(3.0)))
+    norm_o = math.sqrt(8.0 / (L**2 * 3.0 * math.sqrt(3.0)))
+    gauss_norm = 1.0 / (b * math.sqrt(math.pi))
+    line = b * math.sqrt(2 * math.pi)
+    g = packets.gaussian_transform
+    ix_cos = lambda C: line / 2.0 * (g(C, x0, kx, b) + g(-C, x0, kx, b))
+    ix_sin = lambda C: line / 2j * (g(C, x0, kx, b) - g(-C, x0, kx, b))
+    iy_sin = lambda C: line / 2j * (g(C, y0, ky, b) - g(-C, y0, ky, b))
+    vals = np.empty(len(labels), dtype=complex)
+    for i, (m, n, sym) in enumerate(labels):
+        if sym == "-":
+            val = (ix_sin(cx * (2 * m - n)) * iy_sin(cy * n) - ix_sin(cx * (2 * n - m)) * iy_sin(cy * m)
+                   - ix_sin(cx * (m + n)) * iy_sin(cy * (m - n))) * norm
+        elif sym == "+":
+            val = (ix_cos(cx * (2 * m - n)) * iy_sin(cy * n) - ix_cos(cx * (2 * n - m)) * iy_sin(cy * m)
+                   + ix_cos(cx * (m + n)) * iy_sin(cy * (m - n))) * norm
+        else:
+            val = (2.0 * ix_cos(2 * math.pi * n / L) * iy_sin(cy * n) - ix_cos(0.0) * iy_sin(2 * cy * n)) * norm_o
+        vals[i] = gauss_norm * val
+    return packets._finish_2d(labels, vals, 1e-4, "basis_cap")
+
+
 class TestTriangle:
     B = math.sqrt(2.0) * L / 20.0
     CENTROID = (0.0, L / math.sqrt(3.0))
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 0.55, 20.0, 10.0, 0.05 * math.sqrt(2.0), L, 16),   # the bench packet
+        (0.0, 0.55, 20.0, 10.0, 0.05 * math.sqrt(2.0), L, 64),
+        (0.1, 0.65, 3.0, -7.0, 0.05 * math.sqrt(2.0), L, 64),
+        (-0.05, 0.5, 0.0, 0.0, 0.05, L, 41),
+    ], ids=["bench", "bench_64", "off_axis_64", "odd_cap"])
+    def test_label_arrays_match_the_loop(self, args):
+        # the same bits as the scalar loop; only values far below the
+        # retention floor (~1e-33 and less) may round differently, where
+        # numpy-scalar ** 2 and the array square differ in the last bit
+        got, want = triangle_coefficients(*args), _triangle_loop(*args)
+        assert got.labels == want.labels
+        assert np.array_equal(got.coefficients.view(np.int64), want.coefficients.view(np.int64))
+        assert (got.norm_deficit, got.warnings) == (want.norm_deficit, want.warnings)
+
+    def test_label_table_is_bounded(self):
+        # about 4.3e9 labels would need ~690 GiB; refused before any allocation
+        with pytest.raises(TruncationError, match="label table"):
+            packets.triangle_state_labels(100_000)
+        m, n, sym = packets.triangle_state_labels(6)
+        assert list(zip(m.tolist(), n.tolist(), sym.tolist())) == [
+            (2, 1, "o"), (3, 1, "+"), (3, 1, "-"), (4, 1, "+"), (4, 1, "-"), (5, 1, "+"), (5, 1, "-"),
+            (6, 1, "+"), (6, 1, "-"), (4, 2, "o"), (5, 2, "+"), (5, 2, "-"), (6, 2, "+"), (6, 2, "-"), (6, 3, "o")]
 
     def test_odd_states_vanish_for_symmetric_packet(self, monkeypatch):
         # below the retention floor, every odd state is dropped; with no
