@@ -6,13 +6,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import TimeSeries, _phase_sum
 from .errors import DomainError, TruncationError
 from .packets import log_factorial, log_poisson
-from .wavefields import AxisSpec, FieldGrid
+
+if TYPE_CHECKING:  # the grids load wavefields on use, so jc does not
+    from .wavefields import AxisSpec, FieldGrid
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,11 @@ def jc_inversion(p: JCParams, t_grid) -> TimeSeries:
 
 
 def jc_revival_time(p: JCParams) -> float:
-    """2 pi sqrt(coupling^2 nbar + detuning^2/4) / coupling^2."""
-    return 2.0 * math.pi * math.sqrt(p.coupling**2 * p.nbar + p.detuning**2 / 4.0) / p.coupling**2
+    """2 pi sqrt(coupling^2 nbar + detuning^2/4) / coupling^2, evaluated as
+    2 pi sqrt(nbar + (detuning / 2 coupling)^2) / coupling, which squares no
+    rate: coupling^2 overflows past 1.3e154."""
+    half = p.detuning / (2.0 * p.coupling)
+    return 2.0 * math.pi * math.sqrt(p.nbar + half * half) / p.coupling
 
 
 def jc_bound(p: JCParams, t) -> tuple[np.ndarray, np.ndarray]:
@@ -190,6 +196,8 @@ def _bec_overlap(cs: CoherentState, t: float, beta: np.ndarray) -> np.ndarray:
 def bec_overlap_grid(cs: CoherentState, t: float, re_axis: AxisSpec, im_axis: AxisSpec) -> FieldGrid:
     """P(beta; t) = |<beta | state(t)>|^2 on a rectangular grid of the
     coherent-plane coordinate beta."""
+    from .wavefields import FieldGrid
+
     beta = re_axis.points()[:, None] + 1j * im_axis.points()[None, :]
     return FieldGrid(re_axis, im_axis, _bec_overlap(cs, t, beta))
 
@@ -208,6 +216,8 @@ def bec_overlap_peaks(
 ) -> list[tuple[complex, float]]:
     """Local maxima of P(beta; t), each refined by nested grid zooming so
     peak heights are grid-offset free to ~1e-8."""
+    from .wavefields import AxisSpec
+
     if half_span is None:
         half_span = abs(cs.alpha) + 3.0
     axis = AxisSpec("re", -half_span, half_span, coarse)

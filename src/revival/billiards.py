@@ -12,7 +12,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import specfun
 from .dynamics import TimeSeries, _phase_sum
 from .errors import DomainError, OrbitUnsupportedError, RootError, check_work_bytes
 from .packets import CoefficientSet2D, triangle_state_labels
@@ -240,6 +239,8 @@ def circular_spectrum(
     the inverse-power expansion seeds (with the fitted 1/(8 z0)
     correction for the zero-angular-momentum channel).
     """
+    from . import specfun
+
     if mode not in ("refined", "wkb"):
         raise DomainError(f"unknown mode {mode!r}")
     _check_size(R)
@@ -293,6 +294,8 @@ def annulus_levels(
 def _ring_condition(orders, k, R: float, f: float) -> np.ndarray:
     """The normalized cross-product at flat arrays of orders and k, from
     one J and one Y kernel call on the outer and inner arguments."""
+    from . import specfun
+
     n = k.size
     z = np.concatenate([k * R, k * f * R])
     both = np.concatenate([orders, orders])
@@ -349,6 +352,8 @@ def _annulus_brackets(orders, R: float, f: float, count: int):
     quarter of the asymptotic spacing pi / (R (1 - f)); all grids are
     scanned in one condition call per extension, and an order with too
     few sign changes is extended."""
+    from . import specfun
+
     step = math.pi / (R * (1.0 - f)) / 4.0
     ks = [np.empty(0) for _ in orders]
     gs = [np.empty(0) for _ in orders]

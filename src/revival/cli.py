@@ -4,6 +4,10 @@ artifacts with a metadata sidecar.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric/convergence
 error, 4 I/O error.
+
+Only errors, serialize and numpy load with this module; each command
+imports the package modules it runs, so `--help` and a configuration
+error load none of them.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, analogs, billiards, dynamics, fractional, packets, spectra, wavefields
+from . import __version__
 from .errors import ConfigError, RevivalError
 from .serialize import format_float, write_csv, write_series_csv
 
@@ -31,18 +35,30 @@ COMMANDS = (
     "bec",
 )
 
+
+def _model(factory: str, *keys: str):
+    """Spectrum1D.<factory>(p[key] for key in keys), spectra loaded on call."""
+
+    def build(p: dict):
+        from .spectra import Spectrum1D
+
+        return getattr(Spectrum1D, factory)(*(p[key] for key in keys))
+
+    return build
+
+
 # --model value -> Spectrum1D factory over the scenario's parameters
 _SPECTRA = {
-    "caseA": lambda p: spectra.Spectrum1D.case_a(),
-    "caseB": lambda p: spectra.Spectrum1D.case_b(),
-    "anharmonic": lambda p: spectra.Spectrum1D.anharmonic(p["alpha"], p["beta"]),
-    "well": lambda p: spectra.Spectrum1D.infinite_well(p["L"]),
-    "bouncer_wkb": lambda p: spectra.Spectrum1D.bouncer_wkb(p["F"]),
-    "bouncer_airy": lambda p: spectra.Spectrum1D.bouncer_airy(p["F"]),
-    "rotor": lambda p: spectra.Spectrum1D.rotor(p["inertia"]),
-    "pendulum": lambda p: spectra.Spectrum1D.pendulum(p["inertia"], p["V0"]),
-    "harmonic": lambda p: spectra.Spectrum1D.harmonic(p["omega"]),
-    "rydberg": lambda p: spectra.Spectrum1D.rydberg(),
+    "caseA": _model("case_a"),
+    "caseB": _model("case_b"),
+    "anharmonic": _model("anharmonic", "alpha", "beta"),
+    "well": _model("infinite_well", "L"),
+    "bouncer_wkb": _model("bouncer_wkb", "F"),
+    "bouncer_airy": _model("bouncer_airy", "F"),
+    "rotor": _model("rotor", "inertia"),
+    "pendulum": _model("pendulum", "inertia", "V0"),
+    "harmonic": _model("harmonic", "omega"),
+    "rydberg": _model("rydberg"),
 }
 
 
@@ -90,7 +106,7 @@ _POSITIVE = _bounded(_float_key, 0.0, strict=True)
 
 # time-series rows: the CSV streams, so run time and output grow with steps.
 # At 10^6 steps the bench scenarios take 8 s (autocorr caseA, 80 MB of CSV),
-# 21 s (billiard2d circle, 82 MB) and 54 s (observables, 97 MB), at a flat
+# 21 s (billiard2d circle, 82 MB) and 23 s (observables, 97 MB), at a flat
 # 33-34 MB max-RSS (2-core x86-64)
 _STEPS = _bounded(_int_key, 1, below=1_000_001)
 
@@ -295,7 +311,9 @@ def _write_sidecar(scenario: Scenario, extras: dict) -> str:
 
 
 def _time_scale_extras(s, n0: float) -> dict:
-    ts = spectra.time_scales(s, n0)
+    from .spectra import time_scales
+
+    ts = time_scales(s, n0)
     return {
         "t_classical": ts.t_classical,
         "t_revival": ts.t_revival,
@@ -307,9 +325,10 @@ def _write_series(path: str, stop: float, steps: int, series) -> None:
     """The CSV of `series(times)`, a TimeSeries, on np.linspace(0, stop,
     steps + 1): evaluated and written one block of rows at a time, so no
     array as long as the grid is held."""
+    from .dynamics import linspace_rows
 
     def block(part):
-        ts = series(dynamics.linspace_rows(stop, steps + 1, part))
+        ts = series(linspace_rows(stop, steps + 1, part))
         return ts.times, ts.values
 
     write_series_csv(path, steps + 1, block)
@@ -323,6 +342,8 @@ def run(scenario: Scenario) -> list[str]:
     written = []
 
     if scenario.command == "spectrum":
+        from . import spectra
+
         s = _SPECTRA[p["model"]](p)
         n_lo = max(p["n_min"], int(s.ground_index))
         extras = _time_scale_extras(s, p["n0"])  # raises before the file opens
@@ -337,6 +358,8 @@ def run(scenario: Scenario) -> list[str]:
         written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "autocorr":
+        from . import dynamics, packets
+
         s = _SPECTRA[p["model"]](p)
         index_min = int(s.ground_index)
         c = packets.gaussian_model_coefficients(p["n0"], p["dn"], p["cutoff"], index_min)
@@ -348,6 +371,8 @@ def run(scenario: Scenario) -> list[str]:
         written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "fractional":
+        from . import fractional
+
         table = fractional.gauss_coefficients(p["p"], p["q"])
         path = out("fractional.csv")
         table.to_csv(path)
@@ -357,6 +382,8 @@ def run(scenario: Scenario) -> list[str]:
         written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "carpet":
+        from . import packets, spectra, wavefields
+
         L = p["L"]
         pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
         n_max = p["n_max"] if p["n_max"] > 0 else int(p["n0"] + 12 * packets.delta_n_estimate(pk, L)) + 8
@@ -371,6 +398,8 @@ def run(scenario: Scenario) -> list[str]:
         written.append(_write_sidecar(scenario, {"t_hi": t_hi, "t_revival": t_rev}))
 
     elif scenario.command == "wigner":
+        from . import packets, wavefields
+
         L = p["L"]
         pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
         n_max = int(p["n0"] + 12 * packets.delta_n_estimate(pk, L)) + 8
@@ -389,6 +418,8 @@ def run(scenario: Scenario) -> list[str]:
         written.append(_write_sidecar(scenario, {"p_span": span}))
 
     elif scenario.command == "observables":
+        from . import dynamics, packets, spectra, wavefields
+
         L = p["L"]
         pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
         # a packet at rest (n0 = 0) or moving left (n0 < 0) keeps the modes up to |n0| + 12 dn
@@ -411,14 +442,19 @@ def run(scenario: Scenario) -> list[str]:
         written.extend(_run_billiard(scenario, out))
 
     elif scenario.command == "jc":
+        from . import analogs
+
         params = analogs.JCParams(p["nbar"], p["coupling"], p["detuning"])
         t_max = p["tau_max"] * math.pi / p["coupling"]
+        extras = {"t_revival": analogs.jc_revival_time(params)}  # any error here leaves no file
         path = out("jc.csv")
         _write_series(path, t_max, p["steps"], lambda t: analogs.jc_inversion(params, t))
         written.append(path)
-        written.append(_write_sidecar(scenario, {"t_revival": analogs.jc_revival_time(params)}))
+        written.append(_write_sidecar(scenario, extras))
 
     elif scenario.command == "bec":
+        from . import analogs, wavefields
+
         alpha = complex(p["alpha_re"], p["alpha_im"])
         n_cap = p["n_cap"] if p["n_cap"] > 0 else analogs.default_n_cap(alpha)
         cs = analogs.CoherentState(alpha=alpha, u0_over_hbar=p["u0"], n_cap=n_cap)
@@ -436,6 +472,8 @@ def run(scenario: Scenario) -> list[str]:
 
 
 def _run_billiard(scenario: Scenario, out) -> list[str]:
+    from . import billiards, packets
+
     p = scenario.params
     written = []
     geometry = p["geometry"]

@@ -8,13 +8,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, TruncationError
-from .packets import CoefficientSet, PacketParams1D
 from .serialize import BLOCK_ROWS, write_timeseries_csv
 from .spectra import DEFAULT_UNITS, Spectrum1D, eval_energy
+
+if TYPE_CHECKING:  # annotations only: the phase sums need no packet builder
+    from .packets import CoefficientSet, PacketParams1D
 
 TWO_PI = 2.0 * math.pi
 

@@ -6,12 +6,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import TimeSeries
 from .errors import DomainError
 from .serialize import write_csv
+
+if TYPE_CHECKING:  # annotations only
+    from .dynamics import TimeSeries
 
 
 @dataclass(frozen=True)

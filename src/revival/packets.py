@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
-from .errors import ContainmentError, DomainError, RangeError, check_work_bytes
+from .errors import ContainmentError, DomainError, RangeError, TruncationError, check_work_bytes
 from .serialize import write_csv
 from .spectra import DEFAULT_UNITS, UnitSystem
 
@@ -100,8 +99,17 @@ class CoefficientSet2D:
             write_csv(path, "index1,index2,re,im\n", "%s,%s,%.17g,%.17g\n", columns)
 
 
+def _peak(values: np.ndarray, hint: str) -> float:
+    """max |value|: a DomainError unless it is nonzero and finite, since an
+    all-zero set (a packet the basis cannot reach) has A(t) = 0 for all t."""
+    peak = float(np.max(np.abs(values), initial=0.0))
+    if not 0.0 < peak < math.inf:
+        raise DomainError(f"no coefficient is nonzero and finite: {hint}")
+    return peak
+
+
 def _trim(index_lo: int, values: np.ndarray, rel_floor: float) -> tuple[int, np.ndarray]:
-    keep = np.abs(values) >= rel_floor * np.max(np.abs(values))
+    keep = np.abs(values) >= rel_floor * _peak(values, "the packet lies outside the basis window")
     if not np.any(keep):
         raise DomainError("all coefficients below the retention cutoff")
     first = int(np.argmax(keep))
@@ -122,7 +130,8 @@ def _finish_1d(index_lo, values, warn_above=math.inf, warning="norm deficit {:.2
 
 
 def _finish_2d(labels, values, warn_above: float, cap: str) -> CoefficientSet2D:
-    keep = np.abs(values) >= RELATIVE_FLOOR * np.max(np.abs(values))
+    peak = _peak(values, f"the packet lies outside the basis that {cap} spans")
+    keep = np.abs(values) >= RELATIVE_FLOOR * peak
     values = values[keep]
     deficit = _deficit(values)
     warnings = (f"norm deficit {deficit:.2e}: {cap} may be too small",) if deficit > warn_above else ()
@@ -222,8 +231,9 @@ def infinite_well_coefficients(p: PacketParams1D, L: float, n_max: int) -> Coeff
     n = np.arange(1, n_max + 1, dtype=float)
     kn = n * math.pi / L
     pref = math.sqrt(4.0 * b * math.pi / (L * math.sqrt(math.pi)))
-    plus = np.exp(1j * kn * p.x0) * np.exp(-(b**2) * (p.p0 + kn * hbar) ** 2 / (2 * hbar**2))
-    minus = np.exp(-1j * kn * p.x0) * np.exp(-(b**2) * (p.p0 - kn * hbar) ** 2 / (2 * hbar**2))
+    with np.errstate(over="ignore"):  # an overflowed exponent is the factor's limit, 0
+        plus = np.exp(1j * kn * p.x0) * np.exp(-(b**2) * (p.p0 + kn * hbar) ** 2 / (2 * hbar**2))
+        minus = np.exp(-1j * kn * p.x0) * np.exp(-(b**2) * (p.p0 - kn * hbar) ** 2 / (2 * hbar**2))
     a = pref / 2j * (plus - minus)
     lo, a = _trim(1, a, RELATIVE_FLOOR)
     return _finish_1d(lo, a, 1e-4)
@@ -274,6 +284,8 @@ def bouncer_coefficients(
     the box builder; the containment check keeps it small. Where
     a + tau^2 > 0 the exponent is summed against the scaled Ai, so e^{tau a}
     cannot overflow: the summed exponent is never positive."""
+    from . import specfun
+
     _check_contained((z0,), width_b / math.sqrt(2.0))
     rho = (units.hbar**2 / (2.0 * units.mass * F)) ** (1.0 / 3.0)
     tau = width_b**2 / (2.0 * rho**2)
@@ -289,6 +301,8 @@ def bouncer_coefficients(
 
 def _airy_levels(n) -> np.ndarray:
     """The zeros y_n of Ai(-y) for an index or an index array."""
+    from . import specfun
+
     n = np.asarray(n, dtype=int)
     if np.any(n < 0):
         raise RangeError("Airy level indices must be nonnegative")
@@ -299,6 +313,8 @@ def bouncer_norm(n, rho: float):
     """Normalization N_n of Ai(z/rho - y_n) on z > 0, for an index or an
     index array. The integral of Ai^2 from a zero a_n to infinity is
     Ai'(a_n)^2 (DLMF 9.11(iv)), so N_n = 1/(sqrt(rho) |Ai'(-y_n)|)."""
+    from . import specfun
+
     y = _airy_levels(n)
     return 1.0 / (math.sqrt(rho) * np.abs(specfun.airy_ai_prime(-y)))
 
@@ -312,7 +328,8 @@ def gaussian_transform(q, x0: float, k: float, b: float):
     the line of e^{i q x} e^{i k (x - x0)} e^{-(x - x0)^2 / 2b^2}, divided
     by b sqrt(2 pi). The 1D factor of every 2D Gaussian-packet overlap."""
     q = np.asarray(q, dtype=float)
-    return np.exp(1j * q * x0) * np.exp(-(b**2) * (k + q) ** 2 / 2.0)
+    with np.errstate(over="ignore"):  # an overflowed exponent is the factor's limit, 0
+        return np.exp(1j * q * x0) * np.exp(-(b**2) * (k + q) ** 2 / 2.0)
 
 
 def triangle_state_labels(basis_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -427,6 +444,8 @@ def _disk_modes(m_cap: int, nr_cap: int, R: float) -> tuple[np.ndarray, np.ndarr
     """Zeros z_{m,n} and radial norms N_mn = sqrt(2) / (R |J_{m+1}(z_{m,n})|)
     (so that int_0^R [N J_m(z r/R)]^2 r dr = 1) for m <= m_cap, n <= nr_cap,
     as (m_cap + 1, nr_cap + 1) tables."""
+    from . import specfun
+
     orders = np.arange(m_cap + 1)
     zs = specfun.bessel_zeros_batch(orders, nr_cap + 1)
     j_next = specfun._bessel_batch(np.repeat(orders + 1, nr_cap + 1), zs.ravel()).reshape(zs.shape)
@@ -444,9 +463,13 @@ def _ring_size(m_cap: int, k: np.ndarray, r0: float, b: float, p: float) -> int:
     and an M-point FFT aliases orders |n| >= M - m_cap onto the kept ones.
     M is the smallest power of two that puts them below e^-40 for every k."""
     k = np.asarray(k, dtype=float)[:, None]
-    h = -(b**2) * (p - k) ** 2 / 2.0 + b**2 * k * p * (np.cosh(_ALIAS_ETA) - 1.0) + k * r0 * np.sinh(_ALIAS_ETA)
-    n = np.max(np.min((h + _ALIAS_EXPONENT) / _ALIAS_ETA, axis=1))
-    need = m_cap + max(math.ceil(n), m_cap + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # past |p| ~ 1e154, (p - k)^2 overflows
+        h = (-(b**2) * (p - k) ** 2 / 2.0 + b**2 * k * p * (np.cosh(_ALIAS_ETA) - 1.0)
+             + k * r0 * np.sinh(_ALIAS_ETA))
+        n = np.max(np.min((h + _ALIAS_EXPONENT) / _ALIAS_ETA, axis=1))
+    if np.isnan(n) or n == math.inf:
+        raise TruncationError(f"no ring FFT size bounds the aliasing at |p0|/hbar = {p:.3g}")
+    need = m_cap + math.ceil(max(n, m_cap + 1))  # n = -inf: the transform is 0 on every ring
     return 1 << (need - 1).bit_length()
 
 

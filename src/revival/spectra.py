@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import specfun
 from .errors import DomainError, RangeError
 
 
@@ -177,6 +176,8 @@ def _airy_derivs(scale: float, n: np.ndarray):
     # E(n) = scale * y_n, interpolated between integers; 5-point central
     # differences with unit step at the rounded index, the stencil kept
     # inside the validated zero table
+    from . import specfun
+
     xs = np.atleast_1d(n)
     centers = [min(max(int(round(float(x))), 2), specfun.AIRY_ZERO_MAX - 2) for x in xs]
     zeros = specfun.airy_zeros(max(centers) + 3)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
 from .dynamics import _Buffers, _phase_block, _phase_chunks
 from .errors import DomainError, check_work_bytes
 from .packets import CoefficientSet, _airy_levels, bouncer_norm
@@ -175,6 +174,8 @@ class BouncerBasis:
 
     def functions(self, n: np.ndarray, x: np.ndarray) -> np.ndarray:
         # rows: states, columns: positions
+        from . import specfun
+
         n = np.asarray(n, dtype=int)
         y = _airy_levels(n)
         return bouncer_norm(n, self.rho)[:, None] * specfun.airy_ai(x[None, :] / self.rho - y[:, None])
@@ -218,11 +219,25 @@ def psi_xt(c: CoefficientSet, basis, x_grid, t: float) -> np.ndarray:
     return (c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])) @ u
 
 
+def _operator_kind(m: np.ndarray) -> tuple[str, np.ndarray]:
+    """("diag", d[:, None]) for a real diagonal M, ("real", M), ("imag", P)
+    for M = iP with P real, else ("complex", M)."""
+    if np.iscomplexobj(m):
+        if np.any(m.real):
+            return "complex", m
+        return "imag", np.ascontiguousarray(m.imag)
+    d = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        return "diag", d[:, None]
+    return "real", m
+
+
 def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
     """Expectation values and spreads of position and momentum over time,
     from basis matrix elements."""
     n = _basis_indices(c, basis)
-    mats = np.stack([basis.x_matrix(n), basis.x2_matrix(n), basis.p_matrix(n), basis.p2_matrix(n)])
+    ops = [_operator_kind(m) for m in (basis.x_matrix(n), basis.x2_matrix(n), basis.p_matrix(n),
+                                       basis.p2_matrix(n))]
     t_grid = np.asarray(t_grid, dtype=float)
     moments = np.empty((4, len(t_grid)))
     buf = _Buffers()  # every (N, T) block below is a buffer reused from chunk to chunk
@@ -232,10 +247,19 @@ def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
         m_a = buf("m_a", a.shape, complex)
         # Re conj(a) . M . a per matrix and time, as Re a . conj(M a): the real
         # parts of the products are the same bits. einsum without `optimize`
-        # sums in order, no BLAS
-        for row, m in zip(moments, mats):
-            np.conj(np.einsum("nm,mt->nt", m, a, out=m_a), out=m_a)
-            row[cols] = np.einsum("nt,nt->t", a, m_a).real
+        # sums in order, no BLAS. A real M acts on the (N, 2T) float view of
+        # a, both parts in one real contraction, a diagonal one elementwise:
+        # the zero parts a complex product would add change no bit. For
+        # M = iP, Re a . conj(iP a) = Im a . conj(P a), term by term
+        for row, (kind, m) in zip(moments, ops):
+            if kind == "complex":
+                np.einsum("nm,mt->nt", m, a, out=m_a)
+            elif kind == "diag":
+                np.multiply(m, a.view(float), out=m_a.view(float))
+            else:
+                np.einsum("nm,mt->nt", m, a.view(float), out=m_a.view(float))
+            prod = np.einsum("nt,nt->t", a, np.conj(m_a, out=m_a))
+            row[cols] = prod.imag if kind == "imag" else prod.real
     mean_x, x2, mean_p, p2 = moments
     sd_x = np.sqrt(np.maximum(x2 - mean_x**2, 0.0))
     sd_p = np.sqrt(np.maximum(p2 - mean_p**2, 0.0))

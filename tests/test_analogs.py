@@ -54,6 +54,16 @@ class TestJaynesCummings:
             2 * math.pi * math.sqrt(4.0 + 2500.0), rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "params, expected",
+        [(JCParams(1e-300, 1e300), 2 * math.pi * 1e-150 / 1e300),  # coupling^2 overflows
+         (JCParams(50.0, 1e-300), 2 * math.pi * math.sqrt(50.0) * 1e300),  # and underflows
+         (JCParams(0.0, 1e-200, detuning=2e-200), 2 * math.pi * 1e200)],
+        ids=["huge_coupling", "tiny_coupling", "tiny_detuned"],
+    )
+    def test_revival_time_squares_no_rate(self, params, expected):
+        assert jc_revival_time(params) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
     def test_revival_envelope_maxima_near_12k(self):
         grid = tau_grid(30.0)
         ser = jc_inversion(JC, grid)

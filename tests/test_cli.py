@@ -399,6 +399,23 @@ class TestBilliardContract:
         assert t == 0.0 and im == 0.0
         assert 0.999 < re <= 1.0 and abs2 <= 1.0
 
+    @pytest.mark.parametrize("geometry", ["circle", "square", "equilateral"])
+    @pytest.mark.parametrize("p0x", ["1e3", "1e300"])
+    def test_packet_outside_the_basis_exits_three(self, tmp_path, geometry, p0x):
+        # every coefficient is zero at this momentum: the run wrote A(t) = 0
+        # with exit 0 (at 1e300 after numpy overflow warnings). Run as a
+        # process to see stderr
+        src = os.path.dirname(os.path.dirname(revival.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        x0, y0 = ("0", "0.55") if geometry == "equilateral" else ("0.3", "0.4")
+        argv = ["billiard2d", "--geometry", geometry, "--x0", x0, "--y0", y0, "--p0x", p0x] + self.TIME
+        proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("numeric error: no coefficient is nonzero and finite")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "autocorr2d.csv").exists()
+
     def test_annulus_default_caps_run(self, tmp_path):
         argv = ["billiard2d", "--geometry", "annulus"] + self.TIME
         assert main(argv + ["--out", str(tmp_path)]) == 0
@@ -482,6 +499,25 @@ class TestSeriesContract:
         err = capsys.readouterr().err
         assert "non-finite energy scale" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize(
+        "nbar, coupling",
+        [("1e-300", "1e300"), ("50", "1e-300")],
+        ids=["coupling_squared_overflows", "coupling_squared_underflows"],
+    )
+    def test_extreme_jc_coupling_exits_zero(self, tmp_path, nbar, coupling):
+        # the revival time squared the coupling: an OverflowError (exit 1,
+        # after jc.csv was written) or a zero divisor. Run as a process to
+        # see stderr
+        src = os.path.dirname(os.path.dirname(revival.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = ["jc", "--nbar", nbar, "--coupling", coupling, "--steps", "3", "--out", str(tmp_path)]
+        proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        meta = dict(line.split(" = ") for line in (tmp_path / "jc.meta.txt").read_text().splitlines())
+        assert math.isfinite(float(meta["t_revival"]))
 
     def test_negative_u0_still_runs(self, tmp_path):
         assert main(self.BEC + ["--u0", "-1", "--out", str(tmp_path)]) == 0

@@ -569,6 +569,29 @@ class TestSquare:
         assert c.norm_deficit > 1e-4 and "n_max may be too small" in c.warnings[-1]
 
 
+class TestPacketOutsideTheBasis:
+    # a momentum far past what the basis spans leaves every coefficient 0:
+    # an all-zero set gave A(t) = 0 with a norm deficit of 1 and no error.
+    # At 1e300 the exponents overflow, silently (warnings are errors here)
+    BUILDERS = {
+        "box": lambda p0, b: infinite_well_coefficients(PacketParams1D(0.5, p0, b), L, 16),
+        "square": lambda p0, b: square_coefficients(0.3, 0.4, p0, 10.0, b, L, 16),
+        "triangle": lambda p0, b: triangle_coefficients(0.0, 0.55, p0, 10.0, b, L, 16),
+        "circle": lambda p0, b: circular_coefficients(0.3, 0.4, p0, 0.0, b, 1.0, 16, 30),
+    }
+
+    @pytest.mark.parametrize("p0", [1e3, 1e300])
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_all_zero_set_is_domain_error(self, builder, p0):
+        with pytest.raises(DomainError, match="no coefficient is nonzero and finite"):
+            self.BUILDERS[builder](p0, 0.05 * math.sqrt(2.0))
+
+    def test_unbounded_ring_size_is_truncation_error(self):
+        # b^2 underflows to 0 and (p - k)^2 overflows: the aliasing bound is 0 * inf
+        with pytest.raises(TruncationError, match="ring FFT size"):
+            circular_coefficients(0.3, 0.4, 1e300, 0.0, 1e-170, 1.0, 4, 4)
+
+
 class TestSerialization:
     def test_csv_roundtrip_columns(self, tmp_path):
         c = gaussian_model_coefficients(10, 2)

@@ -123,6 +123,27 @@ class TestObservables:
             assert obs.sd_x[i] == pytest.approx(math.sqrt(max(x2 - mx**2, 0.0)), rel=1e-9)
             assert obs.sd_p[i] == pytest.approx(math.sqrt(max(p2 - mp**2, 0.0)), rel=1e-9)
 
+    @pytest.mark.parametrize("which", ["box", "bouncer"])
+    @pytest.mark.parametrize("budget", [1, 12345, 1 << 62])
+    def test_real_contractions_match_the_complex_ones(self, cset, monkeypatch, which, budget):
+        # the former kernel contracted the four matrices, stacked as complex,
+        # with complex einsums; the real, imaginary and diagonal ones now
+        # take real contractions and must give the same bits, at any chunking
+        if which == "box":
+            c, basis, grid = cset, WELL, np.linspace(0.0, 0.3 * TREV, 301)
+        else:
+            c, basis = bouncer_coefficients(z0=20.0, width_b=math.sqrt(2.0), n_max=60), BouncerBasis()
+            grid = np.linspace(0.0, 400.0, 301)
+        n = c.indices
+        mats = np.stack([basis.x_matrix(n), basis.x2_matrix(n), basis.p_matrix(n), basis.p2_matrix(n)])
+        a = c.coefficients[:, None] * np.conj(_phase_block(grid, n, basis.spectrum))
+        mx, x2, mp, p2 = (np.einsum("nt,nt->t", a, np.conj(np.einsum("nm,mt->nt", m, a))).real for m in mats)
+        monkeypatch.setattr(dynamics, "_PHASE_ELEMENTS", budget)
+        obs = observables(c, basis, grid)
+        assert np.array_equal(obs.mean_x, mx) and np.array_equal(obs.mean_p, mp)
+        assert np.array_equal(obs.sd_x, np.sqrt(np.maximum(x2 - mx**2, 0.0)))
+        assert np.array_equal(obs.sd_p, np.sqrt(np.maximum(p2 - mp**2, 0.0)))
+
     def test_uncertainty_product(self, cset):
         rng = np.random.default_rng(3)
         grid = np.sort(rng.uniform(0.0, TREV, 60))
