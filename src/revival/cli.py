@@ -23,43 +23,27 @@ from . import __version__
 from .errors import ConfigError, RevivalError
 from .serialize import format_float, write_csv, write_series_csv
 
-COMMANDS = (
-    "spectrum",
-    "autocorr",
-    "fractional",
-    "carpet",
-    "wigner",
-    "observables",
-    "billiard2d",
-    "jc",
-    "bec",
-)
-
-
-def _model(factory: str, *keys: str):
-    """Spectrum1D.<factory>(p[key] for key in keys), spectra loaded on call."""
-
-    def build(p: dict):
-        from .spectra import Spectrum1D
-
-        return getattr(Spectrum1D, factory)(*(p[key] for key in keys))
-
-    return build
-
-
-# --model value -> Spectrum1D factory over the scenario's parameters
+# --model value -> (Spectrum1D factory, the model keys it reads, in argument order)
 _SPECTRA = {
-    "caseA": _model("case_a"),
-    "caseB": _model("case_b"),
-    "anharmonic": _model("anharmonic", "alpha", "beta"),
-    "well": _model("infinite_well", "L"),
-    "bouncer_wkb": _model("bouncer_wkb", "F"),
-    "bouncer_airy": _model("bouncer_airy", "F"),
-    "rotor": _model("rotor", "inertia"),
-    "pendulum": _model("pendulum", "inertia", "V0"),
-    "harmonic": _model("harmonic", "omega"),
-    "rydberg": _model("rydberg"),
+    "caseA": ("case_a", ()),
+    "caseB": ("case_b", ()),
+    "anharmonic": ("anharmonic", ("alpha", "beta")),
+    "well": ("infinite_well", ("L",)),
+    "bouncer_wkb": ("bouncer_wkb", ("F",)),
+    "bouncer_airy": ("bouncer_airy", ("F",)),
+    "rotor": ("rotor", ("inertia",)),
+    "pendulum": ("pendulum", ("inertia", "V0")),
+    "harmonic": ("harmonic", ("omega",)),
+    "rydberg": ("rydberg", ()),
 }
+
+
+def _spectrum(p: dict):
+    """The Spectrum1D of p["model"] over the keys that model reads; spectra loads on call."""
+    from .spectra import Spectrum1D
+
+    factory, keys = _SPECTRA[p["model"]]
+    return getattr(Spectrum1D, factory)(*(p[key] for key in keys))
 
 
 @dataclass(frozen=True)
@@ -127,9 +111,10 @@ def _str_key(choices):
     return parse
 
 
-# per-command schema: key -> (parser, default or REQUIRED)
+# schema blocks: key -> (parser, default or _REQUIRED)
 _REQUIRED = object()
 
+# every model's keys; build_scenario keeps only those the chosen model reads
 _MODEL_KEYS = {
     "model": (_str_key(tuple(_SPECTRA)), _REQUIRED),
     "alpha": (_float_key, 1.0 / 800.0),
@@ -141,34 +126,207 @@ _MODEL_KEYS = {
     "omega": (_POSITIVE, 1.0),
 }
 
-_SCHEMAS: dict[str, dict] = {
-    "spectrum": {
+# the box packet of carpet, wigner and observables; each command adds its own n0
+_BOX_KEYS = {"L": (_POSITIVE, 1.0), "x0": (_float_key, 0.5), "dx0": (_POSITIVE, 0.05)}
+
+
+def _time_scale_extras(s, n0: float) -> dict:
+    from .spectra import time_scales
+
+    ts = time_scales(s, n0)
+    return {"t_classical": ts.t_classical, "t_revival": ts.t_revival, "t_super": ts.t_super}
+
+
+def _write_series(path: str, stop: float, steps: int, series) -> None:
+    """The CSV of `series(times)`, a TimeSeries, on np.linspace(0, stop,
+    steps + 1): evaluated and written one block of rows at a time, so no
+    array as long as the grid is held."""
+    from .dynamics import linspace_rows
+
+    def block(part):
+        ts = series(linspace_rows(stop, steps + 1, part))
+        return ts.times, ts.values
+
+    write_series_csv(path, steps + 1, block)
+
+
+def _box_coefficients(p: dict, n_max: int = 0):
+    """(packet, coefficients) of the box packet in `p`, on modes 1..n_max,
+    or on the modes up to |n0| + 12 dn + 8 when n_max is 0 (a packet at
+    rest or moving left included)."""
+    from . import packets
+
+    L = p["L"]
+    pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
+    n_max = n_max or int(abs(p["n0"]) + 12 * packets.delta_n_estimate(pk, L)) + 8
+    return pk, packets.infinite_well_coefficients(pk, L, n_max)
+
+
+# runners: (params, out) -> (artifact paths, sidecar extras), out(name) an artifact's
+# path; each computes every extra that can fail before it writes, so that leaves no file
+
+def _cmd_spectrum(p: dict, out):
+    from . import spectra
+
+    s = _spectrum(p)
+    n_lo = max(p["n_min"], int(s.ground_index))
+    extras = _time_scale_extras(s, p["n0"])
+
+    def levels(part):
+        ns = np.arange(n_lo + part.start, n_lo + part.stop)
+        return ns, spectra.eval_energy(s, ns)
+
+    path = out("spectrum.csv")
+    write_csv(path, "n,energy\n", "%d,%.17g\n", levels, max(p["n_max"] + 1 - n_lo, 0))
+    return [path], extras
+
+
+def _cmd_autocorr(p: dict, out):
+    from . import dynamics, packets
+
+    s = _spectrum(p)
+    c = packets.gaussian_model_coefficients(p["n0"], p["dn"], p["cutoff"], int(s.ground_index))
+    extras = _time_scale_extras(s, p["n0"])
+    overlap = dynamics.anticorrelation_infinite_well if p["anti"] else dynamics.autocorrelation
+    path = out("autocorr.csv")
+    _write_series(path, p["tmax"], p["steps"], lambda t: overlap(c, s, t))
+    return [path], extras
+
+
+def _cmd_fractional(p: dict, out):
+    from . import fractional
+
+    table = fractional.gauss_coefficients(p["p"], p["q"])
+    count, spacing, peak = fractional.clone_structure(table.p, table.q)
+    path = out("fractional.csv")
+    table.to_csv(path)
+    return [path], {"clones": float(count), "spacing_over_t_cl": spacing, "peak_abs2": peak}
+
+
+def _cmd_carpet(p: dict, out):
+    from . import spectra, wavefields
+
+    # the builder's size guard runs before time_scales, which overflows at a huge n0
+    _, c = _box_coefficients(p, p["n_max"])
+    t_rev = spectra.time_scales(spectra.Spectrum1D.infinite_well(p["L"]), max(p["n0"], 2.0)).t_revival
+    t_hi = p["t_hi"] or t_rev / 2.0
+    paths = [out(f"carpet_{name}.pgm") for name in ("total", "classical", "quantum")]
+    wavefields.write_carpet_pgms(c, p["L"], p["x_count"], p["t_count"], t_hi, paths)
+    return paths, {"t_hi": t_hi, "t_revival": t_rev}
+
+
+def _cmd_wigner(p: dict, out):
+    from . import wavefields
+
+    pk, c = _box_coefficients(p)
+    L, count = p["L"], p["x_count"]
+    span = p["p_span"] or wavefields.default_momentum_span(pk.p0, pk.dp0)
+    x = np.linspace(L / (count + 1), L * (1 - 1 / (count + 1)), count)
+    grid = wavefields.wigner_infinite_well(c, L, x, np.linspace(-span, span, p["p_count"]), p["t"])
+    path = out(f"wigner.{p['format']}")
+    (grid.to_csv if p["format"] == "csv" else grid.to_pgm)(path)
+    return [path], {"p_span": span}
+
+
+def _cmd_observables(p: dict, out):
+    from . import dynamics, spectra, wavefields
+
+    _, c = _box_coefficients(p)
+    extras = _time_scale_extras(spectra.Spectrum1D.infinite_well(p["L"]), max(abs(p["n0"]), 2.0))
+    basis = wavefields.InfiniteWellBasis(p["L"])
+
+    def moments(part):
+        obs = wavefields.observables(c, basis, dynamics.linspace_rows(p["tmax"], p["steps"] + 1, part))
+        return obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p
+
+    path = out("observables.csv")
+    write_csv(path, "t,mean_x,sd_x,mean_p,sd_p\n", ",".join(["%.17g"] * 5) + "\n", moments, p["steps"] + 1)
+    return [path], extras
+
+
+def _cmd_billiard2d(p: dict, out):
+    from . import billiards, packets
+
+    geometry, size = p["geometry"], p["size"]
+    packet = (p["x0"], p["y0"], p["p0x"], p["p0y"], p["dx0"] * math.sqrt(2.0), size)
+    if geometry == "circle":
+        s2d = billiards.circular_spectrum(size, p["m_cap"], p["nr_cap"])
+        c2d = packets.circular_coefficients(*packet, p["m_cap"], p["nr_cap"])
+    elif geometry == "equilateral":
+        s2d = billiards.equilateral_spectrum(size, m_cap=p["m_cap"])
+        c2d = packets.triangle_coefficients(*packet, p["m_cap"])
+    elif geometry == "annulus":
+        s2d = billiards.annulus_levels(size, p["f"], p["m_cap"], p["nr_cap"])
+        c2d = None
+    else:  # square: separable product of 1D box coefficients
+        s2d = billiards.square_spectrum(size, n_cap=p["m_cap"])
+        c2d = packets.square_coefficients(*packet, p["m_cap"])
+    extras = {}
+    if geometry != "annulus":
+        center = (0.0, max(1.0, p["nr_cap"] / 2)) if geometry == "circle" else (4.0, 4.0)
+        t1, t2, cross = billiards.revival_times_2d(s2d, center)
+        extras = {"t_revival_q1": t1, "t_revival_q2": t2, "t_revival_cross": cross}
+    paths = [out("levels.csv")]
+    s2d.write_levels_csv(paths[0])
+    if c2d is not None:
+        paths.append(out("autocorr2d.csv"))
+        _write_series(paths[1], p["tmax"], p["steps"], lambda t: billiards.autocorrelation_2d(c2d, s2d, t))
+    return paths, extras
+
+
+def _cmd_jc(p: dict, out):
+    from . import analogs
+
+    params = analogs.JCParams(p["nbar"], p["coupling"])
+    extras = {"t_revival": analogs.jc_revival_time(params)}
+    path = out("jc.csv")
+    t_max = p["tau_max"] * math.pi / p["coupling"]
+    _write_series(path, t_max, p["steps"], lambda t: analogs.jc_inversion(params, t))
+    return [path], extras
+
+
+def _cmd_bec(p: dict, out):
+    from . import analogs, wavefields
+
+    alpha = complex(p["alpha_re"], p["alpha_im"])
+    n_cap = p["n_cap"] or analogs.default_n_cap(alpha)
+    cs = analogs.CoherentState(alpha=alpha, u0_over_hbar=p["u0"], n_cap=n_cap)
+    extras = {"t_revival": cs.t_revival, "cat_fidelity": analogs.bec_cat_fidelity(cs)}
+    span = p["half_span"] or abs(alpha) + 3.0
+    axes = (wavefields.AxisSpec(name, -span, span, p["grid_count"]) for name in ("re_beta", "im_beta"))
+    grid = analogs.bec_overlap_grid(cs, p["t_over_trev"] * cs.t_revival, *axes)
+    path = out("bec.csv")
+    grid.to_csv(path)
+    return [path], extras
+
+
+# command -> (schema, runner)
+_COMMAND_TABLE: dict[str, tuple[dict, object]] = {
+    "spectrum": ({
         **_MODEL_KEYS,
         "n_min": (_bounded(_int_key, 0), 0),
         # the rows stream: 10^6 levels take 1.4 s and write 27 MB (caseA, 2-core x86-64)
         "n_max": (_bounded(_int_key, 0, below=1_000_001), 50),
         "n0": (_float_key, _REQUIRED),
-    },
-    "autocorr": {
+    }, _cmd_spectrum),
+    "autocorr": ({
         **_MODEL_KEYS,
         "n0": (_POSITIVE, _REQUIRED),
         "dn": (_POSITIVE, _REQUIRED),
         "cutoff": (_bounded(_float_key, 0.0, strict=True, below=1.0), 1e-8),
         "tmax": (_POSITIVE, _REQUIRED),
         "steps": (_STEPS, _REQUIRED),
-        "anti": (_int_key, 0),
-    },
-    "fractional": {
+        "anti": (_bounded(_int_key, 0, below=2), 0),  # 1: the box's parity-mirror overlap
+    }, _cmd_autocorr),
+    "fractional": ({
         "p": (_bounded(_int_key, 1), _REQUIRED),
         # one FFT of length q or q/2: a prime q near 10^6 takes 3.3 s at 192 MB
         # max-RSS and writes 77 MB; 10^7 + 1 took 36 s and 1.6 GB (2-core x86-64)
         "q": (_bounded(_int_key, 1, below=1_000_001), _REQUIRED),
-    },
-    "carpet": {
-        "L": (_POSITIVE, 1.0),
+    }, _cmd_fractional),
+    "carpet": ({
+        **_BOX_KEYS,
         "n0": (_POSITIVE, 400.0),
-        "x0": (_float_key, 0.5),
-        "dx0": (_POSITIVE, 0.05),
         # the rasters stream, so time and output grow with x_count * t_count:
         # 8192 x 8192 takes ~7 s and writes 3 x 128 MiB of PGM for the
         # default 57-mode packet (2-core x86-64)
@@ -176,12 +334,10 @@ _SCHEMAS: dict[str, dict] = {
         "t_count": (_bounded(_int_key, 64, below=8193), 256),
         "t_hi": (_bounded(_float_key, 0.0), 0.0),  # 0 -> half the revival time
         "n_max": (_bounded(_int_key, 0), 0),       # 0 -> auto
-    },
-    "wigner": {
-        "L": (_POSITIVE, 1.0),
+    }, _cmd_carpet),
+    "wigner": ({
+        **_BOX_KEYS,
         "n0": (_POSITIVE, 40.0),
-        "x0": (_float_key, 0.5),
-        "dx0": (_POSITIVE, 0.05),
         "t": (_float_key, 0.0),
         # the byte budget bounds the grid; these bounds keep an axis from being
         # allocated before it: 8192 x 64 takes 1.4 s and 156 MB max-RSS (2-core x86-64)
@@ -189,16 +345,14 @@ _SCHEMAS: dict[str, dict] = {
         "p_count": (_bounded(_int_key, 2, below=8193), 256),
         "p_span": (_bounded(_float_key, 0.0), 0.0),  # 0 -> default span
         "format": (_str_key(("csv", "pgm")), "csv"),
-    },
-    "observables": {
-        "L": (_POSITIVE, 1.0),
+    }, _cmd_wigner),
+    "observables": ({
+        **_BOX_KEYS,
         "n0": (_float_key, 400.0),
-        "x0": (_float_key, 0.5),
-        "dx0": (_POSITIVE, 0.05),
         "tmax": (_float_key, _REQUIRED),
         "steps": (_STEPS, _REQUIRED),
-    },
-    "billiard2d": {
+    }, _cmd_observables),
+    "billiard2d": ({
         "geometry": (_str_key(("square", "equilateral", "circle", "annulus")), _REQUIRED),
         "size": (_POSITIVE, 1.0),
         "f": (_POSITIVE, 0.5),  # f >= 1 is a DomainError of the ring
@@ -216,17 +370,16 @@ _SCHEMAS: dict[str, dict] = {
         "nr_cap": (_bounded(_int_key, 0, below=201), 30),
         "tmax": (_POSITIVE, _REQUIRED),
         "steps": (_STEPS, _REQUIRED),
-    },
-    "jc": {
+    }, _cmd_billiard2d),
+    "jc": ({
         # the level window grows as 24 sqrt(nbar): the default 6000 steps take
         # ~28 s at nbar 1e7 and ~100 s just below the bound (2-core x86-64)
         "nbar": (_bounded(_float_key, 0.0, below=1e8), _REQUIRED),
         "coupling": (_POSITIVE, _REQUIRED),
-        "detuning": (_float_key, 0.0),
         "tau_max": (_POSITIVE, 30.0),
         "steps": (_STEPS, 6000),
-    },
-    "bec": {
+    }, _cmd_jc),
+    "bec": ({
         "alpha_re": (_float_key, _REQUIRED),
         "alpha_im": (_float_key, 0.0),
         "u0": (_nonzero, _REQUIRED),
@@ -237,7 +390,7 @@ _SCHEMAS: dict[str, dict] = {
         # of peak RSS and write a 65 MB CSV (2-core x86-64)
         "grid_count": (_bounded(_int_key, 2, below=1025), 201),
         "n_cap": (_bounded(_int_key, 0), 0),            # 0 -> auto
-    },
+    }, _cmd_bec),
 }
 
 
@@ -267,10 +420,11 @@ def _read_config_lines(path: str) -> dict[str, str]:
 
 def build_scenario(command: str, raw: dict[str, str], out_dir: str) -> Scenario:
     """Validate raw key/value strings against the command schema
-    (fail-closed: unknown keys are errors)."""
-    if command not in _SCHEMAS:
-        raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(COMMANDS)}")
-    schema = _SCHEMAS[command]
+    (fail-closed: unknown keys, and model keys the chosen model does not
+    read, are errors)."""
+    if command not in _COMMAND_TABLE:
+        raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(_COMMAND_TABLE)}")
+    schema, _ = _COMMAND_TABLE[command]
     params = {}
     for key, value in raw.items():
         if key not in schema:
@@ -283,6 +437,14 @@ def build_scenario(command: str, raw: dict[str, str], out_dir: str) -> Scenario:
         if default is _REQUIRED:
             raise ConfigError(f"missing required key {key!r} for command {command!r}")
         params[key] = default
+    if "model" in schema:
+        model = params["model"]
+        for key in [k for k in _MODEL_KEYS if k not in ("model", *_SPECTRA[model][1])]:
+            if key in raw:
+                raise ConfigError(f"key {key!r} is not read by model {model!r}")
+            del params[key]  # the sidecar lists only the keys the run used
+        if params.get("anti") and model != "well":
+            raise ConfigError(f"key 'anti': 1 needs model = well, got model {model!r}")
     return Scenario(command=command, params=params, out_dir=out_dir)
 
 
@@ -310,201 +472,13 @@ def _write_sidecar(scenario: Scenario, extras: dict) -> str:
     return path
 
 
-def _time_scale_extras(s, n0: float) -> dict:
-    from .spectra import time_scales
-
-    ts = time_scales(s, n0)
-    return {
-        "t_classical": ts.t_classical,
-        "t_revival": ts.t_revival,
-        "t_super": ts.t_super,
-    }
-
-
-def _write_series(path: str, stop: float, steps: int, series) -> None:
-    """The CSV of `series(times)`, a TimeSeries, on np.linspace(0, stop,
-    steps + 1): evaluated and written one block of rows at a time, so no
-    array as long as the grid is held."""
-    from .dynamics import linspace_rows
-
-    def block(part):
-        ts = series(linspace_rows(stop, steps + 1, part))
-        return ts.times, ts.values
-
-    write_series_csv(path, steps + 1, block)
-
-
 def run(scenario: Scenario) -> list[str]:
-    """Execute a validated scenario; returns the artifact paths written."""
+    """Execute a validated scenario; returns the artifact paths written,
+    its .meta.txt sidecar last."""
     os.makedirs(scenario.out_dir, exist_ok=True)
-    p = scenario.params
-    out = lambda name: os.path.join(scenario.out_dir, name)
-    written = []
-
-    if scenario.command == "spectrum":
-        from . import spectra
-
-        s = _SPECTRA[p["model"]](p)
-        n_lo = max(p["n_min"], int(s.ground_index))
-        extras = _time_scale_extras(s, p["n0"])  # raises before the file opens
-
-        def levels(part):
-            ns = np.arange(n_lo + part.start, n_lo + part.stop)
-            return ns, spectra.eval_energy(s, ns)
-
-        path = out("spectrum.csv")
-        write_csv(path, "n,energy\n", "%d,%.17g\n", levels, max(p["n_max"] + 1 - n_lo, 0))
-        written.append(path)
-        written.append(_write_sidecar(scenario, extras))
-
-    elif scenario.command == "autocorr":
-        from . import dynamics, packets
-
-        s = _SPECTRA[p["model"]](p)
-        index_min = int(s.ground_index)
-        c = packets.gaussian_model_coefficients(p["n0"], p["dn"], p["cutoff"], index_min)
-        extras = _time_scale_extras(s, p["n0"])
-        overlap = dynamics.anticorrelation_infinite_well if p["anti"] else dynamics.autocorrelation
-        path = out("autocorr.csv")
-        _write_series(path, p["tmax"], p["steps"], lambda t: overlap(c, s, t))
-        written.append(path)
-        written.append(_write_sidecar(scenario, extras))
-
-    elif scenario.command == "fractional":
-        from . import fractional
-
-        table = fractional.gauss_coefficients(p["p"], p["q"])
-        path = out("fractional.csv")
-        table.to_csv(path)
-        written.append(path)
-        count, spacing, peak = fractional.clone_structure(table.p, table.q)
-        extras = {"clones": float(count), "spacing_over_t_cl": spacing, "peak_abs2": peak}
-        written.append(_write_sidecar(scenario, extras))
-
-    elif scenario.command == "carpet":
-        from . import packets, spectra, wavefields
-
-        L = p["L"]
-        pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
-        n_max = p["n_max"] if p["n_max"] > 0 else int(p["n0"] + 12 * packets.delta_n_estimate(pk, L)) + 8
-        # the builder's size guard runs before time_scales, which overflows at a huge n0
-        c = packets.infinite_well_coefficients(pk, L, n_max)
-        s = spectra.Spectrum1D.infinite_well(L)
-        t_rev = spectra.time_scales(s, max(p["n0"], 2.0)).t_revival
-        t_hi = p["t_hi"] if p["t_hi"] > 0 else t_rev / 2.0
-        paths = [out(f"carpet_{name}.pgm") for name in ("total", "classical", "quantum")]
-        wavefields.write_carpet_pgms(c, L, p["x_count"], p["t_count"], t_hi, paths)
-        written.extend(paths)
-        written.append(_write_sidecar(scenario, {"t_hi": t_hi, "t_revival": t_rev}))
-
-    elif scenario.command == "wigner":
-        from . import packets, wavefields
-
-        L = p["L"]
-        pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
-        n_max = int(p["n0"] + 12 * packets.delta_n_estimate(pk, L)) + 8
-        c = packets.infinite_well_coefficients(pk, L, n_max)
-        span = p["p_span"] if p["p_span"] > 0 else wavefields.default_momentum_span(pk.p0, pk.dp0)
-        x = np.linspace(L / (p["x_count"] + 1), L * (1 - 1 / (p["x_count"] + 1)), p["x_count"])
-        pg = np.linspace(-span, span, p["p_count"])
-        grid = wavefields.wigner_infinite_well(c, L, x, pg, p["t"])
-        if p["format"] == "csv":
-            path = out("wigner.csv")
-            grid.to_csv(path)
-        else:
-            path = out("wigner.pgm")
-            grid.to_pgm(path)
-        written.append(path)
-        written.append(_write_sidecar(scenario, {"p_span": span}))
-
-    elif scenario.command == "observables":
-        from . import dynamics, packets, spectra, wavefields
-
-        L = p["L"]
-        pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
-        # a packet at rest (n0 = 0) or moving left (n0 < 0) keeps the modes up to |n0| + 12 dn
-        n_max = int(abs(p["n0"]) + 12 * packets.delta_n_estimate(pk, L)) + 8
-        c = packets.infinite_well_coefficients(pk, L, n_max)
-        extras = _time_scale_extras(spectra.Spectrum1D.infinite_well(L), max(abs(p["n0"]), 2.0))
-        basis = wavefields.InfiniteWellBasis(L)
-
-        def moments(part):
-            obs = wavefields.observables(c, basis, dynamics.linspace_rows(p["tmax"], p["steps"] + 1, part))
-            return obs.times, obs.mean_x, obs.sd_x, obs.mean_p, obs.sd_p
-
-        path = out("observables.csv")
-        write_csv(path, "t,mean_x,sd_x,mean_p,sd_p\n", ",".join(["%.17g"] * 5) + "\n",
-                  moments, p["steps"] + 1)
-        written.append(path)
-        written.append(_write_sidecar(scenario, extras))
-
-    elif scenario.command == "billiard2d":
-        written.extend(_run_billiard(scenario, out))
-
-    elif scenario.command == "jc":
-        from . import analogs
-
-        params = analogs.JCParams(p["nbar"], p["coupling"], p["detuning"])
-        t_max = p["tau_max"] * math.pi / p["coupling"]
-        extras = {"t_revival": analogs.jc_revival_time(params)}  # any error here leaves no file
-        path = out("jc.csv")
-        _write_series(path, t_max, p["steps"], lambda t: analogs.jc_inversion(params, t))
-        written.append(path)
-        written.append(_write_sidecar(scenario, extras))
-
-    elif scenario.command == "bec":
-        from . import analogs, wavefields
-
-        alpha = complex(p["alpha_re"], p["alpha_im"])
-        n_cap = p["n_cap"] if p["n_cap"] > 0 else analogs.default_n_cap(alpha)
-        cs = analogs.CoherentState(alpha=alpha, u0_over_hbar=p["u0"], n_cap=n_cap)
-        span = p["half_span"] if p["half_span"] > 0 else abs(alpha) + 3.0
-        ax = wavefields.AxisSpec("re_beta", -span, span, p["grid_count"])
-        ay = wavefields.AxisSpec("im_beta", -span, span, p["grid_count"])
-        grid = analogs.bec_overlap_grid(cs, p["t_over_trev"] * cs.t_revival, ax, ay)
-        path = out("bec.csv")
-        grid.to_csv(path)
-        written.append(path)
-        extras = {"t_revival": cs.t_revival, "cat_fidelity": analogs.bec_cat_fidelity(cs)}
-        written.append(_write_sidecar(scenario, extras))
-
-    return written
-
-
-def _run_billiard(scenario: Scenario, out) -> list[str]:
-    from . import billiards, packets
-
-    p = scenario.params
-    written = []
-    geometry = p["geometry"]
-    size = p["size"]
-    packet = (p["x0"], p["y0"], p["p0x"], p["p0y"], p["dx0"] * math.sqrt(2.0), size)
-    if geometry == "circle":
-        s2d = billiards.circular_spectrum(size, p["m_cap"], p["nr_cap"])
-        c2d = packets.circular_coefficients(*packet, p["m_cap"], p["nr_cap"])
-    elif geometry == "equilateral":
-        s2d = billiards.equilateral_spectrum(size, m_cap=p["m_cap"])
-        c2d = packets.triangle_coefficients(*packet, p["m_cap"])
-    elif geometry == "annulus":
-        s2d = billiards.annulus_levels(size, p["f"], p["m_cap"], p["nr_cap"])
-        c2d = None
-    else:  # square: separable product of 1D box coefficients
-        s2d = billiards.square_spectrum(size, n_cap=p["m_cap"])
-        c2d = packets.square_coefficients(*packet, p["m_cap"])
-    levels_path = out("levels.csv")
-    s2d.write_levels_csv(levels_path)
-    written.append(levels_path)
-    if c2d is not None:
-        path = out("autocorr2d.csv")
-        _write_series(path, p["tmax"], p["steps"], lambda t: billiards.autocorrelation_2d(c2d, s2d, t))
-        written.append(path)
-    center = (0.0, max(1.0, p["nr_cap"] / 2)) if geometry in ("circle", "annulus") else (4.0, 4.0)
-    extras = {}
-    if geometry != "annulus":
-        t1, t2, cross = billiards.revival_times_2d(s2d, center)
-        extras = {"t_revival_q1": t1, "t_revival_q2": t2, "t_revival_cross": cross}
-    written.append(_write_sidecar(scenario, extras))
-    return written
+    _, runner = _COMMAND_TABLE[scenario.command]
+    paths, extras = runner(scenario.params, lambda name: os.path.join(scenario.out_dir, name))
+    return [*paths, _write_sidecar(scenario, extras)]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -520,17 +494,18 @@ def main(argv: list[str] | None = None) -> int:
         i = 1
         while i < len(argv):
             arg = argv[i]
-            if arg == "--config":
-                config_path = _take_value(argv, i)
-                i += 2
-            elif arg == "--out":
-                out_dir = _take_value(argv, i)
-                i += 2
-            elif arg.startswith("--"):
-                overrides[arg[2:]] = _take_value(argv, i)
-                i += 2
-            else:
+            if not arg.startswith("--"):
                 raise ConfigError(f"unexpected argument {arg!r}")
+            if i + 1 >= len(argv):
+                raise ConfigError(f"flag {arg!r} needs a value")
+            value = argv[i + 1]
+            if arg == "--config":
+                config_path = value
+            elif arg == "--out":
+                out_dir = value
+            else:
+                overrides[arg[2:]] = value
+            i += 2
         if out_dir is None:
             raise ConfigError("--out DIR is required")
         scenario = parse_config(config_path, command, out_dir, overrides)
@@ -539,9 +514,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         written = run(scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except RevivalError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
@@ -553,15 +525,9 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _take_value(argv: list[str], i: int) -> str:
-    if i + 1 >= len(argv):
-        raise ConfigError(f"flag {argv[i]!r} needs a value")
-    return argv[i + 1]
-
-
 def _print_usage() -> None:
     print("usage: revival <command> [--config FILE] [--key value ...] --out DIR")
-    print(f"commands: {', '.join(COMMANDS)}")
+    print(f"commands: {', '.join(_COMMAND_TABLE)}")
 
 
 if __name__ == "__main__":

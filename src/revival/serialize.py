@@ -101,20 +101,9 @@ def write_pgms(paths, blocks) -> None:
                 fh.write(np.clip(scaled, 0, 65535, out=scaled).astype(">u2").tobytes())
 
 
-def write_pgm(path, *parts) -> None:
-    """`write_pgms` of one image: the elementwise sum of `parts` (equal
-    shapes), formed about 64k pixels at a time, once for the maximum and
-    once to scale and write, so no image-sized sum is held."""
-    arrs = [np.asarray(part, dtype=float) for part in parts]
-    height, width = arrs[0].shape
+def write_pgm(path, values) -> None:
+    """`write_pgms` of one image, in blocks of about 64k pixels."""
+    arr = np.asarray(values, dtype=float)
+    height, width = arr.shape
     step = max(1, 65536 // width)
-
-    def blocks():
-        for lo in range(0, height, step):
-            # the sum of the parts' rows; a single part's rows are a view, not a copy
-            total = arrs[0][lo : lo + step]
-            for arr in arrs[1:]:
-                total = total + arr[lo : lo + step]
-            yield (total,)
-
-    write_pgms([path], blocks)
+    write_pgms([path], lambda: ((arr[lo : lo + step],) for lo in range(0, height, step)))

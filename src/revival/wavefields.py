@@ -51,11 +51,10 @@ class FieldGrid:
     def to_csv(self, path) -> None:
         write_grid_csv(path, self.axis1, self.axis2, self.values)
 
-    def to_pgm(self, path, *more: FieldGrid) -> None:
-        """The raster of this grid, or of its sum with the `more` grids on the
-        same axes, formed block by block; rows scan axis2 (e.g. time),
+    def to_pgm(self, path) -> None:
+        """The raster of this grid's real part; rows scan axis2 (e.g. time),
         columns axis1."""
-        write_pgm(path, *(np.real(g.values).T for g in (self, *more)))
+        write_pgm(path, np.real(self.values).T)
 
 
 @dataclass(frozen=True)
@@ -538,7 +537,8 @@ def write_carpet_pgms(
     """The (total, classical, quantum) rasters of `carpet` as PGMs at the
     three `paths`, rows scanning time: two passes over `_carpet_blocks`,
     one for the maxima and one to write, so no X-by-T raster is held.
-    The bytes are those of `FieldGrid.to_pgm` on the `carpet` grids."""
+    The bytes are those of `write_pgm` on the transposed `carpet` grids
+    and on their sum."""
     ax1, ax2 = _carpet_axes(L, x_count, t_count, t_hi)
     basis = InfiniteWellBasis(L, units)
 

@@ -538,6 +538,44 @@ class TestSeriesContract:
         assert all(float(r.split(",")[3]) <= 1.0 + 1e-12 for r in rows)
 
 
+class TestModelKeys:
+    """A model reads only its own keys, `anti` only the box's, and `jc` has
+    no detuning key: anything else exits 2 before the out dir is made."""
+
+    CASE_A = ["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1", "--steps", "10"]
+    WELL = ["autocorr", "--model", "well", "--n0", "40", "--dn", "3", "--tmax", "1", "--steps", "10"]
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [(CASE_A + ["--alpha", "0.5"], "alpha"), (CASE_A + ["--omega", "7"], "omega"),
+         (["spectrum", "--model", "well", "--n0", "5", "--F", "2"], "F"),
+         (CASE_A + ["--anti", "1"], "anti"), (WELL + ["--anti", "7"], "anti"),
+         (["jc", "--nbar", "5", "--coupling", "1", "--steps", "10", "--detuning", "0.5"], "detuning")],
+        ids=["unread_alpha", "unread_omega", "spectrum_unread_F", "anti_without_box", "anti_not_0_or_1",
+             "jc_detuning"],
+    )
+    def test_rejected_input_exits_two_with_nothing_written(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"key {key!r}" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unread_key_in_a_config_file_exits_two(self, tmp_path):
+        path = write_config(tmp_path, "model = caseA\nn0 = 400\ndn = 6\ntmax = 1\nsteps = 10\nbeta = 0.1\n")
+        with pytest.raises(ConfigError, match="'beta' is not read by model 'caseA'"):
+            parse_config(path, "autocorr", str(tmp_path / "out"))
+
+    def test_sidecar_lists_only_the_keys_the_model_reads(self, tmp_path):
+        assert main(self.CASE_A + ["--out", str(tmp_path / "a")]) == 0
+        keys = {line.split(" = ")[0] for line in (tmp_path / "a" / "autocorr.meta.txt").read_text().splitlines()}
+        assert "model" in keys and "alpha" not in keys and "omega" not in keys
+        argv = ["spectrum", "--model", "anharmonic", "--n0", "5", "--beta", "1e-5"]
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 0
+        meta = (tmp_path / "b" / "spectrum.meta.txt").read_text()
+        assert "alpha = 0.00125\nbeta = 1.0000000000000001e-05\n" in meta and "\nL = " not in meta
+
+
 # each value is drawn from its whole range or, as often, from the part
 # the range checks accept, so that most examples reach the builders
 def _signed(lo: float, hi: float):
@@ -803,7 +841,7 @@ class TestStreamedSeries:
         # 10,000 levels: three blocks of rows
         argv = ["spectrum", "--model", "caseA", "--n0", "10", "--n_max", "10000"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        s = cli._SPECTRA["caseA"]({})
+        s = cli._spectrum({"model": "caseA"})
         ns = np.arange(int(s.ground_index), 10001)
         serialize.write_csv(tmp_path / "want.csv", "n,energy\n", "%d,%.17g\n",
                             (ns, revival.spectra.eval_energy(s, ns)))
@@ -824,15 +862,14 @@ class TestStreamedSeries:
 # process, so no drawn value may ask for a large allocation.
 _FLOAT_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300])
 _INT_EDGES = st.sampled_from([-1, 0, 10**12])
-_MODEL_VALUES = {"model": st.sampled_from(sorted(cli._SPECTRA)), "alpha": st.floats(-0.01, 0.01),
-                 "beta": st.floats(-1e-4, 1e-4), "L": st.floats(0.5, 2.0), "F": st.floats(0.5, 2.0),
-                 "inertia": st.floats(0.5, 2.0), "V0": st.floats(0.0, 50.0), "omega": st.floats(0.5, 2.0)}
+_MODEL_VALUES = {"alpha": st.floats(-0.01, 0.01), "beta": st.floats(-1e-4, 1e-4), "L": st.floats(0.5, 2.0),
+                 "F": st.floats(0.5, 2.0), "inertia": st.floats(0.5, 2.0), "V0": st.floats(0.0, 50.0),
+                 "omega": st.floats(0.5, 2.0)}
 _BOX_VALUES = {"L": st.floats(0.5, 2.0), "n0": st.floats(1.0, 60.0), "x0": st.floats(0.0, 1.0),
                "dx0": st.floats(0.04, 0.1)}
 _CONTRACT_VALUES = {
-    "spectrum": {**_MODEL_VALUES, "n0": st.floats(0.0, 60.0), "n_min": st.integers(0, 30),
-                 "n_max": st.integers(0, 300)},
-    "autocorr": {**_MODEL_VALUES, "n0": st.floats(1.0, 60.0), "dn": st.floats(0.5, 6.0),
+    "spectrum": {"n0": st.floats(0.0, 60.0), "n_min": st.integers(0, 30), "n_max": st.integers(0, 300)},
+    "autocorr": {"n0": st.floats(1.0, 60.0), "dn": st.floats(0.5, 6.0),
                  "cutoff": st.floats(1e-12, 0.5), "tmax": st.floats(0.0, 100.0), "steps": st.integers(1, 50),
                  "anti": st.integers(0, 1)},
     "fractional": {"p": st.integers(1, 40), "q": st.integers(1, 3000)},
@@ -843,8 +880,8 @@ _CONTRACT_VALUES = {
                "format": st.sampled_from(["csv", "pgm"])},
     "observables": {**_BOX_VALUES, "n0": st.floats(-60.0, 60.0), "tmax": st.floats(-0.1, 0.1),
                     "steps": st.integers(1, 50)},
-    "jc": {"nbar": st.floats(0.0, 200.0), "coupling": st.floats(0.1, 2.0), "detuning": st.floats(0.0, 1.0),
-           "tau_max": st.floats(0.0, 10.0), "steps": st.integers(1, 50)},
+    "jc": {"nbar": st.floats(0.0, 200.0), "coupling": st.floats(0.1, 2.0), "tau_max": st.floats(0.0, 10.0),
+           "steps": st.integers(1, 50)},
     "bec": {"alpha_re": st.floats(-4.0, 4.0), "alpha_im": st.floats(-4.0, 4.0), "u0": st.floats(-2.0, 2.0),
             "t_over_trev": st.floats(0.0, 1.0), "half_span": st.floats(0.0, 8.0),
             "grid_count": st.integers(2, 24), "n_cap": st.integers(0, 300)},
@@ -857,10 +894,19 @@ _CONTRACT_VALUES = {
 def test_contract_holds_for_any_values(command, data):
     # billiard2d has its own test above; together they cover all nine commands
     values = _CONTRACT_VALUES[command]
-    edge = data.draw(st.sampled_from([None, *values]), label="edge key")
     argv = [command]
+    if command in ("spectrum", "autocorr"):
+        # the model first, then only the keys it reads (anti only for the box):
+        # any other model key exits 2 before the physics
+        model = data.draw(st.sampled_from(sorted(cli._SPECTRA)), label="model")
+        argv += ["--model", model]
+        values = {**{key: _MODEL_VALUES[key] for key in cli._SPECTRA[model][1]}, **values}
+        if model != "well":
+            values = {key: strategy for key, strategy in values.items() if key != "anti"}
+    edge = data.draw(st.sampled_from([None, *values]), label="edge key")
+    schema, _ = cli._COMMAND_TABLE[command]
     for key, strategy in values.items():
-        if cli._SCHEMAS[command][key][1] is cli._REQUIRED or key == edge or data.draw(st.booleans()):
+        if schema[key][1] is cli._REQUIRED or key == edge or data.draw(st.booleans()):
             if key == edge:
                 strategy = st.one_of(_INT_EDGES, _FLOAT_EDGES, st.just("x"))
             argv += [f"--{key}", str(data.draw(strategy, label=key))]
