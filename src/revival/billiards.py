@@ -6,7 +6,7 @@ series."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from .dynamics import TimeSeries, _phase_sum
 from .errors import DomainError, OrbitUnsupportedError, RootError, check_work_bytes
-from .packets import CoefficientSet2D, triangle_state_labels
+from .packets import CoefficientSet2D, label_array, triangle_state_labels
 from .serialize import write_csv
 from .spectra import DEFAULT_UNITS, UnitSystem
 
@@ -36,17 +36,19 @@ def _check_size(value: float) -> None:
 @dataclass(frozen=True)
 class Spectrum2D:
     """Level set of a 2D billiard: integer quadratic forms for the
-    polygonal cases, tabulated for the circular family.
+    polygonal cases, tabulated for the circular family. The circular
+    family's `table` holds E at (m, k) in row m - m_first, column k.
 
     All that depends on the geometry is its entry in GEOMETRIES, with four
     fields: `energy` (E at arrays of labels), `label_ok` (which labels are
-    states), `candidates` (the labels that levels() filters) and
+    states), `candidates` (the labels that level_labels() filters) and
     `revival` (the two-index revival times)."""
 
     geometry: str
     params: dict
     units: UnitSystem = DEFAULT_UNITS
-    table: dict = field(default_factory=dict)
+    table: np.ndarray | None = None
+    m_first: int = 0
 
     def __post_init__(self):
         if self.geometry not in GEOMETRIES:
@@ -60,34 +62,23 @@ class Spectrum2D:
         arrays. The polygons take continuous indices too."""
         return GEOMETRIES[self.geometry].energy(self, q1, q2)
 
-    def index_ok(self, label) -> bool:
-        return bool(GEOMETRIES[self.geometry].label_ok(*_label_arrays([label]))[0])
+    def index_ok(self, labels) -> np.ndarray:
+        """Which of the `packets.label_array` labels are states."""
+        return GEOMETRIES[self.geometry].label_ok(labels["q1"], labels["q2"], labels["symmetry"])
 
-    def levels(self) -> list[tuple]:
-        """(q1, q2, symmetry, energy) rows, deterministically ordered: the
-        geometry's candidate labels that its label rule keeps."""
-        return list(zip(*self._level_columns()))
-
-    def _level_columns(self) -> tuple[list, list, list, list]:
-        entry = GEOMETRIES[self.geometry]
-        q1, q2, sym = entry.candidates(self)
-        keep = entry.label_ok(q1, q2, sym)
-        q1, q2, sym = q1[keep], q2[keep], sym[keep]
-        e = entry.energy(self, q1, q2)
-        return q1.tolist(), q2.tolist(), sym.tolist(), e.tolist()
+    def level_labels(self) -> np.ndarray:
+        """The geometry's candidate labels that its label rule keeps,
+        deterministically ordered."""
+        labels = GEOMETRIES[self.geometry].candidates(self)
+        return labels[self.index_ok(labels)]
 
     def write_levels_csv(self, path) -> None:
-        write_csv(path, "q1,q2,symmetry,energy\n", "%s,%s,%s,%.17g\n", self._level_columns())
-
-
-def _label_arrays(labels):
-    """(q1, q2, symmetry) arrays of (q1, q2) or (q1, q2, symmetry) labels;
-    a missing symmetry reads as ''."""
-    return (
-        np.array([lab[0] for lab in labels]),
-        np.array([lab[1] for lab in labels]),
-        np.array([lab[2] if len(lab) > 2 else "" for lab in labels], dtype=str),
-    )
+        """q1,q2,symmetry,energy rows of level_labels(), the energies
+        formed one block of rows at a time."""
+        labels = self.level_labels()
+        q1, q2 = labels["q1"], labels["q2"]
+        write_csv(path, "q1,q2,symmetry,energy\n", "%s,%s,%s,%.17g\n",
+                  (q1, q2, labels["symmetry"], lambda part: self.energy(q1[part], q2[part])))
 
 
 # ----------------------------------------------------------------------
@@ -130,21 +121,22 @@ _TRIANGLE = _QuadraticForm(lambda p, u: (
 
 def _tabulated(s: Spectrum2D, q1, q2):
     """s.table at the rounded labels."""
-    m, k = np.broadcast_arrays(np.rint(q1), np.rint(q2))
-    try:
-        e = np.array([s.table[int(a), int(b)] for a, b in zip(m.ravel().tolist(), k.ravel().tolist())])
-    except KeyError as exc:
-        raise DomainError(f"level {exc.args[0]} not tabulated") from None
-    return float(e[0]) if m.ndim == 0 else e.reshape(m.shape)
+    m, k = (np.rint(q).astype(np.int64) for q in np.broadcast_arrays(q1, q2))
+    row = m - s.m_first
+    missing = np.flatnonzero((row < 0) | (row >= len(s.table)) | (k < 0) | (k >= s.table.shape[1]))
+    if missing.size:
+        raise DomainError(f"level ({m.flat[missing[0]]}, {k.flat[missing[0]]}) not tabulated")
+    return float(s.table[row, k]) if m.ndim == 0 else s.table[row, k]
 
 
-def _grid(s: Spectrum2D):
+def _grid(s: Spectrum2D) -> np.ndarray:
     # (nx, ny) on the n_cap x n_cap grid, nx-major
     cap = max(s.params.get("n_cap", 12), 0)
-    # 280 B per label: the levels table's tracemalloc peak at n_cap 1024 is 266 B
-    check_work_bytes(cap * cap * 280, f"label table of n_cap {cap}")
-    nx, ny = np.divmod(np.arange(cap * cap), cap)
-    return nx + 1, ny + 1, np.full(cap * cap, "")
+    # 48 B per label: the levels table's tracemalloc peak at n_cap 1024 is
+    # 41 B, the label array and its kept copy
+    check_work_bytes(cap * cap * 48, f"label table of n_cap {cap}")
+    n = np.arange(1, cap + 1)
+    return label_array(n[:, None], n)
 
 
 def _disk_revival(s: Spectrum2D, center, radial_sector: bool = False):
@@ -166,14 +158,16 @@ def _no_revival(s: Spectrum2D, center):
 class _Geometry(NamedTuple):
     energy: Callable      # (spectrum, q1, q2) -> E, on scalars or arrays
     label_ok: Callable    # (q1, q2, symmetry) arrays -> bool array
-    candidates: Callable  # spectrum -> the (q1, q2, symmetry) arrays levels() filters
+    candidates: Callable  # spectrum -> the label array level_labels() filters
     revival: Callable     # (spectrum, center) -> (t_rev_q1, t_rev_q2, t_rev_cross)
 
 
 _pairs_ok = lambda q1, q2, sym: (q1 >= 1) & (q2 >= 1)
 _radial_ok = lambda q1, q2, sym: q2 >= 0
 _triangle_labels = lambda s: triangle_state_labels(s.params.get("m_cap", 12))
-_table_labels = lambda s: _label_arrays(sorted(s.table))
+# every (m, k) of the table, m-major
+_table_labels = lambda s: label_array(np.arange(len(s.table))[:, None] + s.m_first,
+                                      np.arange(s.table.shape[1]))
 
 GEOMETRIES = {
     "square": _Geometry(_BOX, _pairs_ok, _grid, _BOX.revival),
@@ -246,13 +240,13 @@ def circular_spectrum(
     _check_size(R)
     scale = units.hbar**2 / (2.0 * units.mass * R**2)
     if mode == "refined":
-        zeros = specfun.bessel_zeros_batch(range(m_cap + 1), nr_cap + 1).tolist()
+        zeros = specfun.bessel_zeros_batch(range(m_cap + 1), nr_cap + 1)
     else:
-        ks = range(nr_cap + 1)
-        zeros = [[z0 + 1.0 / (8.0 * z0) for z0 in ((k + 0.75) * math.pi for k in ks)]]
-        zeros += [[specfun.bessel_zero_seed(m, k) for k in ks] for m in range(1, m_cap + 1)]
-    table = {(m, k): scale * z * z for m in range(-m_cap, m_cap + 1) for k, z in enumerate(zeros[abs(m)])}
-    return Spectrum2D("circle", {"R": R}, units, table)
+        z0 = (np.arange(nr_cap + 1) + 0.75) * math.pi
+        seeds = [[specfun.bessel_zero_seed(m, k) for k in range(nr_cap + 1)] for m in range(1, m_cap + 1)]
+        zeros = np.array([z0 + 1.0 / (8.0 * z0), *seeds])
+    orders = np.abs(np.arange(-m_cap, m_cap + 1))
+    return Spectrum2D("circle", {"R": R}, units, (scale * zeros * zeros)[orders], -m_cap)
 
 
 def half_circle_spectrum(
@@ -260,8 +254,7 @@ def half_circle_spectrum(
 ) -> Spectrum2D:
     """Diameter fold of the disk: sine angular states (m >= 1) only."""
     full = circular_spectrum(R, m_cap, nr_cap, "refined", units)
-    table = {key: e for key, e in full.table.items() if key[0] >= 1}
-    return Spectrum2D("half_circle", {"R": R}, units, table)
+    return Spectrum2D("half_circle", {"R": R}, units, full.table[m_cap + 1 :], 1)
 
 
 def circle_scales(R: float, units: UnitSystem = DEFAULT_UNITS) -> tuple[float, float, float]:
@@ -286,9 +279,10 @@ def annulus_levels(
         raise DomainError("inner-radius fraction must satisfy 0 < f < 1")
     _check_size(R)
     scale = units.hbar**2 / (2.0 * units.mass)
-    roots = _annulus_roots(range(m_cap + 1), R, f, nr_cap + 1)
-    table = {(m, i): scale * k**2 for m in range(-m_cap, m_cap + 1) for i, k in enumerate(roots[abs(m)])}
-    return Spectrum2D("annulus", {"R": R, "f": f}, units, table)
+    k = _annulus_roots(range(m_cap + 1), R, f, nr_cap + 1)[np.abs(np.arange(-m_cap, m_cap + 1))]
+    # float_power is libm pow, as Python's k**2 is: the array square
+    # rounds 12 of the 12,261 levels at (60, 200) the other way
+    return Spectrum2D("annulus", {"R": R, "f": f}, units, scale * np.float_power(k, 2), -m_cap)
 
 
 def _ring_condition(orders, k, R: float, f: float) -> np.ndarray:
@@ -321,29 +315,22 @@ def annulus_condition(m: int, k, R: float, f: float):
     return float(g) if karr.ndim == 0 else g
 
 
-_annulus_cache: dict = {}
-
-
-def _annulus_roots(orders, R: float, f: float, count: int) -> dict[int, list[float]]:
-    """The first `count` ring levels k of every order, from the cache or
-    from one bracket scan and one Illinois batch over the missing orders.
+def _annulus_roots(orders, R: float, f: float, count: int) -> np.ndarray:
+    """The first `count` ring levels k of every order, as an (orders,
+    count) array, from one bracket scan and one Illinois batch.
 
     A level passes when |g| <= 1e-10, or when its final bracket is two
     adjacent floats across which g changes sign, so that k is known to
     one ulp although the condition's slope makes |g| at both ends larger
     than the gate."""
-    todo = [m for m in orders if len(_annulus_cache.get((m, R, f), ())) < count]
-    if todo:
-        lo, hi, g_lo, g_hi, order_of = _annulus_brackets(todo, R, f, count)
-        roots, residuals, pinned = _illinois(
-            lambda x, idx: _ring_condition(order_of[idx], x, R, f), lo, hi, g_lo, g_hi
-        )
-        failed = np.flatnonzero((residuals > 1e-10) & ~pinned)
-        if failed.size:
-            raise RootError(f"ring level residual too large at m={order_of[failed[0]]}")
-        for m in todo:
-            _annulus_cache[(m, R, f)] = roots[order_of == m].tolist()
-    return {m: _annulus_cache[(m, R, f)][:count] for m in orders}
+    lo, hi, g_lo, g_hi, order_of = _annulus_brackets(orders, R, f, count)
+    roots, residuals, pinned = _illinois(
+        lambda x, idx: _ring_condition(order_of[idx], x, R, f), lo, hi, g_lo, g_hi
+    )
+    failed = np.flatnonzero((residuals > 1e-10) & ~pinned)
+    if failed.size:
+        raise RootError(f"ring level residual too large at m={order_of[failed[0]]}")
+    return roots.reshape(len(orders), count)
 
 
 def _annulus_brackets(orders, R: float, f: float, count: int):
@@ -542,12 +529,12 @@ def orbit_period_from_indices(
 
 def autocorrelation_2d(c: CoefficientSet2D, s: Spectrum2D, t_grid) -> TimeSeries:
     """A(t) = sum |a|^2 e^{+i E t / hbar} over the retained 2D modes."""
-    q1, q2, sym = _label_arrays(c.labels)
-    bad = np.flatnonzero(~GEOMETRIES[s.geometry].label_ok(q1, q2, sym))
+    bad = np.flatnonzero(~s.index_ok(c.labels))
     if bad.size:
-        raise DomainError(f"label {c.labels[bad[0]]} invalid for {s.geometry}")
+        q1, q2, sym = c.labels[bad[0]].tolist()
+        raise DomainError(f"label {(q1, q2, sym) if sym else (q1, q2)} invalid for {s.geometry}")
     # levels of exactly equal energy (the disk's +-m, the triangle's +-
     # pair, the square's swapped labels) share one phase row
-    omegas, row = np.unique(np.asarray(s.energy(q1, q2)) / s.units.hbar, return_inverse=True)
+    omegas, row = np.unique(s.energy(c.labels["q1"], c.labels["q2"]) / s.units.hbar, return_inverse=True)
     w = np.bincount(row, weights=c.weights(), minlength=len(omegas))
     return TimeSeries(t_grid, _phase_sum(w, omegas, t_grid))

@@ -362,7 +362,7 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
         "p0y": (_float_key, 0.0),
         "dx0": (_POSITIVE, 0.05),
         # the polygon label tables grow as m_cap^2: at 1024 the bench packets
-        # take 2.2 s and 177 MB max-RSS (square) and 1.3 s and 108 MB
+        # take 1.2 s and 72 MB max-RSS (square) and 1.2 s and 107 MB
         # (equilateral) (2-core x86-64); circle and annulus stop at order 60
         "m_cap": (_bounded(_int_key, 1, below=1025), 16),
         # the circle's Bessel zeros are validated to 201 per order; the annulus

@@ -7,7 +7,6 @@ walls small."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -73,12 +72,22 @@ class CoefficientSet:
         write_csv(path, "index1,index2,re,im\n", "%s,,%.17g,%.17g\n", (self.indices, a.real, a.imag))
 
 
+def label_array(q1, q2, symmetry="") -> np.ndarray:
+    """The one 2D label format: (q1, q2, symmetry) records of the broadcast
+    fields, flattened row-major, so one record is one label. The symmetry
+    tag is '' where the geometry has none (all but the triangles)."""
+    fields = [("q1", np.int64), ("q2", np.int64), ("symmetry", "<U1")]
+    labels = np.empty(np.broadcast(q1, q2, symmetry).shape, fields)
+    labels["q1"], labels["q2"], labels["symmetry"] = q1, q2, symmetry
+    return labels.ravel()
+
+
 @dataclass(frozen=True)
 class CoefficientSet2D:
-    """Coefficients labeled by integer index pairs (plus an optional
-    symmetry tag, used by the triangular billiard)."""
+    """Coefficients with one `label_array` record each: integer index
+    pairs, plus a symmetry tag on the triangular billiard."""
 
-    labels: tuple
+    labels: np.ndarray
     coefficients: np.ndarray
     norm_deficit: float
     warnings: tuple = ()
@@ -90,11 +99,10 @@ class CoefficientSet2D:
         return np.abs(self.coefficients) ** 2
 
     def to_csv(self, path) -> None:
-        a = self.coefficients
-        columns = [[lab[0] for lab in self.labels], [lab[1] for lab in self.labels], a.real, a.imag]
-        if any(len(lab) > 2 for lab in self.labels):
-            columns.append([lab[2] if len(lab) > 2 else "" for lab in self.labels])
-            write_csv(path, "index1,index2,re,im,symmetry\n", "%s,%s,%.17g,%.17g,%s\n", columns)
+        a, sym = self.coefficients, self.labels["symmetry"]
+        columns = [self.labels["q1"], self.labels["q2"], a.real, a.imag]
+        if np.any(sym != ""):
+            write_csv(path, "index1,index2,re,im,symmetry\n", "%s,%s,%.17g,%.17g,%s\n", [*columns, sym])
         else:
             write_csv(path, "index1,index2,re,im\n", "%s,%s,%.17g,%.17g\n", columns)
 
@@ -135,7 +143,7 @@ def _finish_2d(labels, values, warn_above: float, cap: str) -> CoefficientSet2D:
     values = values[keep]
     deficit = _deficit(values)
     warnings = (f"norm deficit {deficit:.2e}: {cap} may be too small",) if deficit > warn_above else ()
-    return CoefficientSet2D(tuple(itertools.compress(labels, keep)), values, deficit, warnings)
+    return CoefficientSet2D(labels[keep], values, deficit, warnings)
 
 
 def gaussian_model_coefficients(
@@ -251,16 +259,17 @@ def _scalar_product(a, b) -> np.ndarray:
 
 
 def square_coefficients(
-    x0: float, y0: float, p0x: float, p0y: float, width_b: float, L: float, n_max: int,
+    x0: float, y0: float, p0x: float, p0y: float, width_b: float, L: float, m_cap: int,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> CoefficientSet2D:
     """Separable square-billiard coefficients a_nx b_ny: the outer product
-    of the two closed-form 1D box sets, labels (nx, ny) nx-major."""
-    cx, cy = (infinite_well_coefficients(PacketParams1D(x, p, width_b, units), L, n_max)
+    of the two closed-form 1D box sets on modes 1..m_cap, labels (nx, ny)
+    nx-major."""
+    cx, cy = (infinite_well_coefficients(PacketParams1D(x, p, width_b, units), L, m_cap)
               for x, p in ((x0, p0x), (y0, p0y)))
     vals = _scalar_product(cx.coefficients[:, None], cy.coefficients[None, :])
-    labels = itertools.product(cx.indices.tolist(), cy.indices.tolist())
-    return _finish_2d(labels, vals.ravel(), 1e-4, "n_max")
+    labels = label_array(cx.indices[:, None], cy.indices)
+    return _finish_2d(labels, vals.ravel(), 1e-4, "m_cap")
 
 
 def bouncer_coefficients(
@@ -332,23 +341,22 @@ def gaussian_transform(q, x0: float, k: float, b: float):
         return np.exp(1j * q * x0) * np.exp(-(b**2) * (k + q) ** 2 / 2.0)
 
 
-def triangle_state_labels(basis_cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(m, n, symmetry) label arrays with m >= 2n, n-major then m: two
-    states ('+', '-') for m > 2n, a single symmetric one ('o') at m = 2n.
+def triangle_state_labels(m_cap: int) -> np.ndarray:
+    """`label_array` of the states with m <= m_cap, m >= 2n, n-major then
+    m: two ('+', '-') for m > 2n, a single symmetric one ('o') at m = 2n.
     TruncationError when the tables would pass the work budget."""
-    half = max(basis_cap, 0) // 2
-    # 160 B per (m, n) grid point, at least one label each: at basis_cap
-    # 1024 the tracemalloc peak per label is 147 B for triangle_coefficients
-    # and 123 B for the equilateral levels table
-    check_work_bytes(half * (basis_cap + 1) * 160, f"triangle label table of basis_cap {basis_cap}")
-    n, m = (a.ravel() for a in np.meshgrid(np.arange(1, half + 1), np.arange(basis_cap + 1), indexing="ij"))
+    half = max(m_cap, 0) // 2
+    # 160 B per (m, n) grid point, at least one label each: at m_cap
+    # 1024 the tracemalloc peak per label is 141 B for triangle_coefficients
+    # and 43 B for the equilateral levels table
+    check_work_bytes(half * (m_cap + 1) * 160, f"triangle label table of m_cap {m_cap}")
+    n, m = (a.ravel() for a in np.meshgrid(np.arange(1, half + 1), np.arange(m_cap + 1), indexing="ij"))
     pair = m >= 2 * n
     n, m = n[pair], m[pair]
     copies = np.where(m == 2 * n, 1, 2)
-    first = np.cumsum(copies) - copies
-    sym = np.full(copies.sum(), "-")
-    sym[first] = np.where(copies == 1, "o", "+")
-    return np.repeat(m, copies), np.repeat(n, copies), sym
+    labels = np.repeat(label_array(m, n, "-"), copies)
+    labels["symmetry"][np.cumsum(copies) - copies] = np.where(copies == 1, "o", "+")
+    return labels
 
 
 def triangle_wavefunction(label, x, y, L):
@@ -394,11 +402,11 @@ def triangle_coefficients(
     p0y: float,
     width_b: float,
     L: float,
-    basis_cap: int,
+    m_cap: int,
     units: UnitSystem = DEFAULT_UNITS,
 ) -> CoefficientSet2D:
     """Closed-form overlap of a 2D Gaussian packet with the equilateral
-    billiard eigenstates (wall containment required)."""
+    billiard eigenstates of m <= m_cap (wall containment required)."""
     dx0 = width_b / math.sqrt(2.0)
     _check_contained(_triangle_wall_clearances(x0, y0, L), dx0)
     b = width_b
@@ -410,7 +418,8 @@ def triangle_coefficients(
     norm_o = math.sqrt(8.0 / (L**2 * 3.0 * math.sqrt(3.0)))
     gauss_norm = 1.0 / (b * math.sqrt(math.pi))  # 2D Gaussian prefactor
 
-    m, n, sym = triangle_state_labels(basis_cap)
+    labels = triangle_state_labels(m_cap)
+    m, n, sym = labels["q1"], labels["q2"], labels["symmetry"]
     # the packet's 1D factors integrated against cos(C x), sin(C x), sin(C y)
     line = b * math.sqrt(2 * math.pi)
     ix_cos = lambda C: line / 2.0 * (gaussian_transform(C, x0, kx, b) + gaussian_transform(-C, x0, kx, b))
@@ -428,8 +437,7 @@ def triangle_coefficients(
     no = n[at]
     vals[at] = gauss_norm * ((_scalar_product(2.0 * ix_cos(2 * math.pi * no / L), iy_sin(cy * no))
                               - _scalar_product(ix_cos(0.0), iy_sin(2 * cy * no))) * norm_o)
-    labels = zip(m.tolist(), n.tolist(), sym.tolist())
-    return _finish_2d(labels, vals, 1e-4, "basis_cap")
+    return _finish_2d(labels, vals, 1e-4, "m_cap")
 
 
 # ----------------------------------------------------------------------
@@ -519,5 +527,5 @@ def circular_coefficients(
         vals[m_cap + m] = scale * c[:, 0]
         vals[m_cap - m] = scale * c[:, 1]
 
-    labels = itertools.product(range(-m_cap, m_cap + 1), range(n_k))
-    return _finish_2d(labels, vals.ravel(), 1e-3, "caps")
+    labels = label_array(np.arange(-m_cap, m_cap + 1)[:, None], np.arange(n_k))
+    return _finish_2d(labels, vals.ravel(), 1e-3, "m_cap or nr_cap")

@@ -31,6 +31,7 @@ from revival.errors import DomainError, OrbitUnsupportedError, RootError, Trunca
 from revival.packets import (
     CoefficientSet2D,
     circular_coefficients,
+    label_array,
     square_coefficients,
     triangle_coefficients,
 )
@@ -55,6 +56,18 @@ def _spectrum(geometry, size):
         "half_circle": lambda: half_circle_spectrum(size, 3, 4),
         "annulus": lambda: annulus_levels(size, 0.4, 2, 3),
     }[geometry]()
+
+
+def _level_rows(s):
+    """(q1, q2, symmetry, energy) rows of the spectrum's level labels."""
+    labels = s.level_labels()
+    energies = s.energy(labels["q1"], labels["q2"]).tolist()
+    return [(*lab, e) for lab, e in zip(labels.tolist(), energies)]
+
+
+def _table_items(s):
+    """((m, k), E) of every tabulated level, m-major."""
+    return [((m, k), e) for m, row in enumerate(s.table.tolist(), s.m_first) for k, e in enumerate(row)]
 
 
 class TestRevivalTimes:
@@ -194,8 +207,8 @@ class TestCircularSpectrum:
         ref = circular_spectrum(R, 0, 20, "refined")
         scale = HBAR**2 / (2 * MU * R**2)
         for k in range(10, 21):
-            z_w = math.sqrt(wkb.table[(0, k)] / scale)
-            z_r = math.sqrt(ref.table[(0, k)] / scale)
+            z_w = math.sqrt(wkb.energy(0, k) / scale)
+            z_r = math.sqrt(ref.energy(0, k) / scale)
             assert abs(z_w - z_r) < 1e-3
 
     def test_wkb_nonzero_m(self):
@@ -204,25 +217,25 @@ class TestCircularSpectrum:
         ref = circular_spectrum(R, 8, 25, "refined")
         scale = HBAR**2 / (2 * MU * R**2)
         for m in (1, 5, 8):
-            z_w = math.sqrt(wkb.table[(m, 20)] / scale)
-            z_r = math.sqrt(ref.table[(m, 20)] / scale)
+            z_w = math.sqrt(wkb.energy(m, 20) / scale)
+            z_r = math.sqrt(ref.energy(m, 20) / scale)
             assert abs(z_w - z_r) / z_r < 1e-4
 
     def test_degeneracy_pattern(self):
         s = circular_spectrum(1.0, 3, 4)
         for m in (1, 2, 3):
             for k in range(5):
-                assert s.table[(m, k)] == s.table[(-m, k)]
+                assert s.energy(m, k) == s.energy(-m, k)
 
     def test_half_circle_filters_m0(self):
         s = half_circle_spectrum(1.0, 3, 3)
-        assert all(m >= 1 for m, _ in s.table)
+        assert all(m >= 1 for (m, _), _ in _table_items(s))
 
 
 class TestTriangleLevels:
     def test_degeneracy_bookkeeping(self):
         s = equilateral_spectrum(1.0, m_cap=12)
-        rows = s.levels()
+        rows = _level_rows(s)
         for m, n, sym, _ in rows:
             if m == 2 * n:
                 assert sym == "o"
@@ -234,13 +247,13 @@ class TestTriangleLevels:
 
     def test_fold_keeps_odd_only(self):
         s = triangle_fold_spectrum(1.0, m_cap=10)
-        rows = s.levels()
+        rows = _level_rows(s)
         assert all(sym == "-" for _, _, sym, _ in rows)
         assert all(m > 2 * n for m, n, _, _ in rows)
 
     def test_isosceles_fold(self):
         s = isosceles_right_spectrum(1.0, n_cap=6)
-        assert all(q1 < q2 for q1, q2, _, _ in s.levels())
+        assert all(q1 < q2 for q1, q2, _, _ in _level_rows(s))
 
     def test_rectangle_commensurate(self):
         s = rectangle_spectrum(1.0, 2.0, n_cap=4)
@@ -249,7 +262,7 @@ class TestTriangleLevels:
 
 
 def _closed_form_levels(geometry, size, s):
-    """levels() rows written out from the closed forms, each in the
+    """_level_rows() written out from the closed forms, each in the
     spectra's order of operations: the box and triangle quadratic forms,
     the disk's hbar^2 z^2 / (2 mu R^2) over the Bessel zeros z, and the
     ring's sorted table."""
@@ -269,7 +282,7 @@ def _closed_form_levels(geometry, size, s):
         keep = {"-"} if geometry == "triangle_30_60_90" else {"o", "+", "-"}
         return [(m, n, sym, c * (m**2 + n**2 - m * n)) for m, n, sym in labels if sym in keep]
     if geometry == "annulus":
-        return [(m, k, "", e) for (m, k), e in sorted(s.table.items())]
+        return [(m, k, "", e) for (m, k), e in _table_items(s)]
     scale = HBAR**2 / (2.0 * MU * size**2)
     zeros = specfun.bessel_zeros_batch(range(4), 5).tolist()  # m_cap 3, nr_cap 4
     ms = range(1, 4) if geometry == "half_circle" else range(-3, 4)
@@ -282,18 +295,18 @@ class TestGeometryTable:
     def test_levels_match_closed_forms(self, geometry, size):
         s = _spectrum(geometry, size)
         want = _closed_form_levels(geometry, size, s)
-        assert len(want) > 0 and s.levels() == want
+        assert len(want) > 0 and _level_rows(s) == want
 
     def test_ring_table_holds_the_solver_roots(self):
-        roots = billiards._annulus_roots(range(3), 0.7, 0.4, 4)
+        roots = billiards._annulus_roots(range(3), 0.7, 0.4, 4).tolist()
         scale = HBAR**2 / (2.0 * MU)
-        want = {(m, k): scale * v**2 for m in range(-2, 3) for k, v in enumerate(roots[abs(m)])}
-        assert _spectrum("annulus", 0.7).table == want
+        want = [((m, k), scale * v**2) for m in range(-2, 3) for k, v in enumerate(roots[abs(m)])]
+        assert _table_items(_spectrum("annulus", 0.7)) == want
 
     @pytest.mark.parametrize("geometry", GEOMETRY_NAMES)
     def test_vectorised_energy_is_the_per_label_energy(self, geometry):
         s = _spectrum(geometry, 0.7)
-        q1, q2 = (np.array([row[i] for row in s.levels()]) for i in (0, 1))
+        q1, q2 = (np.array([row[i] for row in _level_rows(s)]) for i in (0, 1))
         for shift in (0.0, 0.25):  # continuous indices; the tables round them
             per_label = [s.energy(a, b) for a, b in zip((q1 + shift).tolist(), q2.tolist())]
             assert all(isinstance(e, float) for e in per_label)
@@ -308,9 +321,10 @@ class TestGeometryTable:
     )
     def test_batch_with_one_invalid_label_names_it(self, geometry, bad):
         s = _spectrum(geometry, 1.0)
-        good = [row[:3] if row[2] else row[:2] for row in s.levels()[:4]]
-        assert all(s.index_ok(lab) for lab in good) and not s.index_ok(bad)
-        labels = tuple(good[:2] + [bad] + good[2:])
+        good = s.level_labels()[:4]
+        bad_label = label_array(*bad)
+        assert np.all(s.index_ok(good)) and not np.any(s.index_ok(bad_label))
+        labels = np.concatenate([good[:2], bad_label, good[2:]])
         c = CoefficientSet2D(labels, np.full(len(labels), 0.5 + 0j), 0.0)
         with pytest.raises(DomainError, match=f"label {re.escape(str(bad))} invalid for {geometry}"):
             autocorrelation_2d(c, s, [0.0])
@@ -325,7 +339,7 @@ class TestAnnulus:
         R, f = 1.0, 0.4
         s = annulus_levels(R, f, 2, 6)
         scale = HBAR**2 / (2 * MU)
-        for (m, k), e in s.table.items():
+        for (m, k), e in _table_items(s):
             kval = math.sqrt(e / scale)
             assert abs(annulus_condition(abs(m), kval, R, f)) < 1e-10
 
@@ -340,7 +354,7 @@ class TestAnnulus:
             lambda k: sp.jv(m, k * R) * sp.yv(m, k * f * R)
             - sp.jv(m, k * f * R) * sp.yv(m, k * R)
         )
-        for (m, k_idx), e in ring.table.items():
+        for (m, k_idx), e in _table_items(ring):
             kval = math.sqrt(e / scale)
             ref = brentq(cross(abs(m)), kval - 0.2, kval + 0.2, xtol=1e-12)
             assert kval == pytest.approx(ref, abs=1e-9)
@@ -354,8 +368,8 @@ class TestAnnulus:
         for f in (1e-2, 1e-4, 1e-8):
             ring = annulus_levels(R, f, 0, 3)
             rel = max(
-                abs(math.sqrt(ring.table[(0, k)]) - math.sqrt(disk.table[(0, k)]))
-                / math.sqrt(disk.table[(0, k)])
+                abs(math.sqrt(ring.energy(0, k)) - math.sqrt(disk.energy(0, k)))
+                / math.sqrt(disk.energy(0, k))
                 for k in range(3)
             )
             if prev is not None:
@@ -369,8 +383,8 @@ class TestAnnulus:
         scale = HBAR**2 / (2 * MU)
         spacing = math.pi / (R * (1 - f))
         for k in range(3):
-            k1 = math.sqrt(ring.table[(0, k + 1)] / scale)
-            k0 = math.sqrt(ring.table[(0, k)] / scale)
+            k1 = math.sqrt(ring.energy(0, k + 1) / scale)
+            k0 = math.sqrt(ring.energy(0, k) / scale)
             assert k1 - k0 == pytest.approx(spacing, rel=0.05)
 
     def test_bad_fraction(self):
@@ -407,7 +421,7 @@ def _scipy_ring_levels(m, f, k_top):
 def _ring_ks(ring, m):
     """Wavenumbers of order m's ring levels, in radial-index order."""
     scale = HBAR**2 / (2 * MU)
-    return np.array([math.sqrt(e / scale) for (q1, _), e in sorted(ring.table.items()) if q1 == m])
+    return np.array([math.sqrt(e / scale) for (q1, _), e in _table_items(ring) if q1 == m])
 
 
 class TestRingLevelOracle:
@@ -495,7 +509,6 @@ class TestRingGate:
         assert roots[0] in (np.nextafter(2.5, 0.0), 2.5)
 
     def test_level_with_residual_and_no_sign_change_fails(self, monkeypatch):
-        monkeypatch.setattr(billiards, "_annulus_cache", {})
         real = billiards._illinois
 
         def unpinned(g, lo, hi, g_lo, g_hi):
@@ -505,7 +518,6 @@ class TestRingGate:
         monkeypatch.setattr(billiards, "_illinois", unpinned)
         with pytest.raises(RootError, match="m=0"):
             annulus_levels(1.0, 0.5, 2, 2)
-        assert billiards._annulus_cache == {}
 
 
 def _square_set(L, n_cap):
@@ -521,12 +533,12 @@ class TestMergedAutocorrelation:
     @staticmethod
     def _per_label(c, s, t):
         # one phase row per label, unmerged, through the same kernel
-        omegas = np.array([s.energy(lab[0], lab[1]) for lab in c.labels]) / s.units.hbar
+        omegas = np.array([s.energy(q1, q2) for q1, q2, _ in c.labels.tolist()]) / s.units.hbar
         return dynamics._phase_sum(c.weights(), omegas, t)
 
     def _check(self, c, s, distinct_below):
         got = autocorrelation_2d(c, s, self.T).values
-        omegas = [s.energy(lab[0], lab[1]) for lab in c.labels]
+        omegas = [s.energy(q1, q2) for q1, q2, _ in c.labels.tolist()]
         assert len(set(omegas)) < distinct_below * len(omegas)
         assert np.max(np.abs(got - self._per_label(c, s, self.T))) <= 1e-14
         assert abs(got[0] - np.sum(c.weights())) <= 1e-15
@@ -560,7 +572,7 @@ class TestMergedAutocorrelation:
         c = _square_set(1.0, 16)
         s = square_spectrum(1.0, n_cap=16)
         autocorrelation_2d(c, s, self.T)
-        distinct = len({s.energy(lab[0], lab[1]) for lab in c.labels})
+        distinct = len({s.energy(q1, q2) for q1, q2, _ in c.labels.tolist()})
         assert rows and rows == [distinct] * len(rows) and distinct < len(c.labels)
 
     def test_triangle(self):
@@ -580,7 +592,6 @@ class TestKernelCallBudget:
     @pytest.fixture
     def calls(self, monkeypatch):
         monkeypatch.setattr(specfun, "_bessel_zero_cache", {})
-        monkeypatch.setattr(billiards, "_annulus_cache", {})
         count = [0]
         kernel = specfun._bessel_batch
 
@@ -660,7 +671,7 @@ class TestAutocorrelation2D:
         assert abs(ser.values[0]) >= 0.999 - c.norm_deficit
 
     def test_label_validation(self):
-        c = CoefficientSet2D(((0, 0),), np.array([1.0 + 0j]), 0.0)
+        c = CoefficientSet2D(label_array([0], [0]), np.array([1.0 + 0j]), 0.0)
         with pytest.raises(DomainError):
             autocorrelation_2d(c, square_spectrum(1.0), [0.0])
 
@@ -674,11 +685,28 @@ class TestLevelCSV:
         assert lines[0] == "q1,q2,symmetry,energy"
         assert lines[1].split(",")[2] in ("o", "+", "-")
 
+    @pytest.mark.parametrize("spectrum, bound_mib", [
+        (lambda: square_spectrum(1.0, n_cap=1024), 64),
+        (lambda: equilateral_spectrum(1.0, m_cap=1024), 32),
+    ], ids=["square", "equilateral"])
+    def test_peak_memory_at_the_cap(self, tmp_path, spectrum, bound_mib):
+        # 1,048,576 and 523,776 rows: the label array and its kept copy, with
+        # the energies and the text formed one block at a time (43 and 23 MB;
+        # tuple labels and whole Python-list columns took 139 and 64 MB)
+        s = spectrum()
+        tracemalloc.start()
+        try:
+            s.write_levels_csv(tmp_path / "levels.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20
+
 
 @pytest.mark.parametrize("spectrum", [
-    lambda: square_spectrum(1.0, n_cap=3000),       # 9e6 labels, ~2.3 GiB at 280 B each
+    lambda: square_spectrum(1.0, n_cap=6000),       # 3.6e7 labels, ~1.6 GiB at 48 B each
     lambda: equilateral_spectrum(1.0, m_cap=10_000),  # ~5e7 labels, ~7.5 GiB at 160 B each
 ], ids=["square", "equilateral"])
 def test_polygon_label_tables_are_bounded(spectrum):
     with pytest.raises(TruncationError, match="label table"):
-        spectrum().levels()
+        spectrum().level_labels()

@@ -755,7 +755,7 @@ class TestFactoredPhaseSum:
 
             c = circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2), 1.0, 16, 30)
             s = circular_spectrum(1.0, 16, 30)
-            omegas, row = np.unique([s.energy(*lab[:2]) for lab in c.labels], return_inverse=True)
+            omegas, row = np.unique([s.energy(q1, q2) for q1, q2, _ in c.labels.tolist()], return_inverse=True)
             args = (np.bincount(row, weights=c.weights()), omegas, np.linspace(0.0, 10.0, 4001))
             assert len(omegas) == 437
         else:

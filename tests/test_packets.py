@@ -270,12 +270,12 @@ class TestBouncer:
             bouncer_coefficients(z0=2.0, width_b=math.sqrt(2.0))
 
 
-def _triangle_loop(x0, y0, p0x, p0y, b, L, basis_cap, units=UNITS):
+def _triangle_loop(x0, y0, p0x, p0y, b, L, m_cap, units=UNITS):
     """The former builder: six scalar gaussian_transform calls per label in
     a Python loop, over labels from nested loops."""
     labels = []
-    for n in range(1, basis_cap // 2 + 1):
-        for m in range(2 * n, basis_cap + 1):
+    for n in range(1, m_cap // 2 + 1):
+        for m in range(2 * n, m_cap + 1):
             labels.extend([(m, n, "o")] if m == 2 * n else [(m, n, "+"), (m, n, "-")])
     kx, ky = p0x / units.hbar, p0y / units.hbar
     cx, cy = 2 * math.pi / (3 * L), 2 * math.pi / (math.sqrt(3.0) * L)
@@ -298,7 +298,7 @@ def _triangle_loop(x0, y0, p0x, p0y, b, L, basis_cap, units=UNITS):
         else:
             val = (2.0 * ix_cos(2 * math.pi * n / L) * iy_sin(cy * n) - ix_cos(0.0) * iy_sin(2 * cy * n)) * norm_o
         vals[i] = gauss_norm * val
-    return packets._finish_2d(labels, vals, 1e-4, "basis_cap")
+    return packets._finish_2d(packets.label_array(*zip(*labels)), vals, 1e-4, "m_cap")
 
 
 class TestTriangle:
@@ -316,7 +316,7 @@ class TestTriangle:
         # retention floor (~1e-33 and less) may round differently, where
         # numpy-scalar ** 2 and the array square differ in the last bit
         got, want = triangle_coefficients(*args), _triangle_loop(*args)
-        assert got.labels == want.labels
+        assert got.labels.tolist() == want.labels.tolist()
         assert np.array_equal(got.coefficients.view(np.int64), want.coefficients.view(np.int64))
         assert (got.norm_deficit, got.warnings) == (want.norm_deficit, want.warnings)
 
@@ -324,8 +324,7 @@ class TestTriangle:
         # about 4.3e9 labels would need ~690 GiB; refused before any allocation
         with pytest.raises(TruncationError, match="label table"):
             packets.triangle_state_labels(100_000)
-        m, n, sym = packets.triangle_state_labels(6)
-        assert list(zip(m.tolist(), n.tolist(), sym.tolist())) == [
+        assert packets.triangle_state_labels(6).tolist() == [
             (2, 1, "o"), (3, 1, "+"), (3, 1, "-"), (4, 1, "+"), (4, 1, "-"), (5, 1, "+"), (5, 1, "-"),
             (6, 1, "+"), (6, 1, "-"), (4, 2, "o"), (5, 2, "+"), (5, 2, "-"), (6, 2, "+"), (6, 2, "-"), (6, 3, "o")]
 
@@ -333,10 +332,10 @@ class TestTriangle:
         # below the retention floor, every odd state is dropped; with no
         # floor they are all kept, and each is below 1e-12
         c = triangle_coefficients(*self.CENTROID, 0.0, 0.0, self.B, L, 26)
-        assert all(lab[2] != "-" for lab in c.labels)
+        assert all(lab[2] != "-" for lab in c.labels.tolist())
         monkeypatch.setattr(packets, "RELATIVE_FLOOR", 0.0)
         c = triangle_coefficients(*self.CENTROID, 0.0, 0.0, self.B, L, 26)
-        odd = [abs(a) for lab, a in zip(c.labels, c.coefficients) if lab[2] == "-"]
+        odd = [abs(a) for lab, a in zip(c.labels.tolist(), c.coefficients) if lab[2] == "-"]
         assert max(odd) <= 1e-12
 
     def test_trimmed_autocorrelation_within_dropped_weight(self, monkeypatch):
@@ -350,8 +349,8 @@ class TestTriangle:
         monkeypatch.setattr(packets, "RELATIVE_FLOOR", 0.0)
         full = triangle_coefficients(*args)
         assert (len(kept.labels), len(full.labels)) == (394, 2016)
-        retained = set(kept.labels)
-        dropped = sum(w for lab, w in zip(full.labels, full.weights()) if lab not in retained)
+        retained = set(kept.labels.tolist())
+        dropped = sum(w for lab, w in zip(full.labels.tolist(), full.weights()) if lab not in retained)
         assert 0.0 < dropped < 1e-17
         s = equilateral_spectrum(L, m_cap=64)
         t = np.linspace(0.0, 9 * UNITS.mass * L**2 / (4 * UNITS.hbar * math.pi), 2001)
@@ -379,7 +378,7 @@ class TestTriangle:
     def test_odd_coefficient_flips_with_center(self):
         ca = triangle_coefficients(0.1, 0.65, 0.0, 0.0, self.B, L, 20)
         cb = triangle_coefficients(-0.1, 0.65, 0.0, 0.0, self.B, L, 20)
-        for lab, a, b in zip(ca.labels, ca.coefficients, cb.coefficients):
+        for lab, a, b in zip(ca.labels.tolist(), ca.coefficients, cb.coefficients):
             if lab[2] == "-":
                 assert a == pytest.approx(-b, abs=1e-13)
             else:
@@ -447,7 +446,7 @@ def _disk_overlaps(x0, y0, p0x, p0y, b, R, m_cap, nr_cap, n_r=128, n_t=256):
 
 def _retained_gap(c, ref) -> float:
     """Largest |a - reference| over the labels the builder retained."""
-    return max(abs(a - ref[lab]) for lab, a in zip(c.labels, c.coefficients))
+    return max(abs(a - ref[lab[:2]]) for lab, a in zip(c.labels.tolist(), c.coefficients))
 
 
 class TestCircular:
@@ -457,7 +456,7 @@ class TestCircular:
 
     def test_central_packet_pure_m0(self):
         c = circular_coefficients(0.0, 0.0, 0.0, 0.0, self.B, 1.0, 6, 25)
-        bad = [abs(a) for (m, k), a in zip(c.labels, c.coefficients) if m != 0]
+        bad = [abs(a) for (m, k, _), a in zip(c.labels.tolist(), c.coefficients) if m != 0]
         assert not bad or max(bad) <= 1e-12
         assert abs(sum(c.weights()) - 1.0) < 1e-3
 
@@ -501,7 +500,7 @@ class TestCircular:
         assert _retained_gap(c, ref) < 1e-12
         # what the builder dropped is below its relative floor there too
         floor = packets.RELATIVE_FLOOR * np.max(np.abs(c.coefficients))
-        kept = set(c.labels)
+        kept = {lab[:2] for lab in c.labels.tolist()}
         assert max([abs(a) for lab, a in ref.items() if lab not in kept] + [0.0]) < 1.01 * floor
 
     @pytest.mark.parametrize("spreads, want", [(3, 1.38e-3), (9, 9.5e-12)])
@@ -516,7 +515,7 @@ class TestCircular:
     def test_deficit_warning_fires_at_the_edge(self):
         b = 0.05 * math.sqrt(2.0)
         edge = circular_coefficients(0.85, 0.0, 0.0, 0.0, b, 1.0, 30, 45)
-        assert edge.norm_deficit > 1e-3 and "caps may be too small" in edge.warnings[0]
+        assert edge.norm_deficit > 1e-3 and "m_cap or nr_cap may be too small" in edge.warnings[0]
         assert not circular_coefficients(0.55, 0.0, 0.0, 0.0, b, 1.0, 30, 45).warnings
 
     @pytest.mark.parametrize("packet", [BENCH, HIGH_MOMENTUM], ids=["bench", "high_momentum"])
@@ -527,7 +526,7 @@ class TestCircular:
         ring_size = packets._ring_size
         monkeypatch.setattr(packets, "_ring_size", lambda *args: 2 * ring_size(*args))
         doubled = circular_coefficients(*packet)
-        assert doubled.labels == c.labels
+        assert doubled.labels.tolist() == c.labels.tolist()
         peak = np.max(np.abs(c.coefficients))
         assert np.max(np.abs(doubled.coefficients - c.coefficients)) <= 1e-14 * peak
 
@@ -558,7 +557,8 @@ class TestSquare:
         cx = infinite_well_coefficients(PacketParams1D(0.3, 20.0, b), L, 16)
         cy = infinite_well_coefficients(PacketParams1D(0.4, 10.0, b), L, 16)
         c = square_coefficients(0.3, 0.4, 20.0, 10.0, b, L, 16)
-        assert c.labels == tuple(itertools.product(cx.indices.tolist(), cy.indices.tolist()))
+        assert c.labels.tolist() == [(nx, ny, "") for nx, ny in itertools.product(cx.indices.tolist(),
+                                                                                 cy.indices.tolist())]
         # bitwise the products of numpy complex scalars, label by label
         scalar = np.frompyfunc(operator.mul, 2, 1).outer(list(cx.coefficients), list(cy.coefficients))
         assert np.array_equal(c.coefficients, scalar.ravel().astype(complex))
@@ -566,7 +566,20 @@ class TestSquare:
 
     def test_short_basis_warns(self):
         c = square_coefficients(0.5, 0.5, 200 * math.pi, 0.0, 0.05 * math.sqrt(2.0), L, 150)
-        assert c.norm_deficit > 1e-4 and "n_max may be too small" in c.warnings[-1]
+        assert c.norm_deficit > 1e-4 and "m_cap may be too small" in c.warnings[-1]
+
+
+class TestWarningsNameTheKey:
+    # a deficit warning names the billiard2d key that widens the basis
+    @pytest.mark.parametrize("build, key", [
+        (lambda: square_coefficients(0.3, 0.4, 20.0, 10.0, 0.05 * math.sqrt(2.0), L, m_cap=16), "m_cap"),
+        (lambda: triangle_coefficients(0.0, 0.55, 20.0, 10.0, 0.05 * math.sqrt(2.0), L, m_cap=10), "m_cap"),
+        (lambda: circular_coefficients(0.3, 0.0, 0.0, 20.0, 0.05 * math.sqrt(2.0), 1.0, 16, 30),
+         "m_cap or nr_cap"),
+    ], ids=["square", "triangle", "circle"])
+    def test_deficit_warning_names_the_cap_key(self, build, key):
+        c = build()
+        assert c.warnings == (f"norm deficit {c.norm_deficit:.2e}: {key} may be too small",)
 
 
 class TestPacketOutsideTheBasis:

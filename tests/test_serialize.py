@@ -49,9 +49,11 @@ def _old_grid(path, axis1, axis2, values):
 
 
 def _old_levels(path, s2d):
+    labels = s2d.level_labels()
+    energies = s2d.energy(labels["q1"], labels["q2"])
     with open(path, "w", newline="") as fh:
         fh.write("q1,q2,symmetry,energy\n")
-        for q1, q2, sym, e in s2d.levels():
+        for (q1, q2, sym), e in zip(labels.tolist(), energies.tolist()):
             fh.write(f"{q1},{q2},{sym},{format_float(e)}\n")
 
 
@@ -63,13 +65,14 @@ def _old_coefficients(path, c):
 
 
 def _old_coefficients_2d(path, c):
-    has_sym = any(len(lab) > 2 for lab in c.labels)
+    labels = c.labels.tolist()
+    has_sym = any(sym for _, _, sym in labels)
     with open(path, "w", newline="") as fh:
         fh.write("index1,index2,re,im,symmetry\n" if has_sym else "index1,index2,re,im\n")
-        for lab, a in zip(c.labels, c.coefficients):
-            row = f"{lab[0]},{lab[1]},{format_float(a.real)},{format_float(a.imag)}"
+        for (q1, q2, sym), a in zip(labels, c.coefficients):
+            row = f"{q1},{q2},{format_float(a.real)},{format_float(a.imag)}"
             if has_sym:
-                row += f",{lab[2] if len(lab) > 2 else ''}"
+                row += f",{sym}"
             fh.write(row + "\n")
 
 
@@ -254,8 +257,11 @@ def test_grid_over_block_edges(tmp_path):
     [lambda: billiards.square_spectrum(1.0, n_cap=9),
      lambda: billiards.equilateral_spectrum(1.0, m_cap=9),
      lambda: billiards.circular_spectrum(1.0, 4, 6),
-     lambda: billiards.annulus_levels(1.0, 0.5, 3, 4)],
-    ids=["square", "equilateral", "circle", "annulus"],
+     lambda: billiards.annulus_levels(1.0, 0.5, 3, 4),
+     # more rows than one block: 4,900 and 12,221
+     lambda: billiards.square_spectrum(1.0, n_cap=70),
+     lambda: billiards.circular_spectrum(1.0, 60, 100)],
+    ids=["square", "equilateral", "circle", "annulus", "square_blocks", "circle_blocks"],
 )
 def test_levels(tmp_path, spectrum):
     s2d = spectrum()
@@ -281,10 +287,10 @@ B = 0.05 * math.sqrt(2.0)
      lambda: packets.triangle_coefficients(0.0, 0.55, 20.0, 10.0, B, 1.0, 8),
      lambda: packets.circular_coefficients(0.3, 0.0, 0.0, 20.0, B, 1.0, 4, 6),
      # a symmetry tag on some labels only: the others write an empty field
-     lambda: packets.CoefficientSet2D(((1, 2, "s"), (3, 4), (-5, 6, "a")),
+     lambda: packets.CoefficientSet2D(packets.label_array([1, 3, -5], [2, 4, 6], ["s", "", "a"]),
                                       np.array([1 + 2j, math.nan, -0.0 + 5e-324j]), 0.0),
-     lambda: packets.CoefficientSet2D(((1, 2), (3, 4)), np.array([math.inf, -1e308j]), 0.0),
-     lambda: packets.CoefficientSet2D((), np.array([], dtype=complex), 0.0)],
+     lambda: packets.CoefficientSet2D(packets.label_array([1, 3], [2, 4]), np.array([math.inf, -1e308j]), 0.0),
+     lambda: packets.CoefficientSet2D(packets.label_array([], []), np.array([], dtype=complex), 0.0)],
     ids=["square", "triangle", "circle", "mixed_tags", "no_tags", "empty"],
 )
 def test_coefficient_set_2d(tmp_path, build):
