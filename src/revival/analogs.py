@@ -13,6 +13,7 @@ import numpy as np
 from .dynamics import TimeSeries, _phase_sum
 from .errors import DomainError, TruncationError
 from .packets import log_factorial, log_poisson
+from .serialize import BLOCK_ROWS, write_grid_csv
 
 if TYPE_CHECKING:  # the grids load wavefields on use, so jc does not
     from .wavefields import AxisSpec, FieldGrid
@@ -152,7 +153,12 @@ def bec_field(cs: CoherentState, t: float) -> complex:
     return cs.alpha * np.exp(-a2 * ((1.0 - math.cos(theta)) + 1j * math.sin(theta)))
 
 
-def _bec_overlap(cs: CoherentState, t: float, beta: np.ndarray) -> np.ndarray:
+def _ladder_variable(cs: CoherentState, beta: np.ndarray) -> np.ndarray:
+    """w = beta*/R, R = max(1, |alpha|): the variable of _bec_overlap's recurrence."""
+    return np.conj(beta) / max(1.0, abs(cs.alpha))
+
+
+def _bec_overlap(cs: CoherentState, t: float, beta: np.ndarray, w_max: float | None = None) -> np.ndarray:
     """P(beta; t) = e^{-|beta|^2} |sum_n c_n (beta*)^n / sqrt(n!)|^2 at every
     point of the array beta, by one Horner recurrence over the whole array.
 
@@ -164,6 +170,11 @@ def _bec_overlap(cs: CoherentState, t: float, beta: np.ndarray) -> np.ndarray:
     factor 2 + |w| per step, so no point passes 2^500 in between, and
     large |alpha| neither overflows nor underflows. The result is
     exp(2 log-scale - |beta|^2 + log|acc|^2), 0 where acc is 0.
+
+    `every` follows from `w_max`, the largest |w| (over beta when None).
+    Every point's value depends only on that point and `every`, so a grid
+    computed in blocks under the whole grid's w_max has the whole grid's
+    bits.
     """
     log_amp, phase = _bec_log_coefficients(cs, t)
     n = np.arange(cs.n_cap + 1, dtype=float)
@@ -171,8 +182,10 @@ def _bec_overlap(cs: CoherentState, t: float, beta: np.ndarray) -> np.ndarray:
     log_d = log_amp + n * math.log(radius) - 0.5 * log_factorial(n)
     shift = float(np.max(log_d))
     d = np.exp(log_d - shift) * phase  # |d| <= 1
-    w = np.conj(beta) / radius
-    every = max(1, int(436.0 / math.log2(2.0 + float(np.max(np.abs(w))))))
+    w = _ladder_variable(cs, beta)
+    if w_max is None:
+        w_max = float(np.max(np.abs(w)))
+    every = max(1, int(436.0 / math.log2(2.0 + w_max)))
     acc = np.full(w.shape, d[-1])
     scale = 1.0  # 2^-exponent; an array once some point has been rescaled
     exponent = np.zeros(w.shape)
@@ -193,13 +206,31 @@ def _bec_overlap(cs: CoherentState, t: float, beta: np.ndarray) -> np.ndarray:
     return np.exp(2.0 * log_scale - (beta.real**2 + beta.imag**2) + log_acc2)
 
 
+def _grid_beta(re_axis: AxisSpec, im_axis: AxisSpec, rows: slice) -> np.ndarray:
+    """beta on the rows `rows` of the grid: re along axis 0, im along axis 1."""
+    return re_axis.points()[rows, None] + 1j * im_axis.points()[None, :]
+
+
 def bec_overlap_grid(cs: CoherentState, t: float, re_axis: AxisSpec, im_axis: AxisSpec) -> FieldGrid:
     """P(beta; t) = |<beta | state(t)>|^2 on a rectangular grid of the
     coherent-plane coordinate beta."""
     from .wavefields import FieldGrid
 
-    beta = re_axis.points()[:, None] + 1j * im_axis.points()[None, :]
-    return FieldGrid(re_axis, im_axis, _bec_overlap(cs, t, beta))
+    return FieldGrid(re_axis, im_axis, _bec_overlap(cs, t, _grid_beta(re_axis, im_axis, slice(None))))
+
+
+def write_bec_csv(cs: CoherentState, t: float, re_axis: AxisSpec, im_axis: AxisSpec, path) -> None:
+    """`bec_overlap_grid(...).to_csv(path)`, computed and written in blocks
+    of whole grid rows of up to BLOCK_ROWS points, so that no grid is held.
+    A first pass takes the whole grid's largest |w|, so that every block
+    rescales at the whole grid's cadence and the bytes are the whole
+    grid's."""
+    step = max(1, BLOCK_ROWS // im_axis.count)
+    chunks = [slice(lo, lo + step) for lo in range(0, re_axis.count, step)]
+    w_max = max(float(np.max(np.abs(_ladder_variable(cs, _grid_beta(re_axis, im_axis, rows)))))
+                for rows in chunks)
+    blocks = ((rows, _bec_overlap(cs, t, _grid_beta(re_axis, im_axis, rows), w_max)) for rows in chunks)
+    write_grid_csv(path, re_axis, im_axis, blocks)
 
 
 def bec_overlap_point(cs: CoherentState, beta: complex, t: float) -> float:

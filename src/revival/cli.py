@@ -222,9 +222,12 @@ def _cmd_wigner(p: dict, out):
     L, count = p["L"], p["x_count"]
     span = p["p_span"] or wavefields.default_momentum_span(pk.p0, pk.dp0)
     x = np.linspace(L / (count + 1), L * (1 - 1 / (count + 1)), count)
-    grid = wavefields.wigner_infinite_well(c, L, x, np.linspace(-span, span, p["p_count"]), p["t"])
+    args = (c, L, x, np.linspace(-span, span, p["p_count"]), p["t"])
     path = out(f"wigner.{p['format']}")
-    (grid.to_csv if p["format"] == "csv" else grid.to_pgm)(path)
+    if p["format"] == "csv":
+        wavefields.write_wigner_csv(*args, path)
+    else:  # PGM rows scan p, so the grid is held whole
+        wavefields.wigner_infinite_well(*args).to_pgm(path)
     return [path], {"p_span": span}
 
 
@@ -294,9 +297,8 @@ def _cmd_bec(p: dict, out):
     extras = {"t_revival": cs.t_revival, "cat_fidelity": analogs.bec_cat_fidelity(cs)}
     span = p["half_span"] or abs(alpha) + 3.0
     axes = (wavefields.AxisSpec(name, -span, span, p["grid_count"]) for name in ("re_beta", "im_beta"))
-    grid = analogs.bec_overlap_grid(cs, p["t_over_trev"] * cs.t_revival, *axes)
     path = out("bec.csv")
-    grid.to_csv(path)
+    analogs.write_bec_csv(cs, p["t_over_trev"] * cs.t_revival, *axes, path)
     return [path], extras
 
 
@@ -328,8 +330,8 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
         **_BOX_KEYS,
         "n0": (_POSITIVE, 400.0),
         # the rasters stream, so time and output grow with x_count * t_count:
-        # 8192 x 8192 takes ~7 s and writes 3 x 128 MiB of PGM for the
-        # default 57-mode packet (2-core x86-64)
+        # 8192 x 8192 takes 4 s at 55 MB max-RSS and writes 3 x 128 MiB of
+        # PGM; --dx0 0.0001 (14,683 modes) at 8192 x 64 takes 21 s at 111 MB
         "x_count": (_bounded(_int_key, 64, below=8193), 256),
         "t_count": (_bounded(_int_key, 64, below=8193), 256),
         "t_hi": (_bounded(_float_key, 0.0), 0.0),  # 0 -> half the revival time
@@ -339,8 +341,8 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
         **_BOX_KEYS,
         "n0": (_POSITIVE, 40.0),
         "t": (_float_key, 0.0),
-        # the byte budget bounds the grid; these bounds keep an axis from being
-        # allocated before it: 8192 x 64 takes 1.4 s and 156 MB max-RSS (2-core x86-64)
+        # the CSV streams x rows: 8192 x 64 takes 1.4 s at 34 MB max-RSS and
+        # 2048^2 7 s, writing 263 MB; pgm holds the grid (2-core x86-64)
         "x_count": (_bounded(_int_key, 2, below=8193), 256),
         "p_count": (_bounded(_int_key, 2, below=8193), 256),
         "p_span": (_bounded(_float_key, 0.0), 0.0),  # 0 -> default span
@@ -386,8 +388,8 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
         "t_over_trev": (_float_key, 0.5),
         # 0 -> |alpha| + 3; the upper bound keeps |beta|^2 (inf past 1e154) finite
         "half_span": (_bounded(_float_key, 0.0, below=1e100), 0.0),
-        # the grid is held whole: at alpha 4, 1024^2 points take ~2 s, 128 MB
-        # of peak RSS and write a 65 MB CSV (2-core x86-64)
+        # the CSV streams rows: at alpha 4, 1024^2 points take 1.4 s at 32 MB
+        # max-RSS and write 65 MB (2-core x86-64)
         "grid_count": (_bounded(_int_key, 2, below=1025), 201),
         "n_cap": (_bounded(_int_key, 0), 0),            # 0 -> auto
     }, _cmd_bec),

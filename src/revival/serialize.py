@@ -19,15 +19,16 @@ def format_float(x: float) -> str:
 def write_csv(path, header: str, row_format: str, columns, rows: int | None = None) -> None:
     """`header`, then `row_format % row` for each row of `columns`: arrays,
     lists, or functions of a row slice that derive that block's values
-    (the first array or list sets the row count). `columns` may instead be
-    one function of a row slice that returns all of that block's columns,
-    with `rows` rows in all, so that no column is ever held whole; a block
-    that raises removes the file. Each block of BLOCK_ROWS rows is
-    formatted by one `%` and written in one call; `%.17g` writes what
-    format_float does."""
+    (`rows`, or else the first array or list, sets the row count).
+    `columns` may instead be one function of a row slice that returns all
+    of that block's columns, with `rows` rows in all, so that no column is
+    ever held whole; a block that raises removes the file. Each block of
+    BLOCK_ROWS rows is formatted by one `%` and written in one call; `%.17g`
+    writes what format_float does."""
     if not callable(columns):
         fixed = columns
-        rows = next(len(col) for col in fixed if not callable(col))
+        if rows is None:
+            rows = next(len(col) for col in fixed if not callable(col))
         columns = lambda part: [col(part) if callable(col) else col[part] for col in fixed]
     fh = open(path, "w", newline="")
     try:
@@ -66,12 +67,39 @@ def write_series_csv(path, rows: int, block) -> None:
 
 def write_grid_csv(path, axis1, axis2, values) -> None:
     """Columns <axis1>,<axis2>,value with axis1 as the outer loop; each
-    axis point is formatted once and looked up per block of cells."""
+    axis point is formatted once and looked up per block of cells.
+    `values` is the grid or an iterable of (row slice, rows) blocks in row
+    order, written as they come."""
     a1 = np.array([format_float(x) for x in axis1.points()], dtype=object)
     a2 = np.array([format_float(y) for y in axis2.points()], dtype=object)
+    blocks = [(slice(0, axis1.count), values)] if isinstance(values, np.ndarray) else values
     write_csv(path, f"{axis1.name},{axis2.name},value\n", "%s,%s,%.17g\n",
               (lambda part: a1[np.arange(part.start, part.stop) // len(a2)],
-               lambda part: a2[np.arange(part.start, part.stop) % len(a2)], np.real(values).ravel()))
+               lambda part: a2[np.arange(part.start, part.stop) % len(a2)], _cells(blocks)),
+              axis1.count * axis2.count)
+
+
+def _cells(blocks):
+    """write_grid_csv's value column: the real parts of consecutive cell
+    slices, drawn from the row blocks in order, one block held at a time."""
+    blocks = iter(blocks)
+    held, first = np.empty(0), 0  # the flattened block and the cell index of held[0]
+
+    def column(part):
+        nonlocal held, first
+        pieces = []
+        lo = part.start
+        while lo < part.stop:
+            if lo == first + len(held):
+                first += len(held)
+                held = None
+                held = np.real(next(blocks)[1]).ravel()
+            hi = min(part.stop, first + len(held))
+            pieces.append(held[lo - first : hi - first])
+            lo = hi
+        return np.concatenate(pieces)
+
+    return column
 
 
 def write_pgms(paths, blocks) -> None:
@@ -84,10 +112,10 @@ def write_pgms(paths, blocks) -> None:
     maxima = [[] for _ in paths]
     height = 0
     for rows in blocks():
-        height += len(rows[0])
+        height, width = height + len(rows[0]), rows[0].shape[1]
         for seen, block in zip(maxima, rows):
             seen.append(block.max())
-    width = rows[0].shape[1]
+    del rows  # not held while the second pass makes its first block
     vmaxes = [float(np.max(seen)) for seen in maxima]
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _Buffers, _phase_block, _phase_chunks
+from .dynamics import _Buffers, _phase_block, _phase_chunks, _unit_phases
 from .errors import DomainError, check_work_bytes
 from .packets import CoefficientSet, _airy_levels, bouncer_norm
 from .serialize import write_grid_csv, write_pgm, write_pgms
@@ -314,13 +314,15 @@ def default_momentum_span(p0: float, dp0: float) -> float:
 
 
 def _wigner_work_bytes(x_count: int, p_count: int, mode_count: int) -> int:
-    """Loose upper estimate of wigner_infinite_well's working arrays:
-    eight complex x-by-p planes, eight complex x-by-shift tables and three
-    complex shift-by-p tables, with shifts counted before merging. The
-    kernel holds far less: the (X, N) mode tables and one FFT convolution
-    while D_j is built, then the merged complex D_j table, three float
-    shift-by-p tables, the float x-by-p result, and the planes of one
-    block of x rows, about dynamics._PHASE_ELEMENTS elements each."""
+    """Loose upper estimate of the Wigner kernel's working arrays while it
+    holds `x_count` x rows on `p_count` momenta: eight complex row-by-p
+    planes, eight complex row-by-shift tables and three complex
+    shift-by-p tables, with shifts counted before merging. The library
+    grid holds every x row, the streamed CSV one block of them. Either
+    holds far less: the float shift-by-p kernel tables, and for one block
+    of x rows its (rows, N) mode tables, FFT convolutions, complex D_j
+    rows and planes of about dynamics._PHASE_ELEMENTS elements each, plus
+    the float x-by-p grid when it is held."""
     shifts = 4 * (2 * mode_count - 1)
     return 16 * (8 * x_count * p_count + 8 * x_count * shifts + 3 * shifts * p_count)
 
@@ -333,24 +335,30 @@ def _index_convolution(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.fft.ifft(spectrum, axis=1)[:, :size]
 
 
-def _shift_rows(a_t: np.ndarray, n: np.ndarray, x: np.ndarray, L: float) -> tuple[np.ndarray, np.ndarray]:
-    """(shifts j, D_j(x)) of `wigner_infinite_well`: one convolution along
-    the mode axis per piece; pieces that share a shift value (diffs and
-    -diffs always do) add into one column. The (X, N) mode tables are
+def _shifts(n: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(shifts j, the column of each term of the four pieces) of
+    `wigner_infinite_well`: pieces that share a shift value (diffs and
+    -diffs always do) add into one column."""
+    sums = 2 * int(n[0]) + np.arange(2 * len(n) - 1)  # m + n
+    diffs = np.arange(2 * len(n) - 1) - (len(n) - 1)  # m - n
+    shift, where = np.unique(np.concatenate([sums, -sums, diffs, -diffs]), return_inverse=True)
+    return shift.astype(float), np.split(where, 4)
+
+
+def _shift_rows(a_t: np.ndarray, n: np.ndarray, x: np.ndarray, L: float, cols, count: int) -> np.ndarray:
+    """D_j(x) on the x rows `x`: one convolution along the mode axis per
+    piece, added into the `count` shift columns that `cols` (from _shifts)
+    name. Every row depends only on its own x. The (X, N) mode tables are
     freed on return."""
     e = np.exp(1j * math.pi * np.outer(x, n) / L)  # e^{i n theta}, (X, N)
     u_plus, u_minus = np.conj(a_t) * e, np.conj(a_t) * np.conj(e)
     v_plus, v_minus = a_t * e, a_t * np.conj(e)
-    sums = 2 * int(n[0]) + np.arange(2 * len(n) - 1)  # m + n
-    diffs = np.arange(2 * len(n) - 1) - (len(n) - 1)  # m - n
-    shift, where = np.unique(np.concatenate([sums, -sums, diffs, -diffs]), return_inverse=True)
-    cols = np.split(where, 4)
-    rows = np.zeros((len(x), len(shift)), dtype=complex)
+    rows = np.zeros((len(x), count), dtype=complex)
     rows[:, cols[0]] += _index_convolution(u_plus, v_minus)
     rows[:, cols[1]] += _index_convolution(u_minus, v_plus)
     rows[:, cols[2]] -= _index_convolution(u_plus, v_plus[:, ::-1])
     rows[:, cols[3]] -= _index_convolution(u_minus, v_minus[:, ::-1])
-    return shift.astype(float), rows
+    return rows
 
 
 def _wigner_block(r, xt, L, shift, base, kern, near_cells) -> np.ndarray:
@@ -371,6 +379,53 @@ def _wigner_block(r, xt, L, shift, base, kern, near_cells) -> np.ndarray:
         sinc = np.where(small, xl, np.sin(dd * xt / L) / dd)
         total[:, k] += np.sum(r[:, js] * sinc, axis=1)
     return total
+
+
+def _wigner_blocks(c: CoefficientSet, L: float, x: np.ndarray, p: np.ndarray, t: float, units: UnitSystem):
+    """(x slice, W on those x rows) of `wigner_infinite_well`, in row order,
+    in blocks of x rows whose widest plane holds about
+    dynamics._PHASE_ELEMENTS elements. The kernel tables are built here,
+    once; each block builds its own D_j rows and raises DomainError if its
+    own imaginary residue passes 1e-10. The byte budget counts one block's
+    tables and the kernel's, which is what the stream holds."""
+    if np.any(x <= 0.0) or np.any(x >= L):
+        raise DomainError("x grid must lie strictly inside the box")
+    basis = InfiniteWellBasis(L, units)
+    n = _basis_indices(c, basis)
+    shift, cols = _shifts(n)
+    chunks = list(_phase_chunks(len(x), 4 * max(len(shift), len(p))))
+    check_work_bytes(_wigner_work_bytes(min(chunks[0].stop, len(x)), len(p), len(n)),
+                     f"Wigner grid {len(x)}x{len(p)} with {len(n)} modes")
+    a_t = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
+    xt = np.minimum(x, L - x)  # mirrored coordinate
+    base = 2.0 * p * L / units.hbar
+    d = base[None, :] + shift[:, None] * math.pi  # (J, P)
+    near = np.abs(d) < 1e-3
+    kern = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
+    # cells where the split cancels: (column, its near shifts, d there, d below 1e-12)
+    near_cells = []
+    for k in np.flatnonzero(near.any(axis=0)):
+        js = np.flatnonzero(near[:, k])
+        dk = d[js, k]
+        small = np.abs(dk) < 1e-12
+        near_cells.append((k, js, np.where(small, 1.0, dk), small))
+    del d, near
+
+    def blocks():
+        for xs in chunks:
+            rows = _shift_rows(a_t, n, x[xs], L, cols, len(shift))
+            total = _wigner_block(rows, xt[xs, None], L, shift, base, kern, near_cells)
+            total /= math.pi * units.hbar
+            max_imag = float(np.max(np.abs(total.imag)))
+            if max_imag > 1e-10:
+                raise DomainError(f"assembled distribution has imaginary residue {max_imag:.2e}")
+            yield xs, total.real
+
+    return blocks()
+
+
+def _wigner_axes(x: np.ndarray, p: np.ndarray) -> tuple[AxisSpec, AxisSpec]:
+    return AxisSpec("x", float(x[0]), float(x[-1]), len(x)), AxisSpec("p", float(p[0]), float(p[-1]), len(p))
 
 
 def wigner_infinite_well(
@@ -397,45 +452,30 @@ def wigner_infinite_well(
     with equal shifts share one column, and the contraction runs in
     einsum's fixed order without BLAS, so the result does not depend on
     the BLAS thread count. Cells with |b_p + j pi| < 1e-3, where the split
-    cancels, take the direct sinc on the merged columns. Everything after
-    D_j runs over blocks of x rows whose widest plane holds about
-    dynamics._PHASE_ELEMENTS elements; every value depends only on its
-    own row, so the grid has the same bits at any block size.
+    cancels, take the direct sinc on the merged columns. Everything runs
+    over blocks of x rows whose widest plane holds about
+    dynamics._PHASE_ELEMENTS elements, D_j included; every value depends
+    only on its own row, so the grid has the same bits at any block size.
+    The grid is held whole, and the byte budget counts it so;
+    `write_wigner_csv` streams the same blocks.
     """
     x = np.asarray(x_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
-    if np.any(x <= 0.0) or np.any(x >= L):
-        raise DomainError("x grid must lie strictly inside the box")
-    basis = InfiniteWellBasis(L, units)
-    n = _basis_indices(c, basis)
-    check_work_bytes(_wigner_work_bytes(len(x), len(p), len(n)),
-                     f"Wigner grid {len(x)}x{len(p)} with {len(n)} modes")
-    a_t = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
-    shift, rows = _shift_rows(a_t, n, x, L)
-    xt = np.minimum(x, L - x)  # mirrored coordinate
-    base = 2.0 * p * L / units.hbar
-    d = base[None, :] + shift[:, None] * math.pi  # (J, P)
-    near = np.abs(d) < 1e-3
-    kern = np.where(near, 0.0, 1.0 / np.where(near, 1.0, d))
-    # cells where the split cancels: (column, its near shifts, d there, d below 1e-12)
-    near_cells = []
-    for k in np.flatnonzero(near.any(axis=0)):
-        js = np.flatnonzero(near[:, k])
-        dk = d[js, k]
-        small = np.abs(dk) < 1e-12
-        near_cells.append((k, js, np.where(small, 1.0, dk), small))
+    check_work_bytes(_wigner_work_bytes(len(x), len(p), len(c.indices)),
+                     f"Wigner grid {len(x)}x{len(p)} with {len(c.indices)} modes")
     values = np.empty((len(x), len(p)))
-    max_imag = 0.0
-    for xs in _phase_chunks(len(x), 4 * max(len(shift), len(p))):
-        total = _wigner_block(rows[xs], xt[xs, None], L, shift, base, kern, near_cells)
-        total /= math.pi * units.hbar
-        max_imag = max(max_imag, float(np.max(np.abs(total.imag))))
-        values[xs] = total.real
-    if max_imag > 1e-10:
-        raise DomainError(f"assembled distribution has imaginary residue {max_imag:.2e}")
-    ax1 = AxisSpec("x", float(x[0]), float(x[-1]), len(x))
-    ax2 = AxisSpec("p", float(p[0]), float(p[-1]), len(p))
-    return FieldGrid(ax1, ax2, values)
+    for xs, rows in _wigner_blocks(c, L, x, p, t, units):
+        values[xs] = rows
+    return FieldGrid(*_wigner_axes(x, p), values)
+
+
+def write_wigner_csv(c: CoefficientSet, L: float, x_grid, p_grid, t: float, path,
+                     units: UnitSystem = DEFAULT_UNITS) -> None:
+    """`wigner_infinite_well(...).to_csv(path)`, computed and written one
+    block of x rows at a time, so that no X-by-P array is held."""
+    x = np.asarray(x_grid, dtype=float)
+    p = np.asarray(p_grid, dtype=float)
+    write_grid_csv(path, *_wigner_axes(x, p), _wigner_blocks(c, L, x, p, t, units))
 
 
 def wigner_marginals(grid: FieldGrid, taper_fraction: float = 0.12) -> tuple[np.ndarray, np.ndarray]:
@@ -465,32 +505,75 @@ def wigner_marginals(grid: FieldGrid, taper_fraction: float = 0.12) -> tuple[np.
 # Space-time rasters
 # ----------------------------------------------------------------------
 
-_CARPET_TIMES = 32  # times per (T, N) @ (N, X) product in carpet
+# times per carpet time block: the bench carpet (57 modes, 1024^2) peaks at
+# 34.2 MB max-RSS with 16 and 36.4 MB with 32 in the same wall time, and at
+# 33.2 MB with 8 but 15% slower (2-core x86-64, 2 BLAS threads)
+_CARPET_TIMES = 16
+# (mode, x) elements per column block of the carpet's e_plus table, 24 B
+# each while built: the default 57-mode packet is one block at any x_count
+_CARPET_TABLE = 1 << 20
 
 
 def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
     """(time slice, classical rows, quantum rows) of `carpet`, in time
-    order; the rows are (T, X), the PGM row order. Each sub-block of
-    _CARPET_TIMES times takes one (T, N) @ (N, X) product per wave
-    direction; w_minus = a @ conj(e_plus) is used only through
-    conj(w_minus) = conj(a) @ e_plus, which needs no (N, X) conjugate copy
-    and has the same modulus."""
+    order; the rows are (T, X), the PGM row order, formed in place. A time
+    block takes one (2T, N) @ (N, X') product per column block of the
+    e_plus table (N X' <= _CARPET_TABLE), whose rows a(t) and conj(a(t))
+    give the bits of one product per wave direction: w_minus = a @
+    conj(e_plus) is used only through conj(w_minus) = conj(a) @ e_plus,
+    which has the same modulus.
+
+    A table of one column block is built once, and a time block is
+    _CARPET_TIMES times. A wider table is rebuilt for every time block, at
+    ~40 ns per element against ~0.3 ns per element and time of product,
+    so its time blocks widen until their (N, 2T) and (2T, X) rows reach
+    _CARPET_TABLE elements; BLAS picks its kernels by shape, so these rows
+    can differ from a one-block product's in the last place."""
     L = basis.L
     n = _basis_indices(c, basis).astype(float)
-    # 48 B per (mode, x) cell: the measured tracemalloc peak is 32 B per cell
-    check_work_bytes(len(n) * len(x) * 48, f"carpet of {len(n)} modes on {len(x)} x samples")
-    e_plus = np.exp(1j * (math.pi * np.outer(n, x) / L))  # (N, X)
-    for chunk in _phase_chunks(len(ts), len(n), align=_CARPET_TIMES):  # same sub-blocks at any size
-        # fresh buffers: the angle plane is freed before the products below run
-        block = _phase_block(ts[chunk], n, basis.spectrum)
-        for sub in range(0, block.shape[1], _CARPET_TIMES):
-            a_t = (c.coefficients[:, None] * np.conj(block[:, sub : sub + _CARPET_TIMES])).T
-            w_plus = a_t @ e_plus
-            w_minus_conj = np.conj(a_t) @ e_plus
+    width = max(1, _CARPET_TABLE // len(n))
+    # 48 B per (mode, x) cell of a column block: the measured tracemalloc peak is 24 B per cell
+    check_work_bytes(len(n) * min(width, len(x)) * 48, f"carpet of {len(n)} modes on {len(x)} x samples")
+    columns = [slice(lo, lo + width) for lo in range(0, len(x), width)]
+    tables = _Buffers()  # the table of a column block, reused by each rebuild
+
+    def table(cols):
+        theta = np.multiply.outer(n, x[cols])
+        theta *= math.pi
+        theta /= L
+        # e_plus, (N, X'): cos and sin give the bits of np.exp(1j * theta);
+        # complex exp ran 10x slower once a complex BLAS product had run
+        # (2-core AVX-512 x86-64, OpenBLAS 0.3.31)
+        return _unit_phases(theta, tables)
+
+    whole = table(columns[0]) if len(columns) == 1 else None
+    step = _CARPET_TIMES if whole is not None else max(_CARPET_TIMES,
+                                                        _CARPET_TABLE // (2 * max(len(n), len(x))))
+    buf = _Buffers()
+    # the phases of a few product blocks per call: a call per block costs
+    # more than its product, and a full _PHASE_ELEMENTS block peaks higher
+    for chunk in _phase_chunks(len(ts), 8 * len(n), align=step):
+        phases = _phase_block(ts[chunk], n, basis.spectrum, buf)
+        for sub in range(0, phases.shape[1], step):
+            times = min(step, phases.shape[1] - sub)
+            a = np.empty((len(n), 2 * times), dtype=complex)  # columns a(t), then conj(a(t))
+            np.multiply(c.coefficients[:, None], np.conj(phases[:, sub : sub + times]), out=a[:, :times])
+            np.conj(a[:, :times], out=a[:, times:])
+            w = np.empty((2 * times, len(x)), dtype=complex)
+            for cols in columns:
+                np.matmul(a.T, table(cols) if whole is None else whole, out=w[:, cols])
+            w_plus, w_minus_conj = w[:times], w[times:]
+            # (|w_plus|^2 + |w_minus|^2) / 2L and -Re(w_plus conj(w_minus)) / L, in place
+            cls = np.abs(w_plus)
+            cls **= 2
+            part = np.abs(w_minus_conj)
+            part **= 2
+            cls += part
+            cls /= 2.0 * L
+            qc = np.negative(np.multiply(w_plus, w_minus_conj, out=w_plus).real, out=part)
+            qc /= L
             start = chunk.start + sub
-            yield (slice(start, start + len(a_t)),
-                   (np.abs(w_plus) ** 2 + np.abs(w_minus_conj) ** 2) / (2.0 * L),
-                   -np.real(w_plus * w_minus_conj) / L)
+            yield slice(start, start + times), cls, qc
 
 
 def _carpet_axes(L: float, x_count: int, t_count: int, t_hi: float) -> tuple[AxisSpec, AxisSpec]:

@@ -17,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import revival
-from revival import cli, serialize, wavefields
+from revival import analogs, cli, errors, serialize, wavefields
 from revival.cli import build_scenario, main, parse_config, run
-from revival.errors import ConfigError
+from revival.errors import WORK_MAX_BYTES, ConfigError
 
 
 def write_config(tmp_path, text):
@@ -107,9 +107,11 @@ class TestRun:
         assert blob.startswith(b"P5\n# max=")
 
     def test_carpet_holds_two_rasters(self, tmp_path):
-        # the bench carpet: 1024 x 1024 float rasters of 8 MiB each. Measured
-        # peaks (CPython 3.11, numpy 2.4): 20.5 MB with the total summed as it
-        # is written, 26.3 MB with a total raster held beside its two parts
+        # the bench carpet: 1024 x 1024 float rasters of 8 MiB each, of
+        # which the run holds none (see the next test). Measured peaks
+        # (CPython 3.11, numpy 2.4): 20.5 MB with the two rasters held and
+        # the total summed as it is written, 26.3 MB with a total raster
+        # held beside its two parts
         sc = build_scenario("carpet", {"n0": "400", "x_count": "1024", "t_count": "1024"}, str(tmp_path))
         run(sc)  # the first run fills import-time caches outside the trace
         tracemalloc.start()
@@ -122,8 +124,9 @@ class TestRun:
 
     def test_carpet_streams_without_a_raster(self, tmp_path):
         # the bench carpet again: the three PGMs are written in two passes over
-        # 32-time row blocks. Measured peaks (CPython 3.11, numpy 2.4): 4.9 MiB
-        # streamed, 19.6 MiB with the two 8 MiB rasters held
+        # 16-time row blocks, computed in place. Measured peaks (CPython 3.11,
+        # numpy 2.4): 2.6 MiB; 4.4 MiB over 32-time blocks with fresh
+        # temporaries; 19.6 MiB with the two 8 MiB rasters held
         sc = build_scenario("carpet", {"n0": "400", "x_count": "1024", "t_count": "1024"}, str(tmp_path))
         run(sc)
         tracemalloc.start()
@@ -132,7 +135,7 @@ class TestRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.75 * 1024 * 1024 * 8
+        assert peak < 3.5 * 1024 * 1024
 
     def test_carpet_pgms_are_pgms_of_the_library_grids(self, tmp_path, monkeypatch):
         seen = []
@@ -358,9 +361,16 @@ class TestWignerContract:
         assert f"p_span = {format(span, '.12g')}\n" in meta
 
     def test_grid_just_above_budget_exits_three(self, tmp_path, capsys):
-        # the default packet keeps 57 modes; 2603^2 is the first square
-        # grid whose working arrays exceed the 1 GiB cap
-        code = main(["wigner", "--x_count", "2603", "--p_count", "2603", "--out", str(tmp_path)])
+        # the CSV streams blocks of x rows, so the budget counts one block
+        # and the (shift, p) kernel tables; past 4096 momenta a block is one
+        # row. This packet keeps 398 modes, and 7026 momenta is the first
+        # count whose tables exceed the 1 GiB cap
+        argv = ["wigner", "--dx0", "0.004", "--x_count", "2"]
+        _, c = cli._box_coefficients(build_scenario("wigner", {"dx0": "0.004"}, str(tmp_path)).params)
+        assert len(c.indices) == 398
+        below, above = (wavefields._wigner_work_bytes(1, p_count, 398) for p_count in (7025, 7026))
+        assert below <= WORK_MAX_BYTES < above
+        code = main(argv + ["--p_count", "7026", "--out", str(tmp_path)])
         assert code == 3
         assert "GiB" in capsys.readouterr().err
 
@@ -709,13 +719,10 @@ class TestSchemaBounds:
      # 1e5-level cap (1e12 levels, 7.28 TiB, at alpha 1e6), and an explicit one
      (["bec", "--alpha_re", "1e6", "--u0", "1"], "ladder levels"),
      (["bec", "--alpha_re", "1e200", "--u0", "1"], "ladder levels"),
-     (["bec", "--alpha_re", "4", "--u0", "1", "--n_cap", "1000000000000"], "ladder levels"),
-     # a narrow packet's (modes x samples) carpet table: 14,683 modes on 8192
-     # x samples, 1.79 GiB of complex entries
-     (["carpet", "--dx0", "0.0001", "--x_count", "8192", "--t_count", "64"], "GiB")],
+     (["bec", "--alpha_re", "4", "--u0", "1", "--n_cap", "1000000000000"], "ladder levels")],
     ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor", "autocorr_huge_n0", "autocorr_huge_dn",
          "autocorr_inexact_n0", "autocorr_huge_window", "bec_huge_alpha", "bec_overflowing_alpha",
-         "bec_huge_n_cap", "carpet_narrow_packet"],
+         "bec_huge_n_cap"],
 )
 def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
     # run as a process to see the real stderr: one error line, no warnings,
@@ -855,6 +862,76 @@ class TestStreamedSeries:
         assert "not finite" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
+
+class TestStreamedGrids:
+    """The CLI writes its Wigner and condensate grids block by block of
+    grid rows; the bytes are those of the library grid's to_csv."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [{}, {"x_count": "100", "p_count": "257", "t": "0.013"}, {"x_count": "150", "p_count": "64"}],
+        ids=["256x256", "100x257_t", "150x64"],
+    )
+    def test_wigner_csv_equals_library_csv(self, tmp_path, monkeypatch, args):
+        # odd and small p counts: the row blocks do not line up with BLOCK_ROWS
+        seen = []
+        original = wavefields.write_wigner_csv
+        monkeypatch.setattr(wavefields, "write_wigner_csv", lambda *a: (seen.append(a), original(*a)))
+        run(build_scenario("wigner", args, str(tmp_path)))
+        *grid, path = seen[0]
+        wavefields.wigner_infinite_well(*grid).to_csv(tmp_path / "want.csv")
+        assert open(path, "rb").read() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "args",
+        [{"alpha_re": "4", "grid_count": "31"}, {"alpha_re": "4"},
+         # n_cap 953: the Horner recurrence rescales, so blocks that took
+         # their own cadence from their own |beta| would move bits
+         {"alpha_re": "25", "alpha_im": "7", "half_span": "60", "grid_count": "151"}],
+        ids=["31", "201", "rescaling"],
+    )
+    def test_bec_csv_equals_library_csv(self, tmp_path, monkeypatch, args):
+        seen = []
+        original = analogs.write_bec_csv
+        monkeypatch.setattr(analogs, "write_bec_csv", lambda *a: (seen.append(a), original(*a)))
+        run(build_scenario("bec", {"u0": "1", **args}, str(tmp_path)))
+        *grid, path = seen[0]
+        analogs.bec_overlap_grid(*grid).to_csv(tmp_path / "want.csv")
+        assert open(path, "rb").read() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bec", "--alpha_re", "4", "--u0", "1", "--grid_count", "1024"],
+         ["wigner", "--x_count", "4096", "--p_count", "64"]],
+        ids=["bec_1024", "wigner_4096x64"],
+    )
+    def test_peak_memory_at_scale(self, tmp_path, argv):
+        # measured peaks (CPython 3.11, numpy 2.4): 1.1 MiB (bec) and 1.9 MiB
+        # (wigner) in row blocks, 101 MiB and 58 MiB with the whole grids
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 << 20, peak
+
+    def test_narrow_carpet_runs_past_its_table_budget(self, tmp_path, monkeypatch):
+        # a 579-mode packet on 8192 x samples: a whole (mode, x) table at
+        # 48 B per cell (4.7M cells, 217 MiB) passes a 128 MiB cap, which
+        # refused the run, while its column blocks fit. At the 1 GiB cap the
+        # same holds for --dx0 0.0001, 14,683 modes (a 21 s run)
+        monkeypatch.setattr(errors, "WORK_MAX_BYTES", 128 << 20)
+        argv = ["carpet", "--dx0", "0.005", "--x_count", "8192", "--t_count", "64"]
+        tracemalloc.start()
+        try:
+            code = main(argv + ["--out", str(tmp_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 64 << 20, peak  # measured: 54 MiB
 
 # Each example sets every required key and some optional ones to values
 # from ranges that keep the run small, and at most one key to an edge value

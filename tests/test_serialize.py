@@ -252,6 +252,31 @@ def test_grid_over_block_edges(tmp_path):
                 lambda p: _old_grid(p, a1, a2, values))
 
 
+@pytest.mark.parametrize("rows", [[37], [1] * 37, [5, 1, 30, 1], [20, 17]],
+                         ids=["one_block", "single_rows", "uneven", "two_blocks"])
+def test_grid_from_row_blocks(tmp_path, rows):
+    # 37 x 113 = 4181 cells: the row blocks never line up with BLOCK_ROWS
+    a1 = wavefields.AxisSpec("x", -1.0, 1e-3, 37)
+    a2 = wavefields.AxisSpec("p", -250.0, 250.0, 113)
+    values = np.random.default_rng(7).standard_normal((37, 113))
+    values.flat[:len(EDGES)] = EDGES
+    bounds = np.cumsum([0] + rows)
+    blocks = ((slice(lo, hi), values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    _same_bytes(tmp_path, lambda p: write_grid_csv(p, a1, a2, blocks), lambda p: _old_grid(p, a1, a2, values))
+
+
+def test_grid_block_that_raises_leaves_no_file(tmp_path):
+    axis = wavefields.AxisSpec("x", 0.0, 1.0, 80)
+
+    def blocks():
+        yield slice(0, 60), np.zeros((60, 80))
+        raise ValueError("second block")
+
+    with pytest.raises(ValueError, match="second block"):
+        write_grid_csv(tmp_path / "bad.csv", axis, axis, blocks())
+    assert not (tmp_path / "bad.csv").exists()
+
+
 @pytest.mark.parametrize(
     "spectrum",
     [lambda: billiards.square_spectrum(1.0, n_cap=9),

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from revival import dynamics, specfun
+from revival import dynamics, specfun, wavefields
 from revival.dynamics import _phase_block, _phase_chunks
 from revival.errors import WORK_MAX_BYTES, DomainError, TruncationError
 from revival.packets import (
@@ -18,6 +18,7 @@ from revival.packets import (
 from revival.serialize import write_pgm
 from revival.spectra import Spectrum1D, eval_energy, time_scales
 from revival.wavefields import (
+    _CARPET_TIMES,
     AxisSpec,
     BouncerBasis,
     FieldGrid,
@@ -343,8 +344,9 @@ class TestWignerRowBlocks:
 
     def test_default_grid_peak_in_row_blocks(self):
         # the CLI default, 256 x 256 with 57 modes. Measured peaks (CPython
-        # 3.11, numpy 2.4): 5.2 MiB in row blocks, 12.6 MiB with the full
-        # (4X x J) and (4X x P) contraction planes
+        # 3.11, numpy 2.4): 2.4 MiB with D_j built per row block, 4.0 MiB
+        # with the whole (X, J) D_j table, 12.6 MiB with the full (4X x J)
+        # and (4X x P) contraction planes
         c, x, pg = _cli_wigner_inputs(256, 256)
         wigner_infinite_well(c, L, x, pg, 0.0)  # FFT plan caches fill outside the trace
         tracemalloc.start()
@@ -353,7 +355,7 @@ class TestWignerRowBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8_000_000
+        assert peak < 3_500_000
 
 
 class TestCarpetStream:
@@ -366,7 +368,7 @@ class TestCarpetStream:
         pk = PacketParams1D(x0=0.5, p0=400 * math.pi, width_b=dx0 * math.sqrt(2.0))
         c = infinite_well_coefficients(pk, L, int(400 + 12 * delta_n_estimate(pk, L)) + 8)
         if dx0 < 0.05:
-            assert len(list(_phase_chunks(t_count, len(c.indices), align=32))) > 1
+            assert len(list(_phase_chunks(t_count, 8 * len(c.indices), align=_CARPET_TIMES))) > 1
         t_hi = TREV / 7
         names = ("total", "classical", "quantum")
         write_carpet_pgms(c, L, x_count, t_count, t_hi, [tmp_path / f"{name}.pgm" for name in names])
@@ -435,6 +437,17 @@ class TestCarpet:
         assert np.max(np.abs(cls.values - want_c)) <= 1e-13 * scale
         assert np.max(np.abs(qc.values - want_q)) <= 1e-13 * scale
         assert np.max(np.abs(cls.values + qc.values - (want_c + want_q))) <= 1e-13 * scale
+
+    def test_column_blocks_match_one_table(self, cset, monkeypatch):
+        # a 2000-element cap cuts the (57, 80) table into three column blocks,
+        # rebuilt for each block of times; BLAS may round their products
+        # differently from the one-table product's
+        cls, qc = carpet(cset, L, 80, 300, TREV / 3)
+        monkeypatch.setattr(wavefields, "_CARPET_TABLE", 2000)
+        cls_b, qc_b = carpet(cset, L, 80, 300, TREV / 3)
+        scale = np.max(cls.values)
+        assert np.max(np.abs(cls_b.values - cls.values)) <= 1e-14 * scale
+        assert np.max(np.abs(qc_b.values - qc.values)) <= 1e-14 * scale
 
 
 def _simpson_weights(x: np.ndarray) -> np.ndarray:
