@@ -17,6 +17,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+# idle BLAS workers sleep at once instead of spinning ~0.13 s CPU
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 import numpy as np
 
 from . import __version__
@@ -375,7 +377,7 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
     }, _cmd_billiard2d),
     "jc": ({
         # the level window grows as 24 sqrt(nbar): the default 6000 steps take
-        # ~28 s at nbar 1e7 and ~100 s just below the bound (2-core x86-64)
+        # ~26 s at nbar 1e7 and ~107 s just below the bound (2-core x86-64)
         "nbar": (_bounded(_float_key, 0.0, below=1e8), _REQUIRED),
         "coupling": (_POSITIVE, _REQUIRED),
         "tau_max": (_POSITIVE, 30.0),

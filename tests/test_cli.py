@@ -28,6 +28,23 @@ def write_config(tmp_path, text):
     return str(path)
 
 
+def _child_artifacts(argv, name, out, **env_vars):
+    """(file name, bytes) of the artifacts matching the glob `name` that
+    `python -m revival.cli ARGV` writes to `out` in a fresh process whose
+    environment sets env_vars (None unsets one)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(revival.__file__)))
+    for var, value in env_vars.items():
+        env.pop(var, None)
+        if value is not None:
+            env[var] = value
+    proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    files = sorted(out.glob(name))
+    assert files, name
+    return [(path.name, path.read_bytes()) for path in files]
+
+
 class TestParsing:
     def test_minimal_autocorr_config(self, tmp_path):
         path = write_config(
@@ -208,18 +225,22 @@ class TestRun:
         # OpenBLAS fixes its thread count at import, so each count runs in
         # its own process; never more than 2 threads. `name` is a glob: the
         # carpet compares all three of its PGMs
-        src = os.path.dirname(os.path.dirname(revival.__file__))
-        outs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-            out = tmp_path / threads
-            proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(out)],
-                                  capture_output=True, text=True, env=env, timeout=120)
-            assert proc.returncode == 0, proc.stderr
-            files = sorted(out.glob(name))
-            assert files, name
-            outs.append([(path.name, path.read_bytes()) for path in files])
+        outs = [_child_artifacts(argv, name, tmp_path / threads, OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2")]
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [(["jc", "--nbar", "50", "--coupling", "1"], "jc.csv"),
+         (["carpet", "--n0", "400", "--x_count", "1024", "--t_count", "1024"], "carpet_*.pgm")],
+        ids=["jc", "carpet"],
+    )
+    def test_bytes_do_not_depend_on_blas_thread_timeout(self, tmp_path, argv, name):
+        # unset, the CLI's default of 4 applies; 28 is OpenBLAS's own default
+        unset = _child_artifacts(argv, name, tmp_path / "unset", OPENBLAS_NUM_THREADS="2",
+                                 OPENBLAS_THREAD_TIMEOUT=None)
+        assert unset == _child_artifacts(argv, name, tmp_path / "28", OPENBLAS_NUM_THREADS="2",
+                                         OPENBLAS_THREAD_TIMEOUT="28")
 
     def test_bec_grid(self, tmp_path):
         sc = build_scenario(

@@ -1,13 +1,18 @@
 """What each process loads: the package resolves its exports and
 submodules on first access, and each CLI command imports only the
-modules it runs (specfun only on the Airy and Bessel paths)."""
+modules it runs (specfun only on the Airy and Bessel paths). The CLI
+also sets OpenBLAS's idle timeout before numpy loads, so no BLAS worker
+spins through start-up."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
+import numpy as np
 import pytest
 
 import revival
@@ -102,3 +107,49 @@ def test_star_import_and_submodule_attributes():
 def test_unknown_attribute_is_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
         revival.nonesuch  # noqa: B018
+
+
+_OPENBLAS = "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].lower()
+
+
+def _blas_env(timeout: str | None = None) -> dict[str, str]:
+    """A child's environment with 2 BLAS threads and OPENBLAS_THREAD_TIMEOUT
+    set to `timeout`, or unset: this process set it when it imported revival.cli."""
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="2")
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    return env
+
+
+@pytest.mark.skipif(not _OPENBLAS, reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("entry", ["module", "console_script"])
+def test_cli_child_does_not_spin(tmp_path, entry):
+    # a spinning BLAS worker adds ~0.13 s of CPU over the wall time of this
+    # BLAS-free command; a loaded machine only lowers CPU against wall
+    argv = ["fractional", "--p", "1", "--q", "3", "--out", str(tmp_path)]
+    if entry == "module":
+        cmd = [sys.executable, "-m", "revival.cli", *argv]
+    else:
+        cmd = [sys.executable, "-c", f"from revival.cli import main; raise SystemExit(main({argv!r}))"]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(cmd, env=_blas_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    timer = threading.Timer(120, proc.kill)
+    timer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        timer.cancel()
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    assert usage.ru_utime + usage.ru_stime <= wall + 0.05
+
+
+@pytest.mark.parametrize("value, expected", [(None, "4"), ("28", "28")], ids=["default", "user_value"])
+def test_thread_timeout_default_keeps_a_user_value(value, expected):
+    proc = subprocess.run([sys.executable, "-c", "import os, revival.cli\n"
+                           "print(os.environ['OPENBLAS_THREAD_TIMEOUT'], os.environ['OPENBLAS_NUM_THREADS'])"],
+                          capture_output=True, text=True, timeout=120, env=_blas_env(value))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [expected, "2"]
