@@ -95,7 +95,8 @@ def jc_inversion(p: JCParams, t_grid) -> TimeSeries:
         tail += w[0] * n_lo / (p.nbar - n_lo)
     if tail > 1e-12:
         raise TruncationError(f"Poisson tail {tail:.2g} beyond the level window exceeds 1e-12")
-    freqs = 2.0 * np.sqrt(np.arange(n_lo, n_hi + 1, dtype=float)) * p.coupling
+    with np.errstate(over="ignore"):  # an infinite frequency is reduced_phase's DomainError
+        freqs = 2.0 * np.sqrt(np.arange(n_lo, n_hi + 1, dtype=float)) * p.coupling
     pe = 0.5 + 0.5 * _phase_sum(w, freqs, t).real
     return TimeSeries(t, pe.astype(complex))
 
@@ -132,9 +133,12 @@ def _bec_log_coefficients(cs: CoherentState, t: float) -> tuple[np.ndarray, np.n
     """(log|c_n(t)|, c_n(t)/|c_n(t)|) for n = 0..n_cap. The phase is reduced
     with the evenness of n(n-1) so that whole revival periods cancel
     exactly in floating point."""
+    revivals = t / cs.t_revival
+    if not math.isfinite(revivals):
+        raise DomainError(f"evolution time t = {t:g} ({revivals:g} revival times) is not finite")
     n = np.arange(cs.n_cap + 1)
     k = (n * (n - 1)).astype(float)  # always even
-    phase_cycles = np.mod(k * np.mod(t / cs.t_revival, 1.0), 2.0)
+    phase_cycles = np.mod(k * np.mod(revivals, 1.0), 2.0)
     phase = np.exp(1j * n * np.angle(cs.alpha)) * np.exp(-1j * math.pi * phase_cycles)
     return 0.5 * cs.log_poisson(), phase
 

@@ -22,7 +22,7 @@ os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, RevivalError
+from .errors import ConfigError, RevivalError, TruncationError
 from .serialize import format_float, write_csv, write_series_csv
 
 # --model value -> (Spectrum1D factory, the model keys it reads, in argument order)
@@ -160,7 +160,10 @@ def _box_coefficients(p: dict, n_max: int = 0):
 
     L = p["L"]
     pk = packets.PacketParams1D(p["x0"], p["n0"] * math.pi / L, p["dx0"] * math.sqrt(2.0))
-    n_max = n_max or int(abs(p["n0"]) + 12 * packets.delta_n_estimate(pk, L)) + 8
+    count = abs(p["n0"]) + 12 * packets.delta_n_estimate(pk, L)
+    if not math.isfinite(count):
+        raise TruncationError(f"keys 'L' and 'dx0': L = {L:g} over dx0 = {p['dx0']:g} is an infinite mode count")
+    n_max = n_max or int(count) + 8
     return pk, packets.infinite_well_coefficients(pk, L, n_max)
 
 
@@ -272,10 +275,10 @@ def _cmd_billiard2d(p: dict, out):
         t1, t2, cross = billiards.revival_times_2d(s2d, center)
         extras = {"t_revival_q1": t1, "t_revival_q2": t2, "t_revival_cross": cross}
     paths = [out("levels.csv")]
-    s2d.write_levels_csv(paths[0])
-    if c2d is not None:
+    if c2d is not None:  # first: a series that fails then leaves no levels table either
         paths.append(out("autocorr2d.csv"))
         _write_series(paths[1], p["tmax"], p["steps"], lambda t: billiards.autocorrelation_2d(c2d, s2d, t))
+    s2d.write_levels_csv(paths[0])
     return paths, extras
 
 
@@ -347,7 +350,7 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
         # 2048^2 7 s, writing 263 MB; pgm holds the grid (2-core x86-64)
         "x_count": (_bounded(_int_key, 2, below=8193), 256),
         "p_count": (_bounded(_int_key, 2, below=8193), 256),
-        "p_span": (_bounded(_float_key, 0.0), 0.0),  # 0 -> default span
+        "p_span": (_bounded(_float_key, 0.0, below=1e300), 0.0),  # 0 -> default span; 2 p_span stays finite
         "format": (_str_key(("csv", "pgm")), "csv"),
     }, _cmd_wigner),
     "observables": ({
@@ -384,8 +387,9 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
         "steps": (_STEPS, 6000),
     }, _cmd_jc),
     "bec": ({
-        "alpha_re": (_float_key, _REQUIRED),
-        "alpha_im": (_float_key, 0.0),
+        # |alpha| of parts from 1.3e308 on overflows abs(); past 1e154 is a TruncationError anyway
+        "alpha_re": (_bounded(_float_key, -1e300, below=1e300), _REQUIRED),
+        "alpha_im": (_bounded(_float_key, -1e300, below=1e300), 0.0),
         "u0": (_nonzero, _REQUIRED),
         "t_over_trev": (_float_key, 0.5),
         # 0 -> |alpha| + 3; the upper bound keeps |beta|^2 (inf past 1e154) finite

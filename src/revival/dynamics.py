@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -22,8 +21,8 @@ if TYPE_CHECKING:  # annotations only: the phase sums need no packet builder
 TWO_PI = 2.0 * math.pi
 
 
-def _two_pi_fraction(bits: int) -> Fraction:
-    """2 pi to within 2^-bits, from Machin's pi = 16 acot(5) - 4 acot(239)
+def _two_pi_scaled(bits: int) -> int:
+    """2 pi 2^bits to within 1, from Machin's pi = 16 acot(5) - 4 acot(239)
     in integer arithmetic; 16 guard bits absorb the truncations."""
     one = 1 << (bits + 16)
 
@@ -35,17 +34,18 @@ def _two_pi_fraction(bits: int) -> Fraction:
             k, sign = k + 2, -sign
         return total
 
-    return Fraction((2 * (16 * acot(5) - 4 * acot(239))) >> 16, 1 << bits)
+    return (2 * (16 * acot(5) - 4 * acot(239))) >> 16
 
 
 # every |omega t| of two finite doubles is below 2^2048, so 2200 bits keep
-# k * (error of 2 pi) far below one ulp of the reduced phase
-_FRACTION_TWO_PI = _two_pi_fraction(2200)
+# k * (error of 2 pi) far below one ulp of the reduced phase; held as the
+# integer 2 pi 2^2200, so that no Fraction is needed
+_TWO_PI_SCALED = _two_pi_scaled(2200)
 _BIG_PHASE = 1e8
 # rows x times per block: a block's three or four float planes (1 MB) stay
 # in L2; in-process, 2^14 is 20 % slower on caseA and 2^16 no faster
 _PHASE_ELEMENTS = 1 << 15
-_EXACT_ELEMENTS = 4096  # products per far-phase slice; _reduce_exact holds ~25 temporaries per element
+_EXACT_ELEMENTS = 1024  # far products per slice: _payne_hanek's (8, n) tables stay at 64 KiB
 # the factored phase sum (_phase_sum): offsets per base, sqrt(BLOCK_ROWS);
 # levels x columns per table, which keeps a run's tables below the buffers
 # of one _PHASE_ELEMENTS block; the fewest columns per table worth a
@@ -57,23 +57,26 @@ _MIN_COLUMNS = 8
 _LINEAR_GUARD = 2.0**-27
 
 
-def _cody_waite_parts():
-    # Split 2*pi into heads with 27 trailing zero mantissa bits, so k * P1
-    # and k * P2 stay exact for the k range used here.
-    import struct
-
-    def chop(x: float) -> float:
-        bits = struct.unpack("<q", struct.pack("<d", x))[0]
-        bits &= ~((1 << 27) - 1)
-        return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-    p1 = chop(TWO_PI)
-    p2 = chop(float(_FRACTION_TWO_PI - Fraction(p1)))
-    p3 = float(_FRACTION_TWO_PI - Fraction(p1) - Fraction(p2))
-    return p1, p2, p3
+def _chop(x: float) -> float:
+    # x > 0 cut to 26 significant bits, so k * _chop(x) stays exact for the k
+    # of the Cody-Waite range
+    m, e = math.frexp(x)
+    return math.ldexp(math.floor(math.ldexp(m, 26)), e - 26)
 
 
-_P1, _P2, _P3 = _cody_waite_parts()
+def _two_pi_minus(*words: float) -> float:
+    # 2 pi - sum(words) exactly, then rounded once (int / int rounds correctly)
+    exact = sum((num << 2200) // den for num, den in (w.as_integer_ratio() for w in words))
+    return (_TWO_PI_SCALED - exact) / (1 << 2200)
+
+
+# 2 pi = P1 + P2 + P3 for Cody-Waite, and 2 pi = W1 + W2 + W3 to ~2^-160
+_P1 = _chop(TWO_PI)
+_P2 = _chop(_two_pi_minus(_P1))
+_P3 = _two_pi_minus(_P1, _P2)
+_W1 = TWO_PI
+_W2 = _two_pi_minus(_W1)
+_W3 = _two_pi_minus(_W1, _W2)
 
 
 class _Buffers:
@@ -125,25 +128,6 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-# 2*pi as 16-bit chunks P_i = c_i * 2^-(13 + 16 i), 192 bits in all; with
-# k split into 26-bit halves every k_half * P_i is exact (below 2^42 ulps)
-def _two_pi_chunks() -> np.ndarray:
-    rest, chunks = _FRACTION_TWO_PI, []
-    for i in range(12):
-        scale = 13 + 16 * i
-        chunks.append(math.ldexp(math.floor(rest * 2**scale), -scale))
-        rest -= Fraction(chunks[-1])
-    return np.array(chunks)
-
-
-_PC = _two_pi_chunks()
-_QC = _PC * 2.0**26  # 2^26 * P_i: the chunks seen by the high half of k
-_EXACT_CAP = 2.0**52 * TWO_PI  # |omega t| below this has k < 2^52
-# the fixed grids of the three-word sum: word 1 holds multiples of 2^-47,
-# word 2 multiples of 2^-97, word 3 the rest
-_G1, _G2 = 2.0**-47, 2.0**-97
-
-
 def _split_on_grid(x, grid: float):
     """x = head + tail exactly, head rounded to a multiple of `grid` (a
     power of two); needs |x| < 2^51 * grid."""
@@ -152,104 +136,96 @@ def _split_on_grid(x, grid: float):
     return head, x - head
 
 
-def _two_pi_words() -> tuple[float, float, float]:
-    # 2 pi as one word on each grid, so m * 2 pi adds exactly to words 1, 2
-    w1 = round(_FRACTION_TWO_PI / Fraction(_G1)) * _G1
-    rest = _FRACTION_TWO_PI - Fraction(w1)
-    w2 = round(rest / Fraction(_G2)) * _G2
-    return w1, w2, float(rest - Fraction(w2))
+def _inverse_two_pi_windows() -> np.ndarray:
+    """1/(2 pi) = sum_j T_j 2^(-25 (j + 1)) in 25-bit chunks T_0 .. T_87
+    from the 2200-bit 2 pi (T_j = 0 for j < 0): column k of the (12, 82)
+    table holds T_{k-5+i} 2^(-25 (i - 4)) in row i, the window of chunks
+    that a product m 2^E with E // 25 = k (E <= 2048) needs."""
+    inv = (1 << 4400) // _TWO_PI_SCALED
+    chunks = [0] * 5 + [(inv >> (2175 - 25 * j)) & (2**25 - 1) for j in range(88)]
+    return np.array([[math.ldexp(chunks[k + i], 25 * (4 - i)) for k in range(82)] for i in range(12)])
 
 
-_W1, _W2, _W3 = _two_pi_words()
+_INV_TWO_PI = _inverse_two_pi_windows()
 
 
-def _reduce_exact(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """(hi + lo) mod 2*pi, folded into [0, 2*pi) like Fraction.__mod__, for
-    1e8 < |hi| < _EXACT_CAP (so k = floor(|hi| / 2 pi) < 2^52).
+def _payne_hanek(hi: np.ndarray, lo: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x = (hi + lo) 2^e mod 2 pi, folded into [0, 2 pi) like Fraction.__mod__
+    and rounded once (Payne and Hanek 1983), for |x| > 2^25 and |lo| <=
+    ulp(hi) with no bit below 2^-125 of hi's binade (a mantissa product of
+    two doubles has none below 2^-106).
 
-    With a = |hi|, l = sign * lo and k = k_h 2^26 + k_l, the exact value is
-    a + l - sum_i (k_h 2^26 P_i + k_l P_i). Each d_i = k_h 2^26 P_{i+1} +
-    k_l P_i is exact (52 bits on the grid of P_i), and the first four
-    subtractions from a are exact: each partial sum stays below 2^53 ulps
-    of its grid while the big terms cancel. The remaining terms are split
-    on the fixed grids _G1 and _G2 and summed word by word; words 1 and 2
-    are exact sums, word 3 is below 2^-95 and rounds by less than 2^-145.
-    With the 192-bit table the value is off by < 2^-137 before the one
-    final rounding."""
-    sign = np.where(hi < 0, -1.0, 1.0)
-    a = np.abs(hi)
-    k = np.floor(a / TWO_PI)
-    k_h = np.floor(k * 2.0**-26)
-    k_l = k - k_h * 2.0**26
-    d = [k_h * _QC[i + 1] + k_l * _PC[i] for i in range(len(_PC) - 1)]
-    s1 = (((a - k_h * _QC[0]) - d[0]) - d[1]) - d[2]  # |s1| < 13, on 2^-45
-    s2 = 0.0
-    for x in (sign * lo, -d[3], -d[4], -d[5]):
-        head, tail = _split_on_grid(x, _G1)
-        s1 = s1 + head
-        s2 = s2 + tail
-    s3 = 0.0
-    for x in (-d[6], -d[7], -d[8]):
-        head, tail = _split_on_grid(x, _G2)
-        s2 = s2 + head
-        s3 = s3 + tail
-    s3 = s3 - (d[9] + d[10] + k_l * _PC[-1])
-    s1, s2, s3 = sign * s1, sign * s2, sign * s3
-
-    def rounded(m):
-        # the words of value + m 2 pi, then one rounding of their sum
-        h, e = _two_sum(s1 + m * _W1, s2 + m * _W2)
-        return h + (e + (s3 + m * _W3))
-
-    m = -np.floor((s1 + (s2 + s3)) / TWO_PI)
-    r = rounded(m)
-    # m comes from an approximate sum: step it where the phase left [0, 2 pi).
-    # A phase that rounds to TWO_PI lies just below 2 pi (kept) or at or
-    # above it (folded), as the sign of the phase minus 2 pi tells.
-    over = (r > TWO_PI) | ((r == TWO_PI) & (rounded(m - 1.0) >= 0.0))
-    return rounded(m + (r < 0.0) - over)
-
-
-def _reduce_far(omega, t, hi, lo, far) -> None:
-    """Write (hi + lo) mod 2 pi into lo where `far` is set (see
-    reduced_phase), gathering one slice of _EXACT_ELEMENTS products at a
-    time."""
-    flat_hi, flat_lo, flat_far = (a.reshape(-1) for a in (hi, lo, far))
-    for start in range(0, flat_far.size, _EXACT_ELEMENTS):
-        idx = start + np.flatnonzero(flat_far[start : start + _EXACT_ELEMENTS])
-        hi_f, lo_f = flat_hi[idx], flat_lo[idx]
-        exact = (np.abs(hi_f) < _EXACT_CAP) & np.isfinite(lo_f)
-        if exact.any():
-            flat_lo[idx[exact]] = _reduce_exact(hi_f[exact], lo_f[exact])
-        for i in idx[~exact]:  # exact rational reduction for extreme products
-            at = np.unravel_index(i, hi.shape)
-            prod = Fraction(float(np.broadcast_to(omega, hi.shape)[at])) * Fraction(
-                float(np.broadcast_to(t, hi.shape)[at]))
-            flat_lo[i] = float(prod % _FRACTION_TWO_PI)
+    With hi = m 2^f and e + f = 25 k + rho, m + lo 2^-f splits into limbs
+    u_a 2^(-25 a) (a = 1..5, |u_a| <= 2^25), and x / (2 pi) = 2^rho sum_a
+    sum_d u_a T_{k-1+d} 2^(-25 (a + d)) sums exactly by diagonal s = a + d
+    (below 2^52 units of 2^(-25 s)): s <= 0 are whole cycles, s = 1..8 are
+    kept and the rest is below 2^-149. Their fractions go into words on the
+    grids 2^-50 and 2^-100, so the cycle fraction F is off by < 2^-148
+    before the one rounding of F 2 pi, formed from exact products."""
+    m, f = np.frexp(hi)
+    lo = np.ldexp(lo, -f)
+    big = e + f
+    k = big // 25
+    scale = np.ldexp(1.0, big - 25 * k)  # 2^rho, in [1, 2^24]
+    l1, rest = _split_on_grid(m, 2.0**-25)
+    l2, rest = _split_on_grid(rest, 2.0**-50)
+    head, tail = _split_on_grid(lo, 2.0**-75)
+    l4, l5 = _split_on_grid(tail, 2.0**-100)
+    window = np.take(_INV_TWO_PI, k, axis=1)
+    # row s - 1 of d: diagonal s = 1..8, which reads row s + 3 - a of the
+    # window for limb a (from 0), accumulated in place
+    d = np.multiply(window[4:], l1 * scale)
+    tmp = np.empty_like(d)
+    for a, limb in enumerate((l2, rest + head, l4, l5), 1):
+        d += np.multiply(window[4 - a : 12 - a], limb * scale, out=tmp)
+    d[:3] -= np.rint(d[:3])  # whole cycles: |d_s| < 2^(76 - 25 s)
+    head, rest = _split_on_grid(d, 2.0**-50)
+    mid, low = _split_on_grid(rest, 2.0**-100)
+    w1, w2, w3 = head.sum(axis=0), mid.sum(axis=0), low.sum(axis=0)
+    head, w2 = _split_on_grid(w2, 2.0**-50)  # now |w2 + w3| < 2^-50, below w1's grid
+    w1 += head
+    # F = w1 + w2 + w3 folded into [0, 1): floor(F) is floor(w1), one less
+    # where w1 is whole and the small words are negative
+    cycles = np.floor(w1)
+    cycles -= (w1 == cycles) & (w2 + w3 < 0.0)
+    w1 -= cycles
+    # F * 2 pi: w1 W1, w1 W2 and w2 W1 as exact pairs, the rest below 2^-95
+    p, p_err = _two_product(w1, _W1)
+    q, q_err = _two_product(w1, _W2)
+    r, r_err = _two_product(w2, _W1)
+    h, h_err = _two_sum(p, r)
+    return h + (((h_err + p_err) + q) + ((q_err + r_err) + (w1 * _W3 + w2 * _W2 + w3 * _W1)))
 
 
 def reduced_phase(omega, t, buf: _Buffers | None = None) -> np.ndarray:
     """omega * t reduced modulo 2*pi with extended-precision arithmetic,
     so that revival-scale phase alignments survive large |omega * t|.
     Broadcasts over both arguments; the result is the buffer "hi" of
-    `buf` (fresh arrays when None).
+    `buf` (fresh arrays when None). A non-finite omega or t is a
+    DomainError.
 
-    |omega t| <= 1e8 takes a three-part Cody-Waite reduction; up to
-    _EXACT_CAP the product is reduced exactly (_reduce_exact) and
-    rounded once, as Fraction arithmetic would; only products beyond
-    that, or whose Dekker split overflows, use Fraction."""
+    The product is formed exactly as 2^e (hi + lo) from the np.frexp
+    mantissas, which never overflows. |omega t| <= 1e8 takes a three-part
+    Cody-Waite reduction; every larger product is reduced exactly by
+    _payne_hanek and rounded once, as Fraction arithmetic would."""
     buf = _Buffers() if buf is None else buf
     omega = np.asarray(omega, dtype=float)
     tarr = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow goes to the tail
-        shape = np.broadcast_shapes(omega.shape, tarr.shape)
-        k, tmp = buf.temps(shape)
-        hi, lo = _two_product(omega, tarr, (buf("hi", shape), buf("lo", shape), tmp))
-        far = np.greater(np.abs(hi, out=k), _BIG_PHASE, out=buf("far", hi.shape, bool))
-        far |= np.isfinite(hi) & ~np.isfinite(lo)
-        any_far = far.any()
-        if any_far:  # reduced into lo, which the far phases no longer need
-            _reduce_far(omega, tarr, hi, lo, far)
+    if not (np.isfinite(omega).all() and np.isfinite(tarr).all()):
+        raise DomainError("phase omega * t needs a finite frequency and time")
+    (m_omega, e_omega), (m_t, e_t) = np.frexp(omega), np.frexp(tarr)
+    shape = np.broadcast_shapes(omega.shape, tarr.shape)
+    k, tmp = buf.temps(shape)
+    hi, lo = _two_product(m_omega, m_t, (buf("hi", shape), buf("lo", shape), tmp))
+    # the exponents in the storage of tmp, which Cody-Waite needs only after the ldexp
+    e = np.add(e_omega, e_t, out=tmp.reshape(-1).view(np.int32)[: tmp.size].reshape(shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # far products may overflow; they are replaced below
+        far = np.greater(np.abs(np.ldexp(hi, e, out=k), out=k), _BIG_PHASE, out=buf("far", shape, bool))
+        idx = np.flatnonzero(far)  # gathered from the mantissas one slice at a time
+        far_phases = [_payne_hanek(*(a.reshape(-1)[idx[i : i + _EXACT_ELEMENTS]] for a in (hi, lo, e)))
+                      for i in range(0, len(idx), _EXACT_ELEMENTS)]
+        np.ldexp(hi, e, out=hi)
+        np.ldexp(lo, e, out=lo)
         # hi = ((hi - k P1) - k P2) - k P3 + lo in place: x - y is x + (-y),
         # and x + y is y + x, bit for bit
         np.rint(np.divide(hi, TWO_PI, out=k), out=k)
@@ -258,8 +234,8 @@ def reduced_phase(omega, t, buf: _Buffers | None = None) -> np.ndarray:
         k *= -_P3
         hi += k
         hi += lo
-    if any_far:
-        np.copyto(hi, lo, where=far)
+    if far_phases:
+        hi.reshape(-1)[idx] = np.concatenate(far_phases)
     return hi
 
 
@@ -635,6 +611,8 @@ def linspace_rows(stop: float, num: int, rows: slice) -> np.ndarray:
     """np.linspace(0.0, stop, num)[rows] for num >= 2, formed from the row
     indices alone as np.linspace forms the whole grid: index times step,
     the last point set to `stop`; the bits are those of np.linspace."""
+    if not math.isfinite(stop):
+        raise DomainError("time grid must be finite")
     div = num - 1
     t = np.arange(rows.start, rows.stop, dtype=float)
     step = stop / div

@@ -153,6 +153,8 @@ def gaussian_model_coefficients(
     retained where |a_n| >= cutoff * peak."""
     if n0 <= 0 or delta_n <= 0 or not (0 < cutoff < 1):
         raise DomainError("require n0 > 0, delta_n > 0, 0 < cutoff < 1")
+    if delta_n * delta_n == 0.0:
+        raise DomainError(f"delta_n = {delta_n:g} is too narrow: its square underflows to 0")
     half_width = 2.0 * delta_n * math.sqrt(max(-math.log(cutoff), 1.0))
     if not n0 + half_width < 2.0**53:  # also catches an infinite window edge
         raise DomainError(
@@ -204,7 +206,8 @@ def log_poisson(nbar: float, n_cap: int, n_lo: int = 0) -> np.ndarray:
     big = n[~small]
     d, z = big - nbar, 1.0 / (big * big)
     series = (1.0 / 12.0 - z * (1.0 / 360.0 - z * (1.0 / 1260.0 - z / 1680.0))) / big
-    out[~small] = d - big * np.log1p(d / nbar) - 0.5 * np.log(2.0 * math.pi * big) - series
+    with np.errstate(over="ignore"):  # d / nbar = inf at a subnormal nbar: weight 0, log -inf
+        out[~small] = d - big * np.log1p(d / nbar) - 0.5 * np.log(2.0 * math.pi * big) - series
     return out
 
 

@@ -8,6 +8,8 @@ from contextlib import ExitStack
 
 import numpy as np
 
+from .errors import DomainError
+
 BLOCK_ROWS = 4096  # CSV rows per formatted block; bounds the text held in memory
 
 
@@ -117,11 +119,13 @@ def write_pgms(paths, blocks) -> None:
             seen.append(block.max())
     del rows  # not held while the second pass makes its first block
     vmaxes = [float(np.max(seen)) for seen in maxima]
+    scales = [65535.0 / vmax if vmax > 0 else 0.0 for vmax in vmaxes]
+    if not np.all(np.isfinite(vmaxes + scales)):
+        raise DomainError(f"image maxima {', '.join(map(format_float, vmaxes))} do not scale to 16 bits")
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]
         for fh, vmax in zip(files, vmaxes):
             fh.write(f"P5\n# max={format_float(vmax)}\n{width} {height}\n65535\n".encode())
-        scales = [65535.0 / vmax if vmax > 0 else 0.0 for vmax in vmaxes]
         for rows in blocks():
             for fh, block, scale in zip(files, rows, scales):
                 scaled = block * scale  # block-sized temporaries only, rounded and clipped in place

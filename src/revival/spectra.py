@@ -212,8 +212,11 @@ def energy_derivatives(s: Spectrum1D, n0: float) -> tuple[float, float, float, f
     """(E, E', E'', E''') at the continuous index n0."""
     if n0 < s.ground_index - 1e-12:
         raise DomainError(f"index below ground index {s.ground_index} for {s.model}")
-    e, e1, e2, e3 = s._derivs(np.atleast_1d(float(n0)))
-    return float(e[0]), float(e1[0]), float(e2[0]), float(e3[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        derivs = tuple(float(d[0]) for d in s._derivs(np.atleast_1d(float(n0))))
+    if not all(map(math.isfinite, derivs)):
+        raise DomainError(f"energy derivatives of {s.model} at n0 = {n0:g} are not finite")
+    return derivs
 
 
 def time_scales(s: Spectrum1D, n0: float) -> TimeScales:

@@ -710,7 +710,10 @@ class TestSchemaBounds:
          (["billiard2d", "--geometry", "equilateral", "--tmax", "1", "--steps", "10"], "m_cap", "1025"),
          (["billiard2d", "--geometry", "annulus", "--tmax", "1", "--steps", "10"], "nr_cap", "201"),
          (["wigner"], "x_count", "8193"),
-         (["wigner"], "p_count", "8193")],
+         (["wigner"], "p_count", "8193"),
+         # abs() of an alpha with parts this large raises OverflowError
+         (["bec", "--alpha_re", "4", "--u0", "1"], "alpha_im", "1.7e308"),
+         (["bec", "--u0", "1"], "alpha_re", "-1.7e308")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, argv, key, value):
         assert main(argv + [f"--{key}", value, "--out", str(tmp_path)]) == 2
@@ -740,10 +743,34 @@ class TestSchemaBounds:
      # 1e5-level cap (1e12 levels, 7.28 TiB, at alpha 1e6), and an explicit one
      (["bec", "--alpha_re", "1e6", "--u0", "1"], "ladder levels"),
      (["bec", "--alpha_re", "1e200", "--u0", "1"], "ladder levels"),
-     (["bec", "--alpha_re", "4", "--u0", "1", "--n_cap", "1000000000000"], "ladder levels")],
+     (["bec", "--alpha_re", "4", "--u0", "1", "--n_cap", "1000000000000"], "ladder levels"),
+     # a box packet whose mode count L / (2 pi dx0) overflows to inf
+     (["carpet", "--x0", "1e-8", "--dx0", "5e-324", "--n0", "2"], "infinite mode count"),
+     (["carpet", "--L", "1e154", "--x0", "1e-300", "--dx0", "1e-300"], "infinite mode count"),
+     (["wigner", "--L", "1.7e308", "--t", "1", "--x_count", "65", "--p_count", "64", "--format", "pgm"],
+      "infinite mode count"),
+     (["observables", "--L", "1.7e308", "--n0", "1e-30", "--tmax", "5e-324", "--steps", "1"],
+      "infinite mode count"),
+     # an infinite level frequency 2 sqrt(n) coupling reaches the phase reduction
+     (["jc", "--nbar", "1e-8", "--coupling", "1.7e308", "--tau_max", "1e5"], "finite frequency"),
+     # tau_max pi / coupling overflows before the grid is formed
+     (["jc", "--nbar", "0", "--coupling", "40", "--tau_max", "1.7e308"], "time grid must be finite"),
+     # t_over_trev t_revival overflows: the condensate phases would be NaN
+     (["bec", "--alpha_re", "5e-324", "--u0", "0.001", "--t_over_trev", "1.7e308", "--half_span", "40",
+       "--grid_count", "3"], "not finite"),
+     # a subnormal packet width: its PGM maxima would not scale to 16 bits
+     (["carpet", "--dx0", "5e-324", "--n_max", "2"], "infinite mode count"),
+     (["carpet", "--dx0", "1e-305", "--n_max", "2"], "do not scale to 16 bits"),
+     # so long a box that the revival time, and so the default time axis, is inf
+     (["carpet", "--L", "1e154", "--x_count", "64", "--t_count", "64", "--n_max", "1"], "axis t needs finite"),
+     # the series fails on a grid that rounds to repeated times: no levels table is left either
+     (["billiard2d", "--geometry", "circle", "--m_cap", "1", "--nr_cap", "0", "--tmax", "5e-324",
+       "--steps", "2"], "strictly increasing")],
     ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor", "autocorr_huge_n0", "autocorr_huge_dn",
          "autocorr_inexact_n0", "autocorr_huge_window", "bec_huge_alpha", "bec_overflowing_alpha",
-         "bec_huge_n_cap"],
+         "bec_huge_n_cap", "carpet_subnormal_dx0", "carpet_huge_L", "wigner_huge_L", "observables_huge_L",
+         "jc_infinite_frequency", "jc_infinite_grid", "bec_infinite_time", "carpet_subnormal_max",
+         "carpet_tiny_max", "carpet_infinite_time_axis", "billiard2d_repeated_times"],
 )
 def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
     # run as a process to see the real stderr: one error line, no warnings,
@@ -783,9 +810,12 @@ def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
        "--tmax", "1", "--steps", "10"], 2),
      (["billiard2d", "--geometry", "annulus", "--nr_cap", "1000000000000", "--tmax", "1",
        "--steps", "10"], 2),
-     (["wigner", "--x_count", "1000000000000"], 2)],
+     (["wigner", "--x_count", "1000000000000"], 2),
+     # a plain box of length 1e5 has 2.9M modes: (N, N) operator tables of 61 TiB
+     (["observables", "--L", "1e5", "--tmax", "1", "--steps", "1"], 3)],
     ids=["autocorr_steps", "observables_steps", "jc_steps", "billiard2d_steps", "spectrum_n_max",
-         "fractional_q", "square_m_cap", "equilateral_m_cap", "annulus_nr_cap", "wigner_x_count"],
+         "fractional_q", "square_m_cap", "equilateral_m_cap", "annulus_nr_cap", "wigner_x_count",
+         "observables_operator_tables"],
 )
 def test_huge_sizes_exit_without_allocating(tmp_path, argv, code):
     src = os.path.dirname(os.path.dirname(revival.__file__))
@@ -796,7 +826,8 @@ def test_huge_sizes_exit_without_allocating(tmp_path, argv, code):
                           preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
     assert proc.returncode == code, proc.stderr
     if code:
-        assert proc.stderr.startswith("config error:") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith({2: "config error:", 3: "numeric error:"}[code])
+        assert proc.stderr.count("\n") == 1
         assert not out.exists() or not any(out.iterdir())
     else:
         assert proc.stderr == ""
@@ -1015,3 +1046,85 @@ def test_contract_holds_for_any_values(command, data):
         code = main(argv + ["--out", out])
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# The schema fuzzer: for any command, every key the run reads is set with
+# probability 1/2 (required and size keys always). Each example draws how
+# often its values come from the edges below, one in sixteen or one in three;
+# the others come from inside the key's range: the _CONTRACT_VALUES and
+# _BILLIARD_VALUES strategies for floats, and for size keys small counts
+# only, so each accepted run is small. The runs share the test process:
+# the work budget is lowered to 64 MiB for them, so that a run the budget
+# admits stays small too.
+_EDGE_FLOATS = (0.0, -0.0, -1.0, -400.0, 5e-324, 1e-300, 1e-30, 1e-8, 0.001, 0.3, 0.5, 0.999, 1.0,
+                2.0, 7.0, 40.0, 400.0, 1e5, 1e8, 1e15, 1e154, 1e300, 1.7e308, "nan", "x")
+_EDGE_SIZES = (-1, 0, 10**12, "0.5")
+_SIZE_POOLS = {
+    "steps": (1, 2, 7, 40), "n_max": (0, 1, 7, 300), "n_min": (0, 1, 30), "q": (1, 2, 7, 101, 3000),
+    "p": (1, 3, 40), "x_count": (2, 3, 40), "t_count": (64, 65, 96), "p_count": (2, 3, 40),
+    "grid_count": (2, 3, 24), "n_cap": (0, 1, 7, 300), "m_cap": (1, 2, 4, 8), "nr_cap": (0, 1, 2, 4),
+}
+_CARPET_SIZES = {"x_count": (64, 65, 96)}
+_CHOICES = {"geometry": ("square", "equilateral", "circle", "annulus"), "format": ("csv", "pgm"), "anti": (0, 1)}
+_BILLIARD_VALUES = {"size": st.floats(0.5, 2.0), "f": st.floats(0.05, 0.95), "x0": st.floats(-1.0, 1.0),
+                    "y0": st.floats(-1.0, 1.0), "p0x": st.floats(-30.0, 30.0), "p0y": st.floats(-30.0, 30.0),
+                    "dx0": st.floats(0.01, 0.1), "tmax": st.floats(0.0, 20.0)}
+
+
+def _fuzz_value(data, command: str, key: str, rate: int):
+    edge = data.draw(st.integers(1, rate), label=f"{key} pool") == 1
+    if key in _SIZE_POOLS:
+        pool = {**_SIZE_POOLS, **(_CARPET_SIZES if command == "carpet" else {})}[key]
+        return data.draw(st.sampled_from(_EDGE_SIZES if edge else pool), label=key)
+    if key in _CHOICES:
+        return data.draw(st.sampled_from(_EDGE_SIZES if edge else _CHOICES[key]), label=key)
+    in_range = {**_MODEL_VALUES, **_BILLIARD_VALUES, **_CONTRACT_VALUES.get(command, {})}[key]
+    return data.draw(st.sampled_from(_EDGE_FLOATS) if edge else in_range, label=key)
+
+
+def _artifact_values(path) -> list[float]:
+    """The numbers of a CSV (every cell that parses as a float) or the
+    maximum each PGM records in its header."""
+    with open(path, "rb") as fh:
+        if fh.read(2) == b"P5":
+            return [float(fh.read(1024).split(b"# max=")[1].split(b"\n")[0])]
+    values = []
+    with open(path) as fh:
+        next(fh)
+        for line in fh:
+            for cell in line.strip().split(","):
+                with contextlib.suppress(ValueError):
+                    values.append(float(cell))
+    return values
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_schema_fuzzer_holds_the_cli_contract(data):
+    command = data.draw(st.sampled_from(sorted(cli._COMMAND_TABLE)), label="command")
+    schema, _ = cli._COMMAND_TABLE[command]
+    argv, keys = [command], list(schema)
+    rate = data.draw(st.sampled_from([16, 3]), label="one edge value in")
+    if "model" in schema:  # only the keys the model reads: any other exits 2 at once
+        model = data.draw(st.sampled_from(sorted(cli._SPECTRA)), label="model")
+        argv += ["--model", model]
+        keys = [key for key in keys if key not in cli._MODEL_KEYS or key in cli._SPECTRA[model][1]]
+    for key in keys:
+        if schema[key][1] is cli._REQUIRED or key in _SIZE_POOLS or data.draw(st.booleans(), label=f"set {key}"):
+            argv += [f"--{key}", str(_fuzz_value(data, command, key, rate))]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(errors, "WORK_MAX_BYTES", 64 << 20)
+        out = os.path.join(tmp, "out")
+        code = main(argv + ["--out", out])
+        files = sorted(os.listdir(out)) if os.path.isdir(out) else []
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        if code:
+            assert files == [], (argv, code, files)
+        else:
+            for name in files:
+                if not name.endswith(".meta.txt"):
+                    assert np.all(np.isfinite(_artifact_values(os.path.join(out, name)))), (argv, name)

@@ -331,9 +331,13 @@ class TestTimeSeries:
         assert float(row[3]) == pytest.approx(0.3125, rel=1e-15)
 
 
+# the module's 2200-bit 2 pi as a rational, for the reference reductions
+TWO_PI_2200 = Fraction(dynamics._TWO_PI_SCALED, 1 << 2200)
+
+
 def _fraction_phase(omega: float, t: float) -> float:
     """The reference reduction: exact rational omega * t mod 2 pi, rounded once."""
-    return float((Fraction(omega) * Fraction(t)) % dynamics._FRACTION_TWO_PI)
+    return float((Fraction(omega) * Fraction(t)) % TWO_PI_2200)
 
 
 def _mp_phase(omega: float, t: float) -> mpmath.mpf:
@@ -364,7 +368,7 @@ def no_fraction(monkeypatch):
     def refuse(*args):
         raise AssertionError("Fraction constructed on the vectorised path")
 
-    monkeypatch.setattr(dynamics, "Fraction", refuse)
+    monkeypatch.setattr(dynamics, "Fraction", refuse, raising=False)
 
 
 class TestExactArithmetic:
@@ -390,7 +394,7 @@ class TestExactArithmetic:
 
 
 class TestReducedPhase:
-    CAP = 2.0**52 * dynamics.TWO_PI  # k = floor(|omega t| / 2 pi) < 2^52 below it
+    CAP = 2.0**52 * dynamics.TWO_PI  # 2.8e16, where a second exact path once took over
 
     def test_random_products_match_fraction_bitwise(self, no_fraction):
         rng = np.random.default_rng(20)
@@ -402,7 +406,7 @@ class TestReducedPhase:
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("scale", [1.0, 0.5, 3.0, 1.0 / 3.0, 7.0, 1e-3, 123.456])
-    def test_convergents_of_two_pi(self, scale):
+    def test_convergents_of_two_pi(self, scale, no_fraction):
         # products within ~1e-15 of a multiple of 2 pi, either sign
         for p in _two_pi_convergents(1e8, self.CAP):
             for sign in (1.0, -1.0):
@@ -411,7 +415,7 @@ class TestReducedPhase:
                 assert abs(got - _fraction_phase(omega, t)) <= 1e-20
                 assert abs(got - float(_mp_phase(omega, t))) <= 1e-20
 
-    def test_convergent_results_are_tiny(self):
+    def test_convergent_results_are_tiny(self, no_fraction):
         # the oracle comparison above is only adversarial if some products
         # sit much closer to a multiple of 2 pi than one ulp of it
         r = dynamics.reduced_phase(1.0, np.array(_two_pi_convergents(1e8, self.CAP), dtype=float))
@@ -424,7 +428,7 @@ class TestReducedPhase:
         want = [_fraction_phase(o, tt) for o, tt in zip(omega, t)]
         assert np.array_equal(dynamics.reduced_phase(omega, t), want)
 
-    def test_both_sides_of_the_fast_path_switch(self):
+    def test_both_sides_of_the_fast_path_switch(self, no_fraction):
         omega = np.array([1.0, 3.0, -7.0, 0.1])
         below = np.nextafter(1e8, 0.0) / omega
         above = np.nextafter(1e8, 2e8) / omega
@@ -440,10 +444,9 @@ class TestReducedPhase:
                       np.nextafter(self.CAP, 1e17), 2.0 * self.CAP])
         want = np.array([_fraction_phase(o, tt) for o, tt in zip(omega, t)])
         built = []
-        real = dynamics.Fraction
-        monkeypatch.setattr(dynamics, "Fraction", lambda x: built.append(x) or real(x))
+        monkeypatch.setattr(dynamics, "Fraction", lambda x: built.append(x) or Fraction(x), raising=False)
         assert np.array_equal(dynamics.reduced_phase(omega, t), want)
-        assert len(built) == 4  # two operands for each of the two products at or above the cap
+        assert built == []  # one exact path on both sides: no Fraction at run time
 
     def test_broadcast_grid_below_the_cap(self, no_fraction):
         omega = np.array([[1.0], [2.5], [-40.0]])
@@ -452,13 +455,13 @@ class TestReducedPhase:
         want = [[_fraction_phase(o, tt) for tt in t[0]] for o in omega[:, 0]]
         assert got.shape == (3, 500) and np.array_equal(got, want)
 
-    def test_tail_product_at_1e300(self):
+    def test_tail_product_at_1e300(self, no_fraction):
         omega, t = 3.0, 1e300 / 3.0
         got = float(dynamics.reduced_phase(omega, t))
         assert got == _fraction_phase(omega, t)
         assert abs(got - float(_mp_phase(omega, t))) <= 1e-15
 
-    def test_overflowing_products_take_the_tail(self):
+    def test_overflowing_products_take_the_tail(self, no_fraction):
         omega = np.array([1e10, 1e-300, 2.0])
         t = np.array([1.7e308, 1.7e308, 1e16])
         with np.errstate(all="raise"):
@@ -466,13 +469,13 @@ class TestReducedPhase:
         want = [_fraction_phase(o, tt) for o, tt in zip(omega, t)]
         assert np.array_equal(got, want)
 
-    def test_fold_just_below_multiples_of_two_pi(self):
+    def test_fold_just_below_multiples_of_two_pi(self, no_fraction):
         # hi sits just below K * 2 pi, so floor(hi / 2 pi) = K - 1, and lo
         # lifts hi + lo to within 1e-21 of K * 2 pi on either side: the fold
         # must still land in [0, 2 pi) where Fraction.__mod__ puts it
         his, los = [], []
         for k in range(2**25, 2**25 + 400):
-            x = k * dynamics._FRACTION_TWO_PI
+            x = k * TWO_PI_2200
             h = float(x)
             while math.floor(h / dynamics.TWO_PI) >= k:
                 h = math.nextafter(h, 0.0)
@@ -481,9 +484,53 @@ class TestReducedPhase:
                 los.append(float(x - Fraction(h)) + d)
         for sign in (1.0, -1.0):
             hi, lo = sign * np.array(his), sign * np.array(los)
-            want = [float((Fraction(h) + Fraction(l)) % dynamics._FRACTION_TWO_PI)
+            want = [float((Fraction(h) + Fraction(l)) % TWO_PI_2200)
                     for h, l in zip(hi, lo)]
-            assert np.array_equal(dynamics._reduce_exact(hi, lo), want)
+            assert np.array_equal(dynamics._payne_hanek(hi, lo, np.zeros(len(hi), np.int32)), want)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_operand_exponent_matches_fraction_bitwise(self, seed, no_fraction):
+        # operands of either sign up to 1.7e308, products from just above
+        # 1e8 to past 2^1024 (1e10 x 1.7e308 overflows fl(omega * t) to inf)
+        rng = np.random.default_rng(seed)
+        count = 6000
+        log_omega = rng.uniform(-300.0, 308.2, count)
+        log_t = np.clip(rng.uniform(8.0, 616.5, count) - log_omega, -300.0, 308.2)
+        omega = 10.0**log_omega * rng.choice([-1.0, 1.0], count)
+        t = 10.0**log_t * rng.choice([-1.0, 1.0], count)
+        omega = np.append(omega, [1e10, -1e10, 1.7e308, -1.7e308, 3.0])
+        t = np.append(t, [1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.7e308])
+        with np.errstate(all="raise"):
+            got = dynamics.reduced_phase(omega, t)
+        bits = np.log2(np.abs(omega)) + np.log2(np.abs(t))  # log2 |omega t|
+        assert np.count_nonzero(bits > 1024) > 1000 and np.count_nonzero(bits < math.log2(self.CAP)) > 100
+        want = np.array([_fraction_phase(o, tt) for o, tt in zip(omega, t)])
+        assert np.array_equal(got, want)
+
+    def test_the_old_cap_on_a_grid_matches_fraction_bitwise(self, no_fraction):
+        # omega t within a few thousand ulps of 2^52 * 2 pi on either side
+        omega = np.array([[1.0], [-3.0], [0.5]])
+        t = np.array([np.nextafter(self.CAP, 0.0), self.CAP, np.nextafter(self.CAP, 1e17)]
+                     + list(self.CAP + np.arange(-2000, 2000, 97) * 4.0))[None, :] / omega
+        got = dynamics.reduced_phase(omega, t)
+        want = [[_fraction_phase(o, tt) for tt in row] for o, row in zip(omega[:, 0], t)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("omega, t", [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 2e8),
+                                          (np.array([1.0, np.inf]), 0.0), (2.0, np.array([[1e9], [np.nan]]))])
+    def test_non_finite_operands_are_domain_errors(self, omega, t):
+        with pytest.raises(DomainError, match="finite"):
+            dynamics.reduced_phase(omega, t)
+
+    def test_large_operands_of_a_small_product_match_cody_waite(self, no_fraction):
+        # |omega| past 2^997 overflows a direct Dekker split of omega; the
+        # mantissa product does not, so these stay on the Cody-Waite path
+        omega = np.array([1e300, 1.7e308, -1e305, 3e300])
+        t = np.array([1e-295, 1e-301, 3e-298, -1e-300])
+        with np.errstate(all="raise"):
+            got = dynamics.reduced_phase(omega, t)
+        want = np.array([_fraction_phase(o, tt) for o, tt in zip(omega, t)])
+        assert np.all(np.abs(got - want + np.where(got < 0, 2 * np.pi, 0.0)) <= 4e-15)
 
 
 class TestPhaseChunks:
@@ -518,7 +565,7 @@ class TestPhaseChunks:
         self._check(monkeypatch, lambda: [autocorrelation(MODEL_SET, CASE_A, grid).values])
 
     def test_autocorrelation_exact_reduction_path(self, monkeypatch):
-        # |omega t| up to ~1e9: most products take _reduce_exact
+        # |omega t| up to ~1e9: most products take _payne_hanek
         s = Spectrum1D.bouncer_airy()
         c = gaussian_model_coefficients(20, 2, 1e-8, 1)
         grid = np.linspace(0.0, 1e8, 501)
