@@ -91,9 +91,9 @@ def _bounded(parse, lo: float, strict: bool = False, below: float | None = None)
 _POSITIVE = _bounded(_float_key, 0.0, strict=True)
 
 # time-series rows: the CSV streams, so run time and output grow with steps.
-# At 10^6 steps the bench scenarios take 8 s (autocorr caseA, 80 MB of CSV),
-# 21 s (billiard2d circle, 82 MB) and 23 s (observables, 97 MB), at a flat
-# 33-34 MB max-RSS (2-core x86-64)
+# At 10^6 steps autocorr caseA takes 8 s (80 MB of CSV), billiard2d circle
+# 21 s and observables 23 s at L = 1 (57 modes; it costs modes^2 x steps, so
+# L = 20, 980 modes, takes ~30 min), at 33-34 MB max-RSS (2-core x86-64)
 _STEPS = _bounded(_int_key, 1, below=1_000_001)
 
 
@@ -380,7 +380,7 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
     }, _cmd_billiard2d),
     "jc": ({
         # the level window grows as 24 sqrt(nbar): the default 6000 steps take
-        # ~26 s at nbar 1e7 and ~107 s just below the bound (2-core x86-64)
+        # ~6 s at nbar 1e7 and ~17 s just below the bound (2-core x86-64)
         "nbar": (_bounded(_float_key, 0.0, below=1e8), _REQUIRED),
         "coupling": (_POSITIVE, _REQUIRED),
         "tau_max": (_POSITIVE, 30.0),

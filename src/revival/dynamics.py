@@ -48,12 +48,12 @@ _PHASE_ELEMENTS = 1 << 15
 _EXACT_ELEMENTS = 1024  # far products per slice: _payne_hanek's (8, n) tables stay at 64 KiB
 # the factored phase sum (_phase_sum): offsets per base, sqrt(BLOCK_ROWS);
 # levels x columns per table, which keeps a run's tables below the buffers
-# of one _PHASE_ELEMENTS block; the fewest columns per table worth a
-# factored run; and the bound on max|omega| max|r| that keeps the dropped
-# second-order term below 2^-55
+# of one _PHASE_ELEMENTS block; levels per block of the sum, so a table
+# keeps at least 8 columns; and the bound on max|omega| max|r| that keeps
+# the dropped second-order term below 2^-55
 _OFFSETS = 64
 _FACTOR_ELEMENTS = 1 << 13
-_MIN_COLUMNS = 8
+_LEVEL_BLOCK = 1024
 _LINEAR_GUARD = 2.0**-27
 
 
@@ -352,29 +352,35 @@ def _phase_sum(w, n, t, s: Spectrum1D | None = None) -> np.ndarray:
     reduction is unchanged), so a run costs N (64 + c run / 64) unit
     phases, with c offset tables of up to _FACTOR_ELEMENTS / N columns
     (c = 1 up to 128 levels, 4 for 437), where the direct sum costs
-    N run. A run that misses the guard or has fewer than 128 rows, and
-    every run of more than 1024 levels (tables of fewer than _MIN_COLUMNS
-    columns), is summed directly, one phase per (level, time).
+    N run. The levels go in consecutive blocks of _LEVEL_BLOCK, each
+    summed by this rule with the guard over its own max|omega_n|, and the
+    block sums are added in order. A block's run that misses the guard or
+    has fewer than 128 rows is summed directly, one phase per (level, time).
 
     The decomposition of a row depends only on its position in its run
     and on the run's times, never on N, on how the tables are chunked or
     on _PHASE_ELEMENTS: a grid streamed in BLOCK_ROWS blocks gets the bits
-    of the whole grid, and adding levels of negligible weight leaves the
-    other levels' terms as they were."""
+    of the whole grid; within one level block, adding levels of negligible
+    weight leaves the other levels' terms as they were."""
     t = np.asarray(t, dtype=float)
     # padded to whole bases, so a factored run writes whole (base, offset) rows
     vals = np.empty(-(-len(t) // _OFFSETS) * _OFFSETS, dtype=complex)
     buf = _Buffers()
-    omegas = _angular_frequencies(n, s) if 0 < len(n) <= _FACTOR_ELEMENTS // _MIN_COLUMNS else None
+    omegas = _angular_frequencies(n, s) if len(n) else None
     for start in range(0, len(t), BLOCK_ROWS):
         run = t[start : start + BLOCK_ROWS]
-        if (omegas is not None and len(run) >= 2 * _OFFSETS
-                and _factored_run(w, n, s, omegas, run, buf, vals[start : start + BLOCK_ROWS])):
-            continue
-        out = vals[start : start + len(run)]
-        for cols in _phase_chunks(len(run), len(n)):
-            # real and imaginary parts as one float row: 5x faster than a complex einsum
-            out[cols] = np.einsum("n,nt->t", w, _phase_block(run[cols], n, s, buf).view(float)).view(complex)
+        for lo in range(0, max(len(n), 1), _LEVEL_BLOCK):
+            wb, nb = w[lo : lo + _LEVEL_BLOCK], n[lo : lo + _LEVEL_BLOCK]
+            # the first block is written in place (a -0.0 stays -0.0), the later ones added
+            out = vals[start : start + BLOCK_ROWS] if lo == 0 else buf("block", (BLOCK_ROWS,), complex)
+            if not (omegas is not None and len(run) >= 2 * _OFFSETS
+                    and _factored_run(wb, nb, s, omegas[lo : lo + _LEVEL_BLOCK], run, buf, out)):
+                direct = out[: len(run)]
+                for cols in _phase_chunks(len(run), len(nb)):
+                    # real and imaginary parts as one float row: 5x faster than a complex einsum
+                    direct[cols] = np.einsum("n,nt->t", wb, _phase_block(run[cols], nb, s, buf).view(float)).view(complex)
+            if lo:
+                vals[start : start + len(run)] += out[: len(run)]
     return vals[: len(t)]
 
 
@@ -620,7 +626,8 @@ def linspace_rows(stop: float, num: int, rows: slice) -> np.ndarray:
         t /= div
         t *= stop
     else:
-        t *= step
+        with np.errstate(over="ignore"):  # only the last row can round past the double range: set below
+            t *= step
     t += 0.0  # the start: turns a -0.0 into 0.0, as np.linspace does
     if rows.stop == num:
         t[-1] = stop

@@ -420,6 +420,8 @@ def triangle_coefficients(
     norm = math.sqrt(16.0 / (L**2 * 3.0 * math.sqrt(3.0)))
     norm_o = math.sqrt(8.0 / (L**2 * 3.0 * math.sqrt(3.0)))
     gauss_norm = 1.0 / (b * math.sqrt(math.pi))  # 2D Gaussian prefactor
+    if not math.isfinite(gauss_norm):  # a subnormal width, where inf * 0 would make NaN coefficients
+        raise DomainError(f"width_b = {width_b:g} is too narrow: the prefactor 1/(b sqrt(pi)) overflows")
 
     labels = triangle_state_labels(m_cap)
     m, n, sym = labels["q1"], labels["q2"], labels["symmetry"]

@@ -113,11 +113,12 @@ def _y01_series(z, m):
         term = term * half2 / ((k + 1) * (k + 2))
         hk += 1.0 / (k + 1)
         hk1 += 1.0 / (k + 2)
-    return (
-        (2.0 / np.pi) * np.log(0.5 * z) * _j01_series(z, 1)
-        - (2.0 / (np.pi * z))
-        - (1.0 / np.pi) * total
-    )
+    with np.errstate(over="ignore"):  # below z ~ 3.5e-309, Y_1 = -inf, which _upward and the ring keep
+        return (
+            (2.0 / np.pi) * np.log(0.5 * z) * _j01_series(z, 1)
+            - (2.0 / (np.pi * z))
+            - (1.0 / np.pi) * total
+        )
 
 
 def _j01_asym(z, m):

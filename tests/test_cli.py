@@ -465,15 +465,17 @@ class TestBilliardContract:
         assert "GiB" in err and "Traceback" not in err
 
     def test_point_hole_ring_runs_silently(self, tmp_path):
-        # Y_m of the inner argument overflows from m = 14 on; run as a
-        # process to see its real stderr
+        # Y_m of the inner argument overflows from m = 14 on at f = 1e-30,
+        # and Y_1 itself at a subnormal f; run as a process to see its real
+        # stderr
         src = os.path.dirname(os.path.dirname(revival.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        argv = ["billiard2d", "--geometry", "annulus", "--f", "1e-30"] + self.TIME
-        proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert len((tmp_path / "levels.csv").read_text().splitlines()) == 1 + 33 * 31
+        for f in ("1e-30", "2.2e-309"):
+            argv = ["billiard2d", "--geometry", "annulus", "--f", f] + self.TIME
+            proc = subprocess.run([sys.executable, "-m", "revival.cli", *argv, "--out", str(tmp_path / f)],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0 and proc.stderr == "", (f, proc.stderr)
+            assert len((tmp_path / f / "levels.csv").read_text().splitlines()) == 1 + 33 * 31
 
     def test_huge_n0_carpet_prints_no_warning(self, tmp_path):
         # the builder's size guard must refuse the packet before the
@@ -765,12 +767,16 @@ class TestSchemaBounds:
      (["carpet", "--L", "1e154", "--x_count", "64", "--t_count", "64", "--n_max", "1"], "axis t needs finite"),
      # the series fails on a grid that rounds to repeated times: no levels table is left either
      (["billiard2d", "--geometry", "circle", "--m_cap", "1", "--nr_cap", "0", "--tmax", "5e-324",
-       "--steps", "2"], "strictly increasing")],
+       "--steps", "2"], "strictly increasing"),
+     # a subnormal width overflows the triangle's Gaussian prefactor (inf * 0 warned, then NaN)
+     (["billiard2d", "--geometry", "equilateral", "--y0", "0.5", "--dx0", "5e-324", "--m_cap", "2",
+       "--tmax", "1", "--steps", "1"], "too narrow")],
     ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor", "autocorr_huge_n0", "autocorr_huge_dn",
          "autocorr_inexact_n0", "autocorr_huge_window", "bec_huge_alpha", "bec_overflowing_alpha",
          "bec_huge_n_cap", "carpet_subnormal_dx0", "carpet_huge_L", "wigner_huge_L", "observables_huge_L",
          "jc_infinite_frequency", "jc_infinite_grid", "bec_infinite_time", "carpet_subnormal_max",
-         "carpet_tiny_max", "carpet_infinite_time_axis", "billiard2d_repeated_times"],
+         "carpet_tiny_max", "carpet_infinite_time_axis", "billiard2d_repeated_times",
+         "billiard2d_subnormal_triangle_width"],
 )
 def test_overflowing_energies_exit_three_silently(tmp_path, argv, message):
     # run as a process to see the real stderr: one error line, no warnings,
@@ -846,6 +852,8 @@ class TestStreamedSeries:
         "autocorr_anti": ["autocorr", "--model", "well", "--n0", "40", "--dn", "3", "--tmax", "3",
                           "--anti", "1"],
         "jc": ["jc", "--nbar", "50", "--coupling", "1"],
+        # 1,075 levels: two level blocks of the phase sum
+        "jc_two_blocks": ["jc", "--nbar", "2000", "--coupling", "1"],
         "billiard2d": ["billiard2d", "--geometry", "square", "--x0", "0.3", "--y0", "0.4", "--p0x", "20",
                        "--p0y", "10", "--m_cap", "8", "--tmax", "10"],
     }
@@ -985,12 +993,8 @@ class TestStreamedGrids:
         assert code == 0
         assert peak < 64 << 20, peak  # measured: 54 MiB
 
-# Each example sets every required key and some optional ones to values
-# from ranges that keep the run small, and at most one key to an edge value
-# that the checks must turn away or handle; the runs share the test
-# process, so no drawn value may ask for a large allocation.
-_FLOAT_EDGES = st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300])
-_INT_EDGES = st.sampled_from([-1, 0, 10**12])
+# in-range values of the contract test and the schema fuzzer below, by key
+# and by command; the ranges keep each run small
 _MODEL_VALUES = {"alpha": st.floats(-0.01, 0.01), "beta": st.floats(-1e-4, 1e-4), "L": st.floats(0.5, 2.0),
                  "F": st.floats(0.5, 2.0), "inertia": st.floats(0.5, 2.0), "V0": st.floats(0.0, 50.0),
                  "omega": st.floats(0.5, 2.0)}
@@ -1017,6 +1021,14 @@ _CONTRACT_VALUES = {
 }
 
 
+# Each example sets every required key and some optional ones to values
+# from the ranges above, and at most one key to an edge value that the
+# checks must turn away or handle; the runs share the test process, so no
+# drawn value may ask for a large allocation.
+_CONTRACT_EDGES = st.one_of(st.sampled_from([-1, 0, 10**12]),
+                            st.sampled_from([0.0, -0.0, -1.0, 5e-324, 1e-300, 1e300, -1e300]), st.just("x"))
+
+
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 @pytest.mark.parametrize("command", sorted(_CONTRACT_VALUES))
@@ -1037,7 +1049,7 @@ def test_contract_holds_for_any_values(command, data):
     for key, strategy in values.items():
         if schema[key][1] is cli._REQUIRED or key == edge or data.draw(st.booleans()):
             if key == edge:
-                strategy = st.one_of(_INT_EDGES, _FLOAT_EDGES, st.just("x"))
+                strategy = _CONTRACT_EDGES
             argv += [f"--{key}", str(data.draw(strategy, label=key))]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
@@ -1050,15 +1062,17 @@ def test_contract_holds_for_any_values(command, data):
 
 # The schema fuzzer: for any command, every key the run reads is set with
 # probability 1/2 (required and size keys always). Each example draws how
-# often its values come from the edges below, one in sixteen or one in three;
-# the others come from inside the key's range: the _CONTRACT_VALUES and
-# _BILLIARD_VALUES strategies for floats, and for size keys small counts
-# only, so each accepted run is small. The runs share the test process:
-# the work budget is lowered to 64 MiB for them, so that a run the budget
-# admits stays small too.
-_EDGE_FLOATS = (0.0, -0.0, -1.0, -400.0, 5e-324, 1e-300, 1e-30, 1e-8, 0.001, 0.3, 0.5, 0.999, 1.0,
-                2.0, 7.0, 40.0, 400.0, 1e5, 1e8, 1e15, 1e154, 1e300, 1.7e308, "nan", "x")
-_EDGE_SIZES = (-1, 0, 10**12, "0.5")
+# often its values come from the edges below, one in sixteen or one in three
+# (float keys take the integer size edges too); the others come from inside
+# the key's range: the _CONTRACT_VALUES and _BILLIARD_VALUES strategies for
+# floats (the billiard's size, f, dx0 and tmax as often any finite float),
+# and for size keys small counts only, so each accepted run is small. The
+# runs share the test process: the work budget is lowered to 64 MiB for
+# them, so that a run the budget admits stays small too.
+_INT_EDGES = (-1, 0, 10**12)
+_EDGE_SIZES = (*_INT_EDGES, "0.5")
+_EDGE_FLOATS = (0.0, -0.0, -1.0, -400.0, -1e300, 5e-324, 1e-300, 1e-30, 1e-8, 0.001, 0.3, 0.5, 0.999,
+                1.0, 2.0, 7.0, 40.0, 400.0, 1e5, 1e8, 1e15, 1e154, 1e300, 1.7e308, "nan", "x", *_INT_EDGES)
 _SIZE_POOLS = {
     "steps": (1, 2, 7, 40), "n_max": (0, 1, 7, 300), "n_min": (0, 1, 30), "q": (1, 2, 7, 101, 3000),
     "p": (1, 3, 40), "x_count": (2, 3, 40), "t_count": (64, 65, 96), "p_count": (2, 3, 40),
@@ -1066,9 +1080,9 @@ _SIZE_POOLS = {
 }
 _CARPET_SIZES = {"x_count": (64, 65, 96)}
 _CHOICES = {"geometry": ("square", "equilateral", "circle", "annulus"), "format": ("csv", "pgm"), "anti": (0, 1)}
-_BILLIARD_VALUES = {"size": st.floats(0.5, 2.0), "f": st.floats(0.05, 0.95), "x0": st.floats(-1.0, 1.0),
+_BILLIARD_VALUES = {"size": _signed(0.5, 2.0), "f": _signed(0.05, 0.95), "x0": st.floats(-1.0, 1.0),
                     "y0": st.floats(-1.0, 1.0), "p0x": st.floats(-30.0, 30.0), "p0y": st.floats(-30.0, 30.0),
-                    "dx0": st.floats(0.01, 0.1), "tmax": st.floats(0.0, 20.0)}
+                    "dx0": _signed(0.01, 0.1), "tmax": _signed(0.0, 20.0)}
 
 
 def _fuzz_value(data, command: str, key: str, rate: int):

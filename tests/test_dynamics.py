@@ -656,9 +656,13 @@ class TestPhaseKernel:
 class TestLinspaceRows:
     @pytest.mark.parametrize("stop, num", [
         (1600.0, 64001), (1e8, 2001), (1.0, 2), (3.0, 4097), (30 * math.pi, 6001), (0.3, 637),
-        (1e-320, 11), (5e-324, 3), (0.0, 11), (-0.0, 5), (-0.5, 301), (1.7e308, 11), (7.25e-5, 9999)])
+        (1e-320, 11), (5e-324, 3), (0.0, 11), (-0.0, 5), (-0.5, 301), (1.7e308, 11), (7.25e-5, 9999),
+        (1.7976931348623157e308, 8)])
     def test_blocks_are_np_linspace_bit_for_bit(self, stop, num):
-        want = np.linspace(0.0, stop, num).view(np.int64)  # -0.0 and 0.0 differ here
+        # at the largest stop np.linspace's last row overflows before it is set to stop;
+        # linspace_rows must give those bits without the warning
+        with np.errstate(over="ignore"):
+            want = np.linspace(0.0, stop, num).view(np.int64)  # -0.0 and 0.0 differ here
         for block in (1, 7, 4096, num):
             got = np.concatenate([dynamics.linspace_rows(stop, num, slice(lo, min(lo + block, num)))
                                   for lo in range(0, num, block)])
@@ -690,8 +694,8 @@ def _mp_sum(w, omegas, t, cycles=None):
 
 class TestFactoredPhaseSum:
     """_phase_sum's base x offset factoring: 40-digit mpmath on the factored
-    path, the bits of the direct sum wherever a run falls back, and a
-    tracemalloc bound."""
+    path, one 1024-level block and two, the bits of the direct sum wherever
+    a run falls back, and a tracemalloc bound."""
 
     @staticmethod
     def _runs(monkeypatch):
@@ -743,10 +747,10 @@ class TestFactoredPhaseSum:
         for k in self._sampled(150, len(t)):
             assert abs(got[k] - _mp_sum(w, omegas, t[k])) <= 1e-15 * w.sum(), k
 
-    def _falls_back(self, monkeypatch, w, n, t, s=None, runs=None):
+    def _falls_back(self, monkeypatch, w, n, t, s, runs):
         taken = self._runs(monkeypatch)
         got = dynamics._phase_sum(w, n, t, s)
-        assert taken == ([False] * runs if runs else [])
+        assert taken == [False] * runs
         assert np.array_equal(got.view(np.int64), _direct_phase_sum(w, n, t, s).view(np.int64))
 
     def test_nonuniform_grid_falls_back(self, monkeypatch):
@@ -760,12 +764,16 @@ class TestFactoredPhaseSum:
         t = np.linspace(0.0, 1e8 + 0.3, 2001)
         self._falls_back(monkeypatch, c.weights(), c.indices, t, s, runs=1)
 
-    def test_many_levels_fall_back(self, monkeypatch):
-        # 1100 levels leave fewer than _MIN_COLUMNS columns per table
+    def test_many_levels_take_level_blocks(self, monkeypatch):
+        # 1100 levels: a 1024-level block and a 76-level one, each factored
+        taken = self._runs(monkeypatch)
         n = np.linspace(1.0, 40.0, 1100)
-        assert dynamics._FACTOR_ELEMENTS // len(n) < dynamics._MIN_COLUMNS
         w = np.full(len(n), 1.0 / len(n))
-        self._falls_back(monkeypatch, w, n, np.linspace(0.0, 3.0, 1000))
+        t = np.linspace(0.0, 3.0, 1000)
+        got = dynamics._phase_sum(w, n, t)
+        assert taken == [True, True]
+        for k in self._sampled(60, len(t)):
+            assert abs(got[k] - _mp_sum(w, n, t[k])) <= 1e-15 * w.sum(), k
 
     def test_short_runs_are_direct(self, monkeypatch):
         # a 4097-row grid: one factored run and a one-row direct run
