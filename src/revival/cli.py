@@ -336,7 +336,7 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
         "n0": (_POSITIVE, 400.0),
         # the rasters stream, so time and output grow with x_count * t_count:
         # 8192 x 8192 takes 4 s at 55 MB max-RSS and writes 3 x 128 MiB of
-        # PGM; --dx0 0.0001 (14,683 modes) at 8192 x 64 takes 21 s at 111 MB
+        # PGM; --dx0 0.0001 (14,683 modes) at 8192 x 64 takes 9 s at 91 MB
         "x_count": (_bounded(_int_key, 64, below=8193), 256),
         "t_count": (_bounded(_int_key, 64, below=8193), 256),
         "t_hi": (_bounded(_float_key, 0.0), 0.0),  # 0 -> half the revival time

@@ -126,7 +126,7 @@ def _trim(index_lo: int, values: np.ndarray, rel_floor: float) -> tuple[int, np.
 
 
 def _deficit(values: np.ndarray) -> float:
-    # roundoff / quadrature overshoot below 1e-9 clamps to exactly zero
+    # a roundoff overshoot below 1e-9 clamps to exactly zero
     d = 1.0 - float(np.sum(np.abs(values) ** 2))
     return 0.0 if -1e-9 < d < 0.0 else d
 

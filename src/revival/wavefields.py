@@ -517,53 +517,51 @@ _CARPET_TABLE = 1 << 20
 
 
 def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
-    """(time slice, classical rows, quantum rows) of `carpet`, in time
-    order; the rows are (T, X), the PGM row order, formed in place. A time
-    block takes one (2T, N) @ (N, X') product per column block of the
-    e_plus table (N X' <= _CARPET_TABLE), whose rows a(t) and conj(a(t))
-    give the bits of one product per wave direction: w_minus = a @
-    conj(e_plus) is used only through conj(w_minus) = conj(a) @ e_plus,
-    which has the same modulus.
+    """(time slice, classical rows, quantum rows) of `carpet`, in blocks of
+    _CARPET_TIMES times; the rows are (T, X), the PGM row order, formed in
+    place. A time block takes one (2T, N) @ (N, X') product per column
+    block of X' <= _CARPET_TABLE / N samples, whose rows a(t) and
+    conj(a(t)) give the bits of one product per wave direction: w_minus =
+    a @ conj(e_plus) is used only through conj(w_minus) = conj(a) @
+    e_plus, which has the same modulus.
 
-    A table of one column block is built once, and a time block is
-    _CARPET_TIMES times. A wider table is rebuilt for every time block, at
-    ~40 ns per element against ~0.3 ns per element and time of product,
-    so its time blocks widen until their (N, 2T) and (2T, X) rows reach
-    _CARPET_TABLE elements; BLAS picks its kernels by shape, so these rows
-    can differ from a one-block product's in the last place."""
+    One e_plus table is built, for the first column block. The block that
+    starts at sample s reuses it, since on the grid x_j = jL/(X - 1)
+    e^{i n pi x_j / L} = e^{i n pi x_s / L} e^{i n pi x_(j-s) / L}: both
+    coefficient rows take the shift e^{i n pi x_s / L}, formed when the
+    block is used. The first block is unshifted, so a carpet of one column
+    block keeps its bits; later blocks carry the shift's rounding."""
     L = basis.L
     n = _basis_indices(c, basis).astype(float)
-    width = max(1, _CARPET_TABLE // len(n))
-    # 48 B per (mode, x) cell of a column block: the measured tracemalloc peak is 24 B per cell
-    check_work_bytes(len(n) * min(width, len(x)) * 48, f"carpet of {len(n)} modes on {len(x)} x samples")
-    columns = [slice(lo, lo + width) for lo in range(0, len(x), width)]
-    tables = _Buffers()  # the table of a column block, reused by each rebuild
-
-    def table(cols):
-        theta = np.multiply.outer(n, x[cols])
-        theta *= math.pi
-        theta /= L
-        # e_plus, (N, X'): cos and sin give the bits of np.exp(1j * theta);
-        # complex exp ran 10x slower once a complex BLAS product had run
-        # (2-core AVX-512 x86-64, OpenBLAS 0.3.31)
-        return _unit_phases(theta, tables)
-
-    whole = table(columns[0]) if len(columns) == 1 else None
-    step = _CARPET_TIMES if whole is not None else max(_CARPET_TIMES,
-                                                        _CARPET_TABLE // (2 * max(len(n), len(x))))
+    width = min(max(1, _CARPET_TABLE // len(n)), len(x))
+    # 48 B per (mode, x) cell of the table: the measured tracemalloc peak is 24 B per cell
+    check_work_bytes(len(n) * width * 48, f"carpet of {len(n)} modes on {len(x)} x samples")
+    theta = np.multiply.outer(n, x[:width])
+    theta *= math.pi
+    theta /= L
+    # e_plus, (N, X'): cos and sin give the bits of np.exp(1j * theta);
+    # complex exp ran 10x slower once a complex BLAS product had run
+    # (2-core AVX-512 x86-64, OpenBLAS 0.3.31)
+    e_plus = _unit_phases(theta, _Buffers())
+    del theta  # not held through the time loop; the bench carpet's max-RSS was +0.6 MB with it held
     buf = _Buffers()
+    shifts = _Buffers()  # a later column block's shift and shifted coefficients
     # the phases of a few product blocks per call: a call per block costs
     # more than its product, and a full _PHASE_ELEMENTS block peaks higher
-    for chunk in _phase_chunks(len(ts), 8 * len(n), align=step):
+    for chunk in _phase_chunks(len(ts), 8 * len(n), align=_CARPET_TIMES):
         phases = _phase_block(ts[chunk], n, basis.spectrum, buf)
-        for sub in range(0, phases.shape[1], step):
-            times = min(step, phases.shape[1] - sub)
+        for sub in range(0, phases.shape[1], _CARPET_TIMES):
+            times = min(_CARPET_TIMES, phases.shape[1] - sub)
             a = np.empty((len(n), 2 * times), dtype=complex)  # columns a(t), then conj(a(t))
             np.multiply(c.coefficients[:, None], np.conj(phases[:, sub : sub + times]), out=a[:, :times])
             np.conj(a[:, :times], out=a[:, times:])
             w = np.empty((2 * times, len(x)), dtype=complex)
-            for cols in columns:
-                np.matmul(a.T, table(cols) if whole is None else whole, out=w[:, cols])
+            np.matmul(a.T, e_plus, out=w[:, :width])
+            for lo in range(width, len(x), width):
+                cols = slice(lo, lo + width)
+                shifted = np.multiply(a, _unit_phases(n * x[lo] * math.pi / L, shifts)[:, None],
+                                      out=shifts("a", a.shape, complex))
+                np.matmul(shifted.T, e_plus[:, : len(x[cols])], out=w[:, cols])
             w_plus, w_minus_conj = w[:times], w[times:]
             # (|w_plus|^2 + |w_minus|^2) / 2L and -Re(w_plus conj(w_minus)) / L, in place
             cls = np.abs(w_plus)

@@ -981,7 +981,7 @@ class TestStreamedGrids:
         # a 579-mode packet on 8192 x samples: a whole (mode, x) table at
         # 48 B per cell (4.7M cells, 217 MiB) passes a 128 MiB cap, which
         # refused the run, while its column blocks fit. At the 1 GiB cap the
-        # same holds for --dx0 0.0001, 14,683 modes (a 21 s run)
+        # same holds for --dx0 0.0001, 14,683 modes (a 9 s run)
         monkeypatch.setattr(errors, "WORK_MAX_BYTES", 128 << 20)
         argv = ["carpet", "--dx0", "0.005", "--x_count", "8192", "--t_count", "64"]
         tracemalloc.start()
@@ -991,7 +991,7 @@ class TestStreamedGrids:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 64 << 20, peak  # measured: 54 MiB
+        assert peak < 64 << 20, peak  # measured: 29.5 MiB
 
 # in-range values of the contract test and the schema fuzzer below, by key
 # and by command; the ranges keep each run small

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -361,14 +362,16 @@ class TestWignerRowBlocks:
 class TestCarpetStream:
     @pytest.mark.parametrize(
         "x_count, t_count, dx0",
-        [(64, 64, 0.05), (97, 1000, 0.05), (333, 130, 0.005)],
-        ids=["64x64", "odd_x_1000_times", "two_phase_chunks"],
+        [(64, 64, 0.05), (97, 1000, 0.05), (333, 130, 0.005), (512, 64, 0.0005)],
+        ids=["64x64", "odd_x_1000_times", "two_phase_chunks", "two_column_blocks"],
     )
     def test_streamed_pgms_are_pgms_of_the_grids(self, tmp_path, x_count, t_count, dx0):
         pk = PacketParams1D(x0=0.5, p0=400 * math.pi, width_b=dx0 * math.sqrt(2.0))
         c = infinite_well_coefficients(pk, L, int(400 + 12 * delta_n_estimate(pk, L)) + 8)
-        if dx0 < 0.05:
+        if dx0 == 0.005:
             assert len(list(_phase_chunks(t_count, 8 * len(c.indices), align=_CARPET_TIMES))) > 1
+        if dx0 == 0.0005:  # 3,277 modes: the carpet runs in two column blocks
+            assert len(c.indices) * x_count > wavefields._CARPET_TABLE
         t_hi = TREV / 7
         names = ("total", "classical", "quantum")
         write_carpet_pgms(c, L, x_count, t_count, t_hi, [tmp_path / f"{name}.pgm" for name in names])
@@ -420,8 +423,13 @@ class TestCarpet:
         with pytest.raises(DomainError):
             carpet(cset, L, 32, 96, 0.1)
 
-    def test_matches_per_time_loop(self, cset):
-        # 300 times: several full sub-blocks of times and a partial one
+    @pytest.mark.parametrize("table", [None, 2000], ids=["one_table", "column_blocks"])
+    def test_matches_per_time_loop(self, cset, monkeypatch, table):
+        # 300 times: several full sub-blocks of times and a partial one; a
+        # 2000-element cap runs the 57 modes in column blocks of 35, 35 and
+        # 10 samples, the later two through a shift of the first's table
+        if table is not None:
+            monkeypatch.setattr(wavefields, "_CARPET_TABLE", table)
         cls, qc = carpet(cset, L, 80, 300, TREV / 3)
         x = np.linspace(0.0, L, 80)
         ts = np.linspace(0.0, TREV / 3, 300)
@@ -438,16 +446,35 @@ class TestCarpet:
         assert np.max(np.abs(qc.values - want_q)) <= 1e-13 * scale
         assert np.max(np.abs(cls.values + qc.values - (want_c + want_q))) <= 1e-13 * scale
 
-    def test_column_blocks_match_one_table(self, cset, monkeypatch):
-        # a 2000-element cap cuts the (57, 80) table into three column blocks,
-        # rebuilt for each block of times; BLAS may round their products
-        # differently from the one-table product's
-        cls, qc = carpet(cset, L, 80, 300, TREV / 3)
-        monkeypatch.setattr(wavefields, "_CARPET_TABLE", 2000)
-        cls_b, qc_b = carpet(cset, L, 80, 300, TREV / 3)
+    def test_column_blocks_match_mpmath(self):
+        # the CLI's --dx0 0.0005 box packet: 3,277 modes, so the 2^20-cell
+        # table is 319 columns wide and 512 samples take two column blocks.
+        # Cells of both blocks and several time blocks against 30-digit sums
+        # over the same coefficients, float x_j and t. E_n = (n pi)^2 as the
+        # model holds it, 2 pi g n^2 with g the double nearest pi / 2: exact
+        # pi moves these phases by up to 4e-10 at n = 3277
+        pk = PacketParams1D(x0=0.5, p0=400 * math.pi, width_b=0.0005 * math.sqrt(2.0))
+        c = infinite_well_coefficients(pk, L, int(400 + 12 * delta_n_estimate(pk, L)) + 8)
+        assert (len(c.indices), wavefields._CARPET_TABLE // len(c.indices)) == (3277, 319)
+        t_hi = TREV / 2.0
+        cls, qc = carpet(c, L, 512, 64, t_hi)
+        x = np.linspace(0.0, L, 512)
+        ts = np.linspace(0.0, t_hi, 64)
         scale = np.max(cls.values)
-        assert np.max(np.abs(cls_b.values - cls.values)) <= 1e-14 * scale
-        assert np.max(np.abs(qc_b.values - qc.values)) <= 1e-14 * scale
+        with mpmath.workdps(30):
+            pi, g = mpmath.pi, mpmath.mpf(WELL.spectrum.frequency_polynomial()[2])
+            a = [mpmath.mpc(complex(v)) for v in c.coefficients]
+            for i, j in [(100, 5), (256, 17), (318, 40), (319, 0), (400, 33), (451, 63)]:
+                kx, t = pi * mpmath.mpf(float(x[i])) / L, mpmath.mpf(float(ts[j]))
+                w_plus = w_minus = mpmath.mpc(0)
+                for n, a_n in zip(c.indices.tolist(), a):
+                    a_t = a_n * mpmath.expj(-2 * pi * g * n**2 * t)
+                    w_plus += a_t * mpmath.expj(n * kx)
+                    w_minus += a_t * mpmath.expj(-n * kx)
+                want_c = (abs(w_plus) ** 2 + abs(w_minus) ** 2) / (2 * L)
+                want_q = -mpmath.re(w_plus * mpmath.conj(w_minus)) / L
+                assert abs(cls.values[i, j] - float(want_c)) <= 1e-13 * scale, (i, j)
+                assert abs(qc.values[i, j] - float(want_q)) <= 1e-13 * scale, (i, j)
 
 
 def _simpson_weights(x: np.ndarray) -> np.ndarray:
