@@ -5,9 +5,9 @@ artifacts with a metadata sidecar.
 Exit codes: 0 success, 2 configuration error, 3 numeric/convergence
 error, 4 I/O error.
 
-Only errors, serialize and numpy load with this module; each command
-imports the package modules it runs, so `--help` and a configuration
-error load none of them.
+Only errors loads with this module; each command imports the package
+modules it runs (and numpy with them), so `--help`, a configuration error
+and build_scenario load none of them.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 # idle BLAS workers sleep at once instead of spinning ~0.13 s CPU
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-import numpy as np
 
 from . import __version__
 from .errors import ConfigError, RevivalError, TruncationError
-from .serialize import format_float, write_csv, write_series_csv
 
 # --model value -> (Spectrum1D factory, the model keys it reads, in argument order)
 _SPECTRA = {
@@ -144,6 +142,7 @@ def _write_series(path: str, stop: float, steps: int, series) -> None:
     steps + 1): evaluated and written one block of rows at a time, so no
     array as long as the grid is held."""
     from .dynamics import linspace_rows
+    from .serialize import write_series_csv
 
     def block(part):
         ts = series(linspace_rows(stop, steps + 1, part))
@@ -171,7 +170,10 @@ def _box_coefficients(p: dict, n_max: int = 0):
 # path; each computes every extra that can fail before it writes, so that leaves no file
 
 def _cmd_spectrum(p: dict, out):
+    import numpy as np
+
     from . import spectra
+    from .serialize import write_csv
 
     s = _spectrum(p)
     n_lo = max(p["n_min"], int(s.ground_index))
@@ -221,6 +223,8 @@ def _cmd_carpet(p: dict, out):
 
 
 def _cmd_wigner(p: dict, out):
+    import numpy as np
+
     from . import wavefields
 
     pk, c = _box_coefficients(p)
@@ -238,6 +242,7 @@ def _cmd_wigner(p: dict, out):
 
 def _cmd_observables(p: dict, out):
     from . import dynamics, spectra, wavefields
+    from .serialize import write_csv
 
     _, c = _box_coefficients(p)
     extras = _time_scale_extras(spectra.Spectrum1D.infinite_well(p["L"]), max(abs(p["n0"]), 2.0))
@@ -404,9 +409,9 @@ _COMMAND_TABLE: dict[str, tuple[dict, object]] = {
 
 def _read_config_lines(path: str) -> dict[str, str]:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or bytes that are not UTF-8
         raise ConfigError(f"cannot read config file: {exc}") from None
     pairs = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -426,13 +431,19 @@ def _read_config_lines(path: str) -> dict[str, str]:
     return pairs
 
 
+def _schema(command: str) -> dict:
+    if command not in _COMMAND_TABLE:
+        raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(_COMMAND_TABLE)}")
+    return _COMMAND_TABLE[command][0]
+
+
 def build_scenario(command: str, raw: dict[str, str], out_dir: str) -> Scenario:
     """Validate raw key/value strings against the command schema
     (fail-closed: unknown keys, and model keys the chosen model does not
-    read, are errors)."""
-    if command not in _COMMAND_TABLE:
-        raise ConfigError(f"unknown command {command!r}; expected one of {', '.join(_COMMAND_TABLE)}")
-    schema, _ = _COMMAND_TABLE[command]
+    read, are errors), and out_dir as a path."""
+    schema = _schema(command)
+    if "\0" in out_dir:
+        raise ConfigError(f"--out {out_dir!r}: a path cannot hold a NUL byte")
     params = {}
     for key, value in raw.items():
         if key not in schema:
@@ -466,6 +477,8 @@ def parse_config(path: str, command: str, out_dir: str, overrides: dict[str, str
 
 def _write_sidecar(scenario: Scenario, extras: dict) -> str:
     """Write <command>.meta.txt (inputs, version, derived quantities); returns its path."""
+    from .serialize import format_float
+
     path = os.path.join(scenario.out_dir, f"{scenario.command}.meta.txt")
     with open(path, "w", newline="") as fh:
         fh.write(f"command = {scenario.command}\n")
@@ -496,26 +509,25 @@ def main(argv: list[str] | None = None) -> int:
             _print_usage()
             return 0
         command = argv[0]
-        config_path = None
-        out_dir = None
-        overrides: dict[str, str] = {}
-        i = 1
-        while i < len(argv):
+        _schema(command)  # an unknown command is named before any flag error
+        flags: dict[str, str] = {}
+        for i in range(1, len(argv), 2):
             arg = argv[i]
+            if arg in ("-h", "--help"):
+                _print_usage()
+                return 0
             if not arg.startswith("--"):
                 raise ConfigError(f"unexpected argument {arg!r}")
             if i + 1 >= len(argv):
                 raise ConfigError(f"flag {arg!r} needs a value")
-            value = argv[i + 1]
-            if arg == "--config":
-                config_path = value
-            elif arg == "--out":
-                out_dir = value
-            else:
-                overrides[arg[2:]] = value
-            i += 2
+            if arg in flags:  # as a repeated key in a config file
+                raise ConfigError(f"flag {arg!r} given twice")
+            flags[arg] = argv[i + 1]
+        config_path = flags.pop("--config", None)
+        out_dir = flags.pop("--out", None)
         if out_dir is None:
             raise ConfigError("--out DIR is required")
+        overrides = {arg[2:]: value for arg, value in flags.items()}
         scenario = parse_config(config_path, command, out_dir, overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

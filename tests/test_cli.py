@@ -90,6 +90,12 @@ class TestParsing:
         sc = parse_config(path, "fractional", "out", overrides={"q": "4"})
         assert sc.params["q"] == 4
 
+    def test_utf8_bom_config(self, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbfp = 1\nq = 3\n")
+        sc = parse_config(str(path), "fractional", "out")
+        assert (sc.params["p"], sc.params["q"]) == (1, 3)
+
 
 class TestRun:
     def test_spectrum_case_a_sidecar(self, tmp_path):
@@ -353,6 +359,12 @@ class TestMain:
         assert main([]) == 0
         assert "usage" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [["fractional", "--help"], ["carpet", "--x_count", "64", "-h"]],
+                             ids=["help", "h_after_a_flag"])
+    def test_command_help(self, tmp_path, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage")
+
 
 def test_exit_three_for_packet_outside_triangle(tmp_path, capsys):
     # (5, 0) lies beyond the right wall of the equilateral billiard
@@ -406,7 +418,8 @@ class TestBilliardContract:
          ("tmax", "-1")],
     )
     def test_out_of_range_exits_two(self, tmp_path, capsys, key, value):
-        argv = ["billiard2d", "--geometry", "circle"] + self.TIME + [f"--{key}", value]
+        keys = {"tmax": "1", "steps": "10", key: value}  # a repeated flag is an error of its own
+        argv = ["billiard2d", "--geometry", "circle"] + [arg for k, v in keys.items() for arg in (f"--{k}", v)]
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert f"key {key!r}" in capsys.readouterr().err
 
@@ -722,6 +735,34 @@ class TestSchemaBounds:
         err = capsys.readouterr().err
         assert f"key {key!r}" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+
+class TestArgvErrors:
+    # argv the config file's fail-closed rules turn away too; a NUL in a
+    # path reaches only the Python entry point, as a shell cannot pass one
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(["fractional", "--config", "a\x00b", "--out", "OUT"], "embedded null byte"),
+         (["fractional", "--p", "1", "--q", "3", "--out", "OUT\x00b"], "cannot hold a NUL"),
+         (["fractional", "--config", "LATIN1", "--out", "OUT"], "can't decode byte 0xe9"),
+         (["fractional", "--p", "1", "--q", "3", "--p", "2", "--out", "OUT"], "flag '--p' given twice"),
+         (["fractional", "--config", "LATIN1", "--config", "LATIN1", "--out", "OUT"],
+          "flag '--config' given twice"),
+         (["fractional", "--p", "1", "--q", "3", "--out", "OUT", "--out", "OUT"], "flag '--out' given twice"),
+         (["--version"], "unknown command '--version'"),
+         (["nope", "--p", "1"], "unknown command 'nope'")],
+        ids=["config_nul", "out_nul", "config_not_utf8", "repeated_flag", "repeated_config", "repeated_out",
+             "flag_as_command", "unknown_command_before_out"],
+    )
+    def test_exits_two_with_one_line(self, tmp_path, capsys, argv, message):
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"p = 1\nq = 3\n# caf\xe9\n")
+        out = tmp_path / "out"
+        argv = [arg.replace("OUT", str(out)).replace("LATIN1", str(latin1)) for arg in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

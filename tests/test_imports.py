@@ -1,7 +1,7 @@
 """What each process loads: the package resolves its exports and
 submodules on first access, and each CLI command imports only the
-modules it runs (specfun only on the Airy and Bessel paths). The CLI
-also sets OpenBLAS's idle timeout before numpy loads, so no BLAS worker
+modules it runs (specfun only on the Airy and Bessel paths); usage,
+argument errors and build_scenario load no numpy. The CLI also sets OpenBLAS's idle timeout before numpy loads, so no BLAS worker
 spins through start-up."""
 
 import importlib
@@ -25,10 +25,12 @@ COMMAND_MODULES = {"analogs", "billiards", "dynamics", "fractional", "packets", 
 
 
 def _loaded(code: str) -> tuple[set[str], object]:
-    """The revival submodules a fresh interpreter holds after `code`, and
-    the JSON line the code printed (None when it prints nothing)."""
+    """The revival submodules a fresh interpreter holds after `code`, plus
+    "numpy" when numpy is loaded, and the JSON line the code printed (None
+    when it prints nothing)."""
     probe = (code + "\nimport json, sys\n"
-             "print(json.dumps(sorted(m[8:] for m in sys.modules if m.startswith('revival.'))))\n")
+             "loaded = {m[8:] for m in sys.modules if m.startswith('revival.')} | {'numpy'} & set(sys.modules)\n"
+             "print(json.dumps(sorted(loaded)))\n")
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
@@ -36,25 +38,46 @@ def _loaded(code: str) -> tuple[set[str], object]:
     return set(json.loads(lines[-1])), (json.loads(lines[-2]) if len(lines) > 1 else None)
 
 
-def _run_cli(argv: list[str], tmp_path) -> tuple[set[str], object]:
+def _run_cli(argv: list[str], out) -> tuple[set[str], object]:
     code = ("import json, contextlib, io, revival.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    rc = revival.cli.main({argv + ['--out', str(tmp_path)]!r})\n"
+            f"    rc = revival.cli.main({argv + ['--out', str(out)]!r})\n"
             "print(json.dumps(rc))")
     return _loaded(code)
 
 
 def test_cli_import_loads_no_command_module():
     modules, _ = _loaded("import revival.cli")
-    assert modules == {"cli", "errors", "serialize"}
+    assert modules == {"cli", "errors"}
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["autocorr", "--n0", "400"], ["jc", "--nbar", "-1"]],
-                         ids=["help", "missing_key", "out_of_range"])
-def test_usage_and_config_errors_load_no_command_module(tmp_path, argv):
-    modules, rc = _run_cli(argv, tmp_path)
-    assert rc == (0 if argv == ["--help"] else 2)
-    assert not modules & COMMAND_MODULES
+@pytest.mark.parametrize(
+    "argv, rc",
+    [(["--help"], 0), (["fractional", "--help"], 0), (["autocorr", "--n0", "400"], 2),
+     (["jc", "--nbar", "-1"], 2), (["fractional", "--p", "1", "--q", "3", "--p", "2"], 2), (["--version"], 2),
+     (["fractional", "--config", "missing.cfg"], 2), (["fractional", "--p", "1", "--q", "3"], 4)],
+    ids=["help", "command_help", "missing_key", "out_of_range", "repeated_flag", "unknown_command",
+         "missing_config", "out_is_a_file"],
+)
+def test_usage_and_config_errors_load_no_command_module(tmp_path, argv, rc):
+    out = tmp_path / "taken"  # a file: a run that gets as far as creating --out exits 4
+    out.write_text("")
+    modules, code = _run_cli(argv, out)
+    assert code == rc
+    assert modules == {"cli", "errors"}
+
+
+# the first CLI scenario of each bench workload, which the bench's setup_s times
+@pytest.mark.parametrize(
+    "command, raw",
+    [("autocorr", {"model": "caseA", "n0": "400", "dn": "6", "tmax": "1600", "steps": "64000"}),
+     ("wigner", {}),
+     ("billiard2d", {"geometry": "circle", "x0": "0.3", "p0y": "20", "tmax": "10", "steps": "4000"})],
+    ids=["series", "fields", "billiards"],
+)
+def test_build_scenario_loads_no_numpy(tmp_path, command, raw):
+    modules, _ = _loaded(f"import revival.cli\nrevival.cli.build_scenario({command!r}, {raw!r}, {str(tmp_path)!r})")
+    assert modules == {"cli", "errors"}
 
 
 @pytest.mark.parametrize(
@@ -76,7 +99,7 @@ def test_usage_and_config_errors_load_no_command_module(tmp_path, argv):
 def test_each_command_loads_what_it_runs(tmp_path, argv, expected):
     modules, rc = _run_cli(argv, tmp_path)
     assert rc == 0
-    assert modules == {"cli", "errors", "serialize"} | expected
+    assert modules == {"cli", "errors", "serialize", "numpy"} | expected
 
 
 def test_package_import_loads_no_submodule():
