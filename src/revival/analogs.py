@@ -226,13 +226,14 @@ def bec_overlap_grid(cs: CoherentState, t: float, re_axis: AxisSpec, im_axis: Ax
 def write_bec_csv(cs: CoherentState, t: float, re_axis: AxisSpec, im_axis: AxisSpec, path) -> None:
     """`bec_overlap_grid(...).to_csv(path)`, computed and written in blocks
     of whole grid rows of up to BLOCK_ROWS points, so that no grid is held.
-    A first pass takes the whole grid's largest |w|, so that every block
-    rescales at the whole grid's cadence and the bytes are the whole
-    grid's."""
+    Every block rescales at the cadence of the whole grid's largest |w|,
+    so the bytes are the whole grid's. |w| grows with |Re beta| and
+    |Im beta|, and rounding keeps that order, so that largest |w| lies on
+    the grid's first or last row."""
     step = max(1, BLOCK_ROWS // im_axis.count)
     chunks = [slice(lo, lo + step) for lo in range(0, re_axis.count, step)]
-    w_max = max(float(np.max(np.abs(_ladder_variable(cs, _grid_beta(re_axis, im_axis, rows)))))
-                for rows in chunks)
+    edges = _grid_beta(re_axis, im_axis, slice(None, None, re_axis.count - 1))  # rows 0 and count - 1
+    w_max = float(np.max(np.abs(_ladder_variable(cs, edges))))
     blocks = ((rows, _bec_overlap(cs, t, _grid_beta(re_axis, im_axis, rows), w_max)) for rows in chunks)
     write_grid_csv(path, re_axis, im_axis, blocks)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _Buffers, _phase_block, _phase_chunks, _unit_phases
+from .dynamics import _phase_block, _phase_chunks, _unit_phases
 from .errors import DomainError, check_work_bytes
 from .packets import CoefficientSet, _airy_levels, bouncer_norm
 from .serialize import write_grid_csv, write_pgm, write_pgms
@@ -241,11 +241,10 @@ def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
                                        basis.p2_matrix(n))]
     t_grid = np.asarray(t_grid, dtype=float)
     moments = np.empty((4, len(t_grid)))
-    buf = _Buffers()  # every (N, T) block below is a buffer reused from chunk to chunk
     for cols in _phase_chunks(len(t_grid), len(n)):
-        a = _phase_block(t_grid[cols], n, basis.spectrum, buf)
+        a = _phase_block(t_grid[cols], n, basis.spectrum)
         np.multiply(c.coefficients[:, None], np.conj(a, out=a), out=a)  # a_n(t) = c_n conj(phase)
-        m_a = buf("m_a", a.shape, complex)
+        m_a = np.empty_like(a)
         # Re conj(a) . M . a per matrix and time, as Re a . conj(M a): the real
         # parts of the products are the same bits. einsum without `optimize`
         # sums in order, no BLAS. A real M acts on the (N, 2T) float view of
@@ -261,6 +260,7 @@ def observables(c: CoefficientSet, basis, t_grid) -> ObservableSeries:
                 np.einsum("nm,mt->nt", m, a.view(float), out=m_a.view(float))
             prod = np.einsum("nt,nt->t", a, np.conj(m_a, out=m_a))
             row[cols] = prod.imag if kind == "imag" else prod.real
+        del a, m_a  # freed before the next chunk's blocks are formed
     mean_x, x2, mean_p, p2 = moments
     sd_x = np.sqrt(np.maximum(x2 - mean_x**2, 0.0))
     sd_p = np.sqrt(np.maximum(p2 - mean_p**2, 0.0))
@@ -319,12 +319,11 @@ def _wigner_work_bytes(x_count: int, p_count: int, mode_count: int) -> int:
     """Loose upper estimate of the Wigner kernel's working arrays while it
     holds `x_count` x rows on `p_count` momenta: eight complex row-by-p
     planes, eight complex row-by-shift tables and three complex
-    shift-by-p tables, with shifts counted before merging. The library
-    grid holds every x row, the streamed CSV one block of them. Either
-    holds far less: the float shift-by-p kernel tables, and for one block
-    of x rows its (rows, N) mode tables, FFT convolutions, complex D_j
-    rows and planes of about dynamics._PHASE_ELEMENTS elements each, plus
-    the float x-by-p grid when it is held."""
+    shift-by-p tables, with shifts counted before merging. Both the
+    library grid and the streamed CSV work on one block of x rows at a
+    time, and hold far less: the float shift-by-p kernel tables, and for
+    the block its (rows, N) mode tables, FFT convolutions, complex D_j
+    rows and planes of about dynamics._PHASE_ELEMENTS elements each."""
     shifts = 4 * (2 * mode_count - 1)
     return 16 * (8 * x_count * p_count + 8 * x_count * shifts + 3 * shifts * p_count)
 
@@ -383,20 +382,22 @@ def _wigner_block(r, xt, L, shift, base, kern, near_cells) -> np.ndarray:
     return total
 
 
-def _wigner_blocks(c: CoefficientSet, L: float, x: np.ndarray, p: np.ndarray, t: float, units: UnitSystem):
+def _wigner_blocks(c: CoefficientSet, L: float, x: np.ndarray, p: np.ndarray, t: float, units: UnitSystem,
+                   held: float = 0.0):
     """(x slice, W on those x rows) of `wigner_infinite_well`, in row order,
     in blocks of x rows whose widest plane holds about
     dynamics._PHASE_ELEMENTS elements. The kernel tables are built here,
     once; each block builds its own D_j rows and raises DomainError if its
     own imaginary residue passes 1e-10. The byte budget counts one block's
-    tables and the kernel's, which is what the stream holds."""
+    tables and the kernel's, which is what the stream holds, plus the
+    `held` bytes of a caller that keeps the rows."""
     if np.any(x <= 0.0) or np.any(x >= L):
         raise DomainError("x grid must lie strictly inside the box")
     basis = InfiniteWellBasis(L, units)
     n = _basis_indices(c, basis)
     shift, cols = _shifts(n)
     chunks = list(_phase_chunks(len(x), 4 * max(len(shift), len(p))))
-    check_work_bytes(_wigner_work_bytes(min(chunks[0].stop, len(x)), len(p), len(n)),
+    check_work_bytes(held + _wigner_work_bytes(min(chunks[0].stop, len(x)), len(p), len(n)),
                      f"Wigner grid {len(x)}x{len(p)} with {len(n)} modes")
     a_t = c.coefficients * np.conj(_phase_block([t], n, basis.spectrum)[:, 0])
     xt = np.minimum(x, L - x)  # mirrored coordinate
@@ -458,15 +459,14 @@ def wigner_infinite_well(
     over blocks of x rows whose widest plane holds about
     dynamics._PHASE_ELEMENTS elements, D_j included; every value depends
     only on its own row, so the grid has the same bits at any block size.
-    The grid is held whole, and the byte budget counts it so;
-    `write_wigner_csv` streams the same blocks.
+    The grid is held whole, so the byte budget counts its 8 B per cell
+    besides one block; `write_wigner_csv` streams the same blocks.
     """
     x = np.asarray(x_grid, dtype=float)
     p = np.asarray(p_grid, dtype=float)
-    check_work_bytes(_wigner_work_bytes(len(x), len(p), len(c.indices)),
-                     f"Wigner grid {len(x)}x{len(p)} with {len(c.indices)} modes")
+    blocks = _wigner_blocks(c, L, x, p, t, units, held=8.0 * len(x) * len(p))
     values = np.empty((len(x), len(p)))
-    for xs, rows in _wigner_blocks(c, L, x, p, t, units):
+    for xs, rows in blocks:
         values[xs] = rows
     return FieldGrid(*_wigner_axes(x, p), values)
 
@@ -542,14 +542,12 @@ def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
     # e_plus, (N, X'): cos and sin give the bits of np.exp(1j * theta);
     # complex exp ran 10x slower once a complex BLAS product had run
     # (2-core AVX-512 x86-64, OpenBLAS 0.3.31)
-    e_plus = _unit_phases(theta, _Buffers())
+    e_plus = _unit_phases(theta)
     del theta  # not held through the time loop; the bench carpet's max-RSS was +0.6 MB with it held
-    buf = _Buffers()
-    shifts = _Buffers()  # a later column block's shift and shifted coefficients
     # the phases of a few product blocks per call: a call per block costs
     # more than its product, and a full _PHASE_ELEMENTS block peaks higher
     for chunk in _phase_chunks(len(ts), 8 * len(n), align=_CARPET_TIMES):
-        phases = _phase_block(ts[chunk], n, basis.spectrum, buf)
+        phases = _phase_block(ts[chunk], n, basis.spectrum)
         for sub in range(0, phases.shape[1], _CARPET_TIMES):
             times = min(_CARPET_TIMES, phases.shape[1] - sub)
             a = np.empty((len(n), 2 * times), dtype=complex)  # columns a(t), then conj(a(t))
@@ -559,8 +557,7 @@ def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
             np.matmul(a.T, e_plus, out=w[:, :width])
             for lo in range(width, len(x), width):
                 cols = slice(lo, lo + width)
-                shifted = np.multiply(a, _unit_phases(n * x[lo] * math.pi / L, shifts)[:, None],
-                                      out=shifts("a", a.shape, complex))
+                shifted = a * _unit_phases(n * x[lo] * math.pi / L)[:, None]
                 np.matmul(shifted.T, e_plus[:, : len(x[cols])], out=w[:, cols])
             w_plus, w_minus_conj = w[:times], w[times:]
             # (|w_plus|^2 + |w_minus|^2) / 2L and -Re(w_plus conj(w_minus)) / L, in place
@@ -574,6 +571,7 @@ def _carpet_blocks(c: CoefficientSet, basis: InfiniteWellBasis, x, ts):
             qc /= L
             start = chunk.start + sub
             yield slice(start, start + times), cls, qc
+            del w, w_plus, w_minus_conj  # freed before the next block's w is formed
 
 
 def _carpet_axes(L: float, x_count: int, t_count: int, t_hi: float) -> tuple[AxisSpec, AxisSpec]:

@@ -7,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from revival import analogs
 from revival.analogs import (
     BEC_MAX_LEVELS,
     CoherentState,
@@ -145,6 +146,25 @@ class TestJaynesCummings:
         for t, value in zip(np.array(times)[rows], got.real[rows]):
             assert abs(value - self._mpmath_inversion(nbar, 1.0, t)) <= tol, t
 
+    def test_inversion_at_nbar_1e7_matches_mpmath_on_its_frequencies(self, monkeypatch):
+        # 75,897 levels in 75 level blocks, on a 256-row grid to t = 6400 that
+        # takes the factored sum. The oracle sums the program's own double
+        # frequencies 2 sqrt(n) coupling and weights, since near t = 6,300 the
+        # rounding of 2 sqrt(n) alone moves P_e by ~1e-12 at nbar 1e6
+        seen = []
+        real = analogs._phase_sum
+        monkeypatch.setattr(analogs, "_phase_sum", lambda w, f, t: seen.append((w, f)) or real(w, f, t))
+        t = np.linspace(0.0, 6400.0, 256)
+        got = jc_inversion(JCParams(1e7, 1.0), t).values.real
+        [(w, freqs)] = seen
+        assert len(freqs) == 75_897
+        with mpmath.workdps(30):
+            for k in (0, 127, 254):
+                tt = mpmath.mpf(float(t[k]))
+                total = mpmath.fsum(mpmath.mpf(x) * mpmath.cos(mpmath.mpf(f) * tt)
+                                    for x, f in zip(w.tolist(), freqs.tolist()))
+                assert abs(got[k] - float(0.5 + 0.5 * total)) <= 1e-12, t[k]
+
     @pytest.mark.parametrize("nbar", [0.9, 1.0, 1.1])
     def test_small_nbar_window_holds_the_tail(self, nbar):
         # 12 levels above nbar left a Poisson tail of 4e-12 at nbar = 1
@@ -240,6 +260,21 @@ class TestOverlapStructure:
         assert grid.values.shape == (41, 41)
         i = np.unravel_index(np.argmax(grid.values), grid.values.shape)
         assert ax.points()[i[0]] == pytest.approx(3.0, abs=0.25)
+
+    def test_edge_rows_hold_the_largest_ladder_variable(self):
+        # write_bec_csv takes the whole grid's largest |w| from its first and
+        # last rows alone; it sets the rescaling cadence, so it must be the
+        # grid's maximum bit for bit, on symmetric and one-sided axes alike
+        from revival.analogs import _grid_beta, _ladder_variable
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            axes = [AxisSpec(name, *np.sort(rng.uniform(-60.0, 60.0, 2)), int(rng.integers(2, 120)))
+                    for name in ("re", "im")]
+            cs = CoherentState(alpha=complex(*rng.uniform(-8.0, 8.0, 2)), u0_over_hbar=1.0, n_cap=300)
+            grid = _grid_beta(*axes, slice(None))
+            edges = _grid_beta(*axes, slice(None, None, axes[0].count - 1))
+            assert np.max(np.abs(_ladder_variable(cs, edges))) == np.max(np.abs(_ladder_variable(cs, grid)))
 
 
 def overlap_oracle(cs, t, beta, dps=40):

@@ -782,6 +782,14 @@ class TestArgvErrors:
       "not exact"),
      (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "1e12", "--tmax", "1", "--steps", "4"],
       "GiB"),
+     # cycle phases past their exact range: levels whose n^2 passes 2^53
+     # (|A(800)|^2 read 0.9999999999999933 against 1.9e-33 from mpmath), and q*t
+     # products from 2^65 cycles on (an error of 0.17 at t = 1e30)
+     (["autocorr", "--model", "caseA", "--n0", "1e8", "--dn", "6", "--tmax", "800", "--steps", "2"],
+      "not exact"),
+     (["autocorr", "--model", "caseA", "--n0", "400", "--dn", "6", "--tmax", "1e30", "--steps", "2"],
+      "not exact"),
+     (["wigner", "--t", "1e30"], "not exact"),
      # the automatic bec ladder, |alpha|^2 + 10 |alpha| + 20 levels, past its
      # 1e5-level cap (1e12 levels, 7.28 TiB, at alpha 1e6), and an explicit one
      (["bec", "--alpha_re", "1e6", "--u0", "1"], "ladder levels"),
@@ -813,7 +821,8 @@ class TestArgvErrors:
      (["billiard2d", "--geometry", "equilateral", "--y0", "0.5", "--dx0", "5e-324", "--m_cap", "2",
        "--tmax", "1", "--steps", "1"], "too narrow")],
     ids=["autocorr_rotor", "autocorr_huge_tmax", "spectrum_rotor", "autocorr_huge_n0", "autocorr_huge_dn",
-         "autocorr_inexact_n0", "autocorr_huge_window", "bec_huge_alpha", "bec_overflowing_alpha",
+         "autocorr_inexact_n0", "autocorr_huge_window", "autocorr_inexact_square", "autocorr_inexact_cycles",
+         "wigner_inexact_cycles", "bec_huge_alpha", "bec_overflowing_alpha",
          "bec_huge_n_cap", "carpet_subnormal_dx0", "carpet_huge_L", "wigner_huge_L", "observables_huge_L",
          "jc_infinite_frequency", "jc_infinite_grid", "bec_infinite_time", "carpet_subnormal_max",
          "carpet_tiny_max", "carpet_infinite_time_axis", "billiard2d_repeated_times",

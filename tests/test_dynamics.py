@@ -516,6 +516,27 @@ class TestReducedPhase:
         want = [[_fraction_phase(o, tt) for tt in row] for o, row in zip(omega[:, 0], t)]
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("omega, t, want", [
+        (2.0, 3.0, ["-0x1.21fb54442d184p-2"]),
+        (-0.0, 5.0, ["0x0.0p+0"]),
+        (3, 4, ["-0x1.21fb54442d184p-1"]),
+        (np.zeros(0), 1.0, []),
+        ([1.0, -2.0], [3e9, 4.0], ["0x1.bb708f3665434p+0", "-0x1.b7812aeef4b9fp+0"]),
+        (np.array([[1.0], [-2.0]]), np.array([1e20, 1.0, -0.0]),
+         ["0x1.653cc11b2b5dcp+2", "0x1.0p+0", "0x0.0p+0", "0x1.6717a148bb9e6p+0", "-0x1.0p+1", "0x0.0p+0"]),
+        (1e-300, 1e300, ["0x1.0p+0"]),
+        (7.0, np.nextafter(1e8, 2e8) / 7.0, ["0x1.f1547814cb063p+0"]),
+    ], ids=["scalars", "negative_zero", "ints", "empty", "lists_far_and_near", "grid_far_and_near", "tiny_times_huge",
+            "just_far"])
+    def test_edge_cases_keep_their_bits_and_types(self, omega, t, want):
+        # a fresh float64 ndarray of the broadcast shape, 0-d for scalar
+        # operands, with the bits of the kernel that reused named buffers
+        got = dynamics.reduced_phase(omega, t)
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == np.broadcast_shapes(np.shape(omega), np.shape(t))
+        bits = np.array([float.fromhex(h) for h in want], dtype=float).view(np.int64)
+        assert got.reshape(-1).view(np.int64).tolist() == bits.tolist()
+
     @pytest.mark.parametrize("omega, t", [(np.inf, 1.0), (1.0, -np.inf), (np.nan, 2e8),
                                           (np.array([1.0, np.inf]), 0.0), (2.0, np.array([[1e9], [np.nan]]))])
     def test_non_finite_operands_are_domain_errors(self, omega, t):
@@ -615,8 +636,7 @@ def _exp_block(ts, n, s=None):
 
 class TestPhaseKernel:
     """The angle function and the cos/sin step give the bits of the
-    complex-exponential kernel, and reused buffers carry nothing from one
-    block to the next."""
+    complex-exponential kernel."""
 
     BOUNCER = Spectrum1D.bouncer_airy()
     CASES = {
@@ -634,7 +654,7 @@ class TestPhaseKernel:
         # input where sin keeps a sign that np.exp(1j * theta) drops
         theta = np.concatenate([rng.uniform(0.0, dynamics.TWO_PI, 20000), rng.uniform(-1e4, 1e4, 20000),
                                 [0.0, 5e-324, math.pi, dynamics.TWO_PI, 1e-300]]).reshape(5, -1)
-        got = dynamics._unit_phases(theta, dynamics._Buffers())
+        got = dynamics._unit_phases(theta)
         assert np.array_equal(got.view(np.int64), np.exp(1j * theta).view(np.int64))
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -643,14 +663,38 @@ class TestPhaseKernel:
         got = dynamics._phase_block(ts, n, s)
         assert np.array_equal(got.view(np.int64), _exp_block(ts, n, s).view(np.int64))
 
-    @pytest.mark.parametrize("case", list(CASES))
-    def test_shared_buffers_match_fresh_ones(self, case):
-        # a large block, then smaller ones: each must be wholly rewritten
-        n, s, ts = self.CASES[case]
-        buf = dynamics._Buffers()
-        for cols in (slice(0, 1700), slice(1700, 1900), slice(1900, 1901), slice(1901, 2001)):
-            got = dynamics._phase_block(ts[cols], n, s, buf)
-            assert np.array_equal(got, dynamics._phase_block(ts[cols], n, s)), cols
+
+class TestCyclePhaseRange:
+    """The cycle path's exact range (_phase_angles): every n^j below 2^53
+    and |q t| below 2^65 cycles. Just inside each bound caseA's A(t) is
+    within 1e-12 of mpmath; past it the phases are a DomainError."""
+
+    G = CASE_A.frequency_polynomial()
+
+    def _check(self, c, t):
+        got = autocorrelation(c, CASE_A, t).values
+        for tt, value in zip(t, got):
+            assert abs(value - _mp_sum(c.weights(), c.indices, tt, self.G)) <= 1e-12, tt
+
+    def test_just_inside_the_square_bound(self):
+        # levels up to 94,906,251, against sqrt(2^53) = 94,906,265.6
+        c = gaussian_model_coefficients(94_906_200.0, 6.0)
+        assert c.indices.max() ** 2 < 2**53 < (c.indices.max() + 15) ** 2
+        self._check(c, np.array([0.0, 13.7, 800.0]))
+
+    def test_just_inside_the_cycle_bound(self):
+        q_max = float(np.max(np.abs(dynamics._dd_cycles(self.G, MODEL_SET.indices.astype(float))[0])))
+        t = np.array([0.5, 0.75, 1.0 - 1e-15]) * (2.0**65 / q_max)
+        assert q_max * t[-1] < 2.0**65
+        self._check(MODEL_SET, t)
+
+    def test_past_each_bound_is_a_domain_error(self):
+        assert dynamics._phase_block([1.0], np.array([94_906_265.0]), CASE_A).shape == (1, 1)
+        with pytest.raises(DomainError, match="n = 94906266 has n\\^2 from 2\\^53 on: .* not exact"):
+            dynamics._phase_block([1.0], np.array([94_906_266.0]), CASE_A)
+        q_max = float(np.max(np.abs(dynamics._dd_cycles(self.G, MODEL_SET.indices.astype(float))[0])))
+        with pytest.raises(DomainError, match="from 2\\^65 on: its phase is not exact"):
+            dynamics._phase_block([0.0, 2.0**65 / q_max], MODEL_SET.indices, CASE_A)
 
 
 class TestLinspaceRows:
@@ -673,9 +717,8 @@ def _direct_phase_sum(w, n, t, s=None):
     """The phase sum without the base x offset factoring: one phase per
     (level, time), summed over levels by the same einsum."""
     vals = np.empty(len(t), dtype=complex)
-    buf = dynamics._Buffers()
     for cols in dynamics._phase_chunks(len(t), len(n)):
-        vals[cols] = np.einsum("n,nt->t", w, dynamics._phase_block(t[cols], n, s, buf).view(float)).view(complex)
+        vals[cols] = np.einsum("n,nt->t", w, dynamics._phase_block(t[cols], n, s).view(float)).view(complex)
     return vals
 
 

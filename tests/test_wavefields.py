@@ -7,9 +7,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from revival import dynamics, specfun, wavefields
+from revival import dynamics, errors, specfun, wavefields
 from revival.dynamics import _phase_block, _phase_chunks
-from revival.errors import WORK_MAX_BYTES, DomainError, TruncationError
+from revival.errors import DomainError, TruncationError
 from revival.packets import (
     PacketParams1D,
     bouncer_coefficients,
@@ -145,6 +145,24 @@ class TestObservables:
         assert np.array_equal(obs.mean_x, mx) and np.array_equal(obs.mean_p, mp)
         assert np.array_equal(obs.sd_x, np.sqrt(np.maximum(x2 - mx**2, 0.0)))
         assert np.array_equal(obs.sd_p, np.sqrt(np.maximum(p2 - mp**2, 0.0)))
+
+    def test_peak_memory_frees_each_chunk(self):
+        # the CLI's 57-mode box packet on 4096 times. Measured tracemalloc
+        # peaks (CPython 3.11, numpy 2.4): 1.30 MiB with each chunk's blocks
+        # freed before the next chunk's are formed, 2.12 MiB with the last
+        # chunk's kept alive, and 1.62 MiB with the named buffers this replaced
+        pk = PacketParams1D(x0=0.5, p0=400 * math.pi, width_b=0.05 * math.sqrt(2.0))
+        c = infinite_well_coefficients(pk, L, int(400 + 12 * delta_n_estimate(pk, L)) + 8)
+        assert len(c.indices) == 57
+        grid = np.linspace(0.0, 0.01, 4096)
+        observables(c, WELL, grid)  # import-time caches outside the trace
+        tracemalloc.start()
+        try:
+            observables(c, WELL, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 2**20, peak
 
     def test_uncertainty_product(self, cset):
         rng = np.random.default_rng(3)
@@ -294,14 +312,23 @@ class TestWignerFastPath:
         assert np.max(np.abs(oracle.imag)) < 1e-12
         assert np.max(np.abs(got - oracle.real)) <= 1e-12 * np.max(np.abs(oracle.real))
 
-    def test_grid_guard_just_above_cap(self):
+    def test_grid_guard_just_above_cap(self, monkeypatch):
+        # the held grid is charged its 8 B per cell beside one block of x
+        # rows, the block the CSV stream is charged: a cap of exactly that
+        # runs and one byte less is refused. Charging every row a block's
+        # per-cell estimate, as the guard once did, refused this grid, and
+        # 2900^2 at the 1 GiB cap
         c = infinite_well_coefficients(self.PACKET, L, 40)
-        count = len(c.indices)
-        assert _wigner_work_bytes(2759, 2759, count) <= WORK_MAX_BYTES
-        assert _wigner_work_bytes(2760, 2760, count) > WORK_MAX_BYTES
-        x = np.linspace(0.01, 0.99, 2760)
+        x, p = np.linspace(0.01, 0.99, 4096), np.linspace(-50.0, 50.0, 16)
+        shifts = len(wavefields._shifts(c.indices)[0])
+        rows = next(_phase_chunks(len(x), 4 * max(shifts, len(p)))).stop
+        need = 8 * len(x) * len(p) + _wigner_work_bytes(rows, len(p), len(c.indices))
+        assert rows < len(x) and need < _wigner_work_bytes(len(x), len(p), len(c.indices))
+        monkeypatch.setattr(errors, "WORK_MAX_BYTES", need)
+        assert wigner_infinite_well(c, L, x, p, 0.0).values.shape == (len(x), len(p))
+        monkeypatch.setattr(errors, "WORK_MAX_BYTES", need - 1)
         with pytest.raises(TruncationError, match="GiB"):
-            wigner_infinite_well(c, L, x, np.linspace(-50.0, 50.0, 2760), 0.0)
+            wigner_infinite_well(c, L, x, p, 0.0)
 
     def test_default_grid_peak_within_estimate(self):
         # the CLI default: n0 40 packet, 256 x 256 grid
